@@ -1,0 +1,267 @@
+"""Labeled polyhedral complexes built from block tuples.
+
+A block cell is a tuple of disjoint increasing vertex blocks
+(s_1, ..., s_k) with max(s_i) < min(s_{i+1}); geometrically it is the
+product of the simplices spanned by the blocks, so its dimension is
+sum(|s_i| - 1) and its faces arise by shrinking blocks componentwise.
+The complex of a d-graph H has one d-block cell for every tuple whose
+transversals (one vertex per block) are all edges of H; its vertices are
+the edges themselves and each cell is labeled by the union of its
+blocks.
+
+`LabeledComplex` is the shared container: concrete subclasses only
+provide the boundary rule and cell sort keys, everything label-driven
+(downsets, the lcm lattice, f-vectors) lives here.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .errors import PreconditionError
+from .hypergraph import Hypergraph
+
+
+class LabeledComplex:
+    """Finite labeled complex: cells with dimensions and label sets."""
+
+    def __init__(self, cells):
+        # cells: dict cell_key -> (dim, frozenset label)
+        self._cells = dict(cells)
+        by_dim = {}
+        for key, (dim, _label) in self._cells.items():
+            by_dim.setdefault(dim, []).append(key)
+        for dim in by_dim:
+            by_dim[dim].sort(key=self.sort_key)
+        self._by_dim = by_dim
+
+    # --- subclass interface -------------------------------------------
+    def boundary(self, cell):
+        """Signed codimension-1 faces as (cell, sign) pairs."""
+        raise NotImplementedError
+
+    def sort_key(self, cell):
+        return cell
+
+    def _subcomplex(self, keys):
+        keep = set(keys)
+        return type(self)({k: v for k, v in self._cells.items() if k in keep})
+
+    # --- generic queries ----------------------------------------------
+    def __contains__(self, cell):
+        return cell in self._cells
+
+    def __len__(self):
+        return len(self._cells)
+
+    @property
+    def is_empty(self):
+        return not self._cells
+
+    def dim(self, cell):
+        return self._cells[cell][0]
+
+    def label(self, cell):
+        return self._cells[cell][1]
+
+    def dims(self):
+        return sorted(self._by_dim)
+
+    def max_dim(self):
+        return max(self._by_dim) if self._cells else -1
+
+    def cells(self, dim):
+        return tuple(self._by_dim.get(dim, ()))
+
+    def all_cells(self):
+        for dim in self.dims():
+            yield from self._by_dim[dim]
+
+    def f_vector(self):
+        if self.is_empty:
+            return ()
+        return tuple(
+            len(self._by_dim.get(d, ())) for d in range(self.max_dim() + 1)
+        )
+
+    def vertex_labels(self):
+        """Labels of the 0-cells (the generators of the resolved ideal)."""
+        return {self.label(c) for c in self.cells(0)}
+
+    def lcm_lattice(self):
+        """All unions of vertex labels, sorted by (size, elements)."""
+        gens = sorted(self.vertex_labels(), key=sorted)
+        closure = set(gens)
+        frontier = set(gens)
+        while frontier:
+            new = set()
+            for a in frontier:
+                for g in gens:
+                    u = a | g
+                    if u not in closure:
+                        closure.add(u)
+                        new.add(u)
+            frontier = new
+        return sorted(closure, key=lambda s: (len(s), sorted(s)))
+
+    def downset_leq(self, alpha):
+        """Subcomplex of cells whose label is contained in alpha."""
+        alpha = frozenset(alpha)
+        return self._subcomplex(
+            k for k, (_d, lab) in self._cells.items() if lab <= alpha
+        )
+
+    def downset_lt(self, alpha):
+        """Subcomplex of cells whose label is strictly below alpha."""
+        alpha = frozenset(alpha)
+        return self._subcomplex(
+            k for k, (_d, lab) in self._cells.items() if lab < alpha
+        )
+
+
+def block_dim(blocks):
+    return sum(len(b) - 1 for b in blocks)
+
+
+def block_boundary(blocks):
+    """Signed faces of a product-of-simplices cell.
+
+    Deleting vertex v from block i carries the sign
+    (-1)^(sum of earlier block dimensions) * (-1)^(index of v in its
+    block); blocks of size one cannot shrink.  Composing twice cancels,
+    which boundary-matrix construction asserts.
+    """
+    out = []
+    offset = 0
+    for i, block in enumerate(blocks):
+        if len(block) >= 2:
+            base = -1 if offset & 1 else 1
+            for pos, v in enumerate(block):
+                face = blocks[:i] + (block[:pos] + block[pos + 1:],) + blocks[i + 1:]
+                sign = base if pos % 2 == 0 else -base
+                out.append((face, sign))
+        offset += len(block) - 1
+    return out
+
+
+class BlockComplex(LabeledComplex):
+    """Complex whose cells are block tuples; labels stored per cell."""
+
+    def boundary(self, cell):
+        return block_boundary(cell)
+
+    @classmethod
+    def from_blocks(cls, blocks_iter, label_fn=None):
+        if label_fn is None:
+            label_fn = lambda blocks: frozenset(itertools.chain(*blocks))
+        cells = {}
+        for blocks in blocks_iter:
+            cells[blocks] = (block_dim(blocks), frozenset(label_fn(blocks)))
+        return cls(cells)
+
+    def relabeled(self, mapping):
+        """Same cells with every label pushed through the vertex map."""
+        return type(self)(
+            {
+                key: (dim, frozenset(mapping[v] for v in lab))
+                for key, (dim, lab) in self._cells.items()
+            }
+        )
+
+    def remapped(self, mapping):
+        """Push block contents *and* labels through a vertex bijection.
+
+        Shrink faces commute with the bijection, and the sign rule only
+        sees block sizes and within-block positions, so the image is
+        again a valid block complex (on relabeled vertices).
+        """
+        cells = {}
+        for key, (dim, lab) in self._cells.items():
+            new_key = tuple(
+                tuple(sorted(mapping[v] for v in block)) for block in key
+            )
+            cells[new_key] = (dim, frozenset(mapping[v] for v in lab))
+        return type(self)(cells)
+
+
+def _compositions(total, parts):
+    # all ways to write total as an ordered sum of `parts` positive ints
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield (0,) + cuts + (total,)
+
+
+def enumerate_block_cells(H):
+    """Block tuples of H: every transversal must be an edge."""
+    edges = H.edges
+    d = H.d
+    out = []
+    verts = H.support()
+    for size in range(d, len(verts) + 1):
+        for sub in itertools.combinations(verts, size):
+            for cuts in _compositions(size, d):
+                blocks = tuple(
+                    sub[cuts[i]:cuts[i + 1]] for i in range(d)
+                )
+                if all(t in edges for t in itertools.product(*blocks)):
+                    out.append(blocks)
+    return out
+
+
+def build_complex(H):
+    """The labeled complex of a d-graph.
+
+    Cells are block tuples whose transversals are all edges; the label
+    is the union of blocks.  The result is automatically closed under
+    faces since shrinking blocks only removes transversals.
+    """
+    return BlockComplex.from_blocks(enumerate_block_cells(H))
+
+
+def fold(H, i, j):
+    """Remove the cone over the j-layer, valid when it nests in the i-layer.
+
+    Requires i < j and every edge of the j-layer to be an edge of the
+    i-layer; then dropping the edges {j} u e (e in the j-layer) does not
+    change the homotopy type of the complex.
+    """
+    if i not in H.vertices or j not in H.vertices:
+        raise ValueError(f"fold vertices must lie in {H.vertices}")
+    if not i < j:
+        raise PreconditionError(f"fold needs i < j, got ({i}, {j})")
+    layer_j = H.layer(j)
+    if not layer_j.edges <= H.layer(i).edges:
+        raise PreconditionError(
+            f"the {j}-layer does not nest inside the {i}-layer"
+        )
+    removed = {tuple(sorted((j,) + e)) for e in layer_j.edges}
+    return Hypergraph(H.d, H.vertices, H.edges - removed)
+
+
+def contractibility_certificate(H):
+    """Fold sequence showing the complex of a cointerval graph is a point.
+
+    Returns a list of steps, each ('fold', i, j) or ('descend', v): folds
+    shrink the graph at fixed uniformity until only the smallest support
+    vertex v carries a layer, then the complex equals a simplex joined
+    with the layer complex and the certificate descends into the layer.
+    Replaying the steps (each fold precondition rechecked) and ending at
+    uniformity one proves contractibility with no homology computation.
+    """
+    if not H.edges:
+        raise PreconditionError("the empty complex has no certificate")
+    if not H.is_cointerval():
+        raise PreconditionError("certificate requires a cointerval graph")
+    steps = []
+    cur = H
+    while cur.d > 1:
+        while True:
+            busy = [v for v in cur.support() if cur.layer(v).edges]
+            if len(busy) <= 1:
+                break
+            i, j = busy[0], busy[-1]
+            steps.append(("fold", i, j))
+            cur = fold(cur, i, j)
+        v = min(cur.support())
+        steps.append(("descend", v))
+        cur = cur.layer(v)
+    return steps

@@ -1,0 +1,417 @@
+"""d-uniform hypergraphs on integer-labeled vertices.
+
+Vertex labels carry meaning everywhere in this package: layers,
+cointervality and strong stability are all read off the integer order.
+A d-graph here is a set of d-element edges over an explicit vertex set;
+vertices absent from every edge are allowed and impose no ordering
+constraints.
+
+The central recognition routine is `Hypergraph.is_cointerval`, the
+recursive layer-nesting condition: every layer must itself be cointerval
+and the layers must shrink (as edge sets) when the root vertex grows.
+For 2-graphs this class is exactly the complements of interval graphs,
+which `interval_representation` witnesses directly.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .errors import BudgetError, ParseError, PreconditionError
+
+CANONICAL_VERTEX_LIMIT = 9  # exhaustive relabeling guard: 9! permutations
+
+
+class Hypergraph:
+    """Immutable d-uniform hypergraph with sorted-tuple edges."""
+
+    __slots__ = ("d", "vertices", "edges", "_hash")
+
+    def __init__(self, d, vertices, edges):
+        if d < 1:
+            raise ValueError(f"uniformity must be >= 1, got {d}")
+        vs = tuple(sorted(set(int(v) for v in vertices)))
+        vset = set(vs)
+        norm = set()
+        for e in edges:
+            t = tuple(sorted(int(v) for v in e))
+            if len(t) != d or len(set(t)) != d:
+                raise ValueError(f"edge {t} is not a {d}-element set")
+            if not set(t) <= vset:
+                raise ValueError(f"edge {t} uses vertices outside {vs}")
+            norm.add(t)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "_hash", hash((d, vs, self.edges)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Hypergraph is immutable")
+
+    def __reduce__(self):
+        return (Hypergraph, (self.d, self.vertices, tuple(self.edges)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return (
+            self.d == other.d
+            and self.vertices == other.vertices
+            and self.edges == other.edges
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        es = ",".join("".join(map(str, e)) for e in self.edge_list())
+        return f"Hypergraph(d={self.d}, V={list(self.vertices)}, E={{{es}}})"
+
+    @property
+    def n(self):
+        return len(self.vertices)
+
+    def edge_list(self):
+        return sorted(self.edges)
+
+    def support(self):
+        """Vertices that appear in at least one edge."""
+        seen = set()
+        for e in self.edges:
+            seen.update(e)
+        return tuple(sorted(seen))
+
+    def layer(self, v):
+        """The v-layer: edges containing v with every other vertex above v.
+
+        Returns a (d-1)-graph on the remaining vertices (edge sets keep
+        their original labels, v itself is dropped).
+        """
+        if self.d == 1:
+            raise PreconditionError("layers are undefined for 1-graphs")
+        if v not in self.vertices:
+            raise ValueError(f"vertex {v} not in {self.vertices}")
+        rest = tuple(u for u in self.vertices if u != v)
+        return Hypergraph(
+            self.d - 1, rest, [e[1:] for e in self.edges if e[0] == v]
+        )
+
+    def induced(self, W):
+        """Subgraph induced on W: the edges lying entirely inside W."""
+        ws = set(W)
+        if not ws <= set(self.vertices):
+            raise ValueError(f"{sorted(ws)} is not a subset of the vertex set")
+        return Hypergraph(
+            self.d, sorted(ws), [e for e in self.edges if set(e) <= ws]
+        )
+
+    def relabel(self, mapping):
+        """Apply an injective vertex relabeling (dict old -> new)."""
+        if set(mapping) != set(self.vertices):
+            raise ValueError("relabeling must cover the whole vertex set")
+        if len(set(mapping.values())) != len(mapping):
+            raise ValueError("relabeling is not injective")
+        return Hypergraph(
+            self.d,
+            mapping.values(),
+            [[mapping[v] for v in e] for e in self.edges],
+        )
+
+    def is_cointerval(self):
+        """Recursive layer-nesting test, under the given labels.
+
+        Every layer must be cointerval and for support vertices i < j the
+        j-layer's edges must be contained in the i-layer's.  Vertices in
+        no edge are unconstrained (their layers are empty, and they never
+        bound another vertex's layer).
+        """
+        if self.d == 1:
+            return True
+        supp = self.support()
+        layers = [self.layer(v) for v in supp]
+        for lay in layers:
+            if not lay.is_cointerval():
+                return False
+        for i in range(len(supp)):
+            bigger = layers[i].edges
+            for j in range(i + 1, len(supp)):
+                if not layers[j].edges <= bigger:
+                    return False
+        return True
+
+    def is_strongly_stable(self):
+        """Closure under lowering any edge vertex by one.
+
+        Requires vertex labels 1..n.  An edge set E is strongly stable if
+        for every edge, replacing a member i by i-1 (when i-1 >= 1 and
+        i-1 is not already in the edge) again gives an edge.
+        """
+        if self.vertices != tuple(range(1, self.n + 1)):
+            raise PreconditionError(
+                "strong stability needs vertex labels 1..n, "
+                f"got {self.vertices}"
+            )
+        for e in self.edges:
+            members = set(e)
+            for i in e:
+                if i - 1 >= 1 and i - 1 not in members:
+                    shifted = tuple(sorted(members - {i} | {i - 1}))
+                    if shifted not in self.edges:
+                        return False
+        return True
+
+    def complement(self):
+        """Complement within the complete 2-graph on the same vertices."""
+        if self.d != 2:
+            raise PreconditionError("complement is only defined for 2-graphs")
+        return Hypergraph(
+            2,
+            self.vertices,
+            [
+                e
+                for e in itertools.combinations(self.vertices, 2)
+                if e not in self.edges
+            ],
+        )
+
+    def is_chordal(self):
+        """Perfect-elimination test for 2-graphs."""
+        if self.d != 2:
+            raise PreconditionError("chordality is only defined for 2-graphs")
+        adj = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        remaining = set(self.vertices)
+        while remaining:
+            simplicial = None
+            for v in remaining:
+                nb = adj[v] & remaining
+                if all(
+                    u in adj[w]
+                    for u, w in itertools.combinations(sorted(nb), 2)
+                ):
+                    simplicial = v
+                    break
+            if simplicial is None:
+                return False
+            remaining.discard(simplicial)
+        return True
+
+    def canonical_form(self):
+        """Lexicographically least relabeling onto 1..n.
+
+        Exhausts all n! vertex assignments, so the vertex count is
+        guarded.  Two hypergraphs are isomorphic iff their canonical
+        forms are equal.
+        """
+        if self.n > CANONICAL_VERTEX_LIMIT:
+            raise BudgetError(
+                f"canonical_form is exhaustive; refusing {self.n} > "
+                f"{CANONICAL_VERTEX_LIMIT} vertices"
+            )
+        target = range(1, self.n + 1)
+        best = None
+        for perm in itertools.permutations(target):
+            mapping = dict(zip(self.vertices, perm))
+            candidate = tuple(
+                sorted(tuple(sorted(mapping[v] for v in e)) for e in self.edges)
+            )
+            if best is None or candidate < best:
+                best = candidate
+        return Hypergraph(self.d, target, best or ())
+
+
+def find_cointerval_labeling(H):
+    """Search for a relabeling making H cointerval.
+
+    Depth-first over assignments of new labels 1, 2, ... to original
+    vertices in increasing original order, pruning as soon as the layer
+    edge sets determined so far stop nesting.  Returns the first success
+    as a dict (original -> new label), or None.
+    """
+    verts = H.vertices
+    n = len(verts)
+    if H.d == 1 or not H.edges:
+        return {v: i for i, v in enumerate(verts, start=1)}
+    edges_at = {v: [e for e in H.edges if v in e] for v in verts}
+    edgeless = {v for v in verts if not edges_at[v]}
+
+    order = []  # order[p-1] = original vertex with new label p
+    chosen = set()
+    layers = []  # layer edge sets (families of frozensets), per position
+
+    def place(v):
+        members = set()
+        for e in edges_at[v]:
+            others = [u for u in e if u != v]
+            if all(u not in chosen for u in others):
+                members.add(frozenset(others))
+        # nesting against every earlier constrained position
+        for q, lay in enumerate(layers):
+            if order[q] in edgeless:
+                continue
+            if not members <= lay:
+                return None
+        return members
+
+    def dfs():
+        if len(order) == n:
+            mapping = {v: p for p, v in enumerate(order, start=1)}
+            if H.relabel(mapping).is_cointerval():
+                return mapping
+            return None
+        for v in verts:
+            if v in chosen:
+                continue
+            members = place(v)
+            if members is None:
+                continue
+            chosen.add(v)
+            order.append(v)
+            layers.append(members)
+            found = dfs()
+            if found:
+                return found
+            layers.pop()
+            order.pop()
+            chosen.discard(v)
+        return None
+
+    return dfs()
+
+
+def find_strongly_stable_labeling(H):
+    """Search for a relabeling onto 1..n making H strongly stable.
+
+    In any strongly stable labeling the support occupies an initial
+    segment (an edge vertex right above an isolated one could not shift
+    down), so only permutations of the support need to be tried; the
+    edgeless vertices follow in increasing order.
+    """
+    support = H.support()
+    k = len(support)
+    for perm in itertools.permutations(range(1, k + 1)):
+        mapping = dict(zip(support, perm))
+        probe = Hypergraph(
+            H.d, range(1, k + 1), [[mapping[v] for v in e] for e in H.edges]
+        )
+        if probe.is_strongly_stable():
+            nxt = k + 1
+            for v in H.vertices:
+                if v not in mapping:
+                    mapping[v] = nxt
+                    nxt += 1
+            return mapping
+    return None
+
+
+def interval_representation(H):
+    """Closed integer intervals whose disjointness pattern complements H.
+
+    Defined for cointerval 2-graphs on vertex labels 1..n: vertex i gets
+    the interval [l+1, i] where l is its largest neighbor below i (or 0).
+    Intervals of u < v are disjoint exactly when uv is an edge; that
+    property is re-checked and a failure raises, since it would mean the
+    recognition and the construction disagree.
+    """
+    if H.d != 2:
+        raise PreconditionError("interval representations need a 2-graph")
+    if H.vertices != tuple(range(1, H.n + 1)):
+        raise PreconditionError("interval representations need labels 1..n")
+    if not H.is_cointerval():
+        raise PreconditionError("hypergraph is not cointerval as labeled")
+    rep = {}
+    for v in H.vertices:
+        below = [e[0] for e in H.edges if e[1] == v]
+        lo = max(below) if below else 0
+        rep[v] = (lo + 1, v)
+    for u, v in itertools.combinations(H.vertices, 2):
+        disjoint = rep[u][1] < rep[v][0] or rep[v][1] < rep[u][0]
+        is_edge = (u, v) in H.edges
+        if disjoint != is_edge:
+            raise RuntimeError(
+                "internal inconsistency: interval representation does not "
+                f"match the edge set at pair ({u},{v})"
+            )
+    return rep
+
+
+def parse_hypergraph(text):
+    """Parse the hypergraph text format.
+
+    Line 1: `d n`.  An optional `vertices:` line lists the n labels;
+    otherwise they default to 1..n.  Every other nonblank line is one
+    edge of d integers.  `#` starts a comment.
+    """
+    d = n = None
+    vertices = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if d is None:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("expected header `d n`", lineno)
+            try:
+                d, n = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("expected header `d n`", lineno) from None
+            if d < 1 or n < 0:
+                raise ParseError(f"bad header values d={d} n={n}", lineno)
+            continue
+        if line.startswith("vertices:"):
+            if vertices is not None or edges:
+                raise ParseError(
+                    "vertices: line must come right after the header", lineno
+                )
+            try:
+                vertices = [int(v) for v in line[len("vertices:"):].split()]
+            except ValueError:
+                raise ParseError("bad vertex label", lineno) from None
+            if len(vertices) != n:
+                raise ParseError(
+                    f"expected {n} vertex labels, got {len(vertices)}", lineno
+                )
+            if len(set(vertices)) != n:
+                raise ParseError("duplicate vertex labels", lineno)
+            continue
+        try:
+            edge = [int(v) for v in line.split()]
+        except ValueError:
+            raise ParseError(f"bad edge line {line!r}", lineno) from None
+        if len(edge) != d:
+            raise ParseError(
+                f"edge has {len(edge)} vertices, expected {d}", lineno
+            )
+        edges.append(edge)
+    if d is None:
+        raise ParseError("empty input, expected header `d n`")
+    if vertices is None:
+        vertices = range(1, n + 1)
+    try:
+        return Hypergraph(d, vertices, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def format_hypergraph(H):
+    """Serialize in the text format; edges sorted, byte-stable."""
+    lines = [f"{H.d} {H.n}"]
+    if H.vertices != tuple(range(1, H.n + 1)):
+        lines.append("vertices: " + " ".join(map(str, H.vertices)))
+    for e in H.edge_list():
+        lines.append(" ".join(map(str, e)))
+    return "\n".join(lines) + "\n"
+
+
+def read_hypergraph(path):
+    with open(path, encoding="utf-8") as fh:
+        return parse_hypergraph(fh.read())
+
+
+def write_hypergraph(H, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_hypergraph(H))

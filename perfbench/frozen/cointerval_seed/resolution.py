@@ -1,0 +1,309 @@
+"""Resolution verification and graded Betti numbers, three ways.
+
+A labeled complex supports a free resolution of the ideal generated by
+its vertex labels exactly when every label-bounded subcomplex (downset)
+is acyclic; it is minimal when no cell shares its label with a
+codimension-1 face.  Betti numbers can then be read off three
+independent routes: counting cells by label (valid for the complex of a
+cointerval graph, where the resolution is minimal), reduced homology of
+strict downsets (valid for any verified resolution), and the
+independence-complex homology formula (valid for any edge ideal, no
+complex needed) -- the classical Hochster reading.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field as dataclass_field
+
+from .complexes import BlockComplex, build_complex
+from .errors import PreconditionError
+from .homology import (
+    ACYCLIC,
+    DEFAULT_FIELDS,
+    EMPTY,
+    GF2,
+    acyclicity_status,
+    boundary_matrices,
+)
+
+
+class BettiTable:
+    """Sparse table of graded Betti numbers beta_{i, alpha}."""
+
+    def __init__(self, entries=()):
+        self.entries = {
+            (i, frozenset(alpha)): int(b)
+            for (i, alpha), b in dict(entries).items()
+            if b
+        }
+
+    def __eq__(self, other):
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __bool__(self):
+        return bool(self.entries)
+
+    def get(self, i, alpha):
+        return self.entries.get((i, frozenset(alpha)), 0)
+
+    def coarse(self):
+        """Collapse multidegrees to total degree: (i, j) -> beta."""
+        out = {}
+        for (i, alpha), b in self.entries.items():
+            key = (i, len(alpha))
+            out[key] = out.get(key, 0) + b
+        return out
+
+    def totals(self):
+        """beta_i summed over multidegrees, as a tuple indexed 0..pdim."""
+        if not self.entries:
+            return ()
+        pdim = max(i for i, _ in self.entries)
+        sums = [0] * (pdim + 1)
+        for (i, _alpha), b in self.entries.items():
+            sums[i] += b
+        return tuple(sums)
+
+    def pdim(self):
+        return max((i for i, _ in self.entries), default=-1)
+
+    def is_d_linear(self, d):
+        """True when beta_{i,j} vanishes except on the line j = i + d."""
+        return all(j == i + d for i, j in self.coarse())
+
+    def sorted_entries(self):
+        return sorted(
+            ((i, tuple(sorted(alpha)), b) for (i, alpha), b in self.entries.items()),
+            key=lambda t: (t[0], t[1]),
+        )
+
+    def format_text(self):
+        """One `i | alpha | beta` line per entry, then a coarse block."""
+        lines = [
+            f"{i} | {' '.join(map(str, alpha))} | {b}"
+            for i, alpha, b in self.sorted_entries()
+        ]
+        lines.append("coarse:")
+        for (i, j), b in sorted(self.coarse().items()):
+            lines.append(f"{i} {j} {b}")
+        return "\n".join(lines) + "\n"
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of the label-lattice acyclicity sweep over a complex."""
+
+    fields: tuple
+    alpha_status: list = dataclass_field(default_factory=list)
+    failures: list = dataclass_field(default_factory=list)
+    minimal: bool = False
+
+    @property
+    def passed(self):
+        return not self.failures
+
+    def summary(self):
+        checked = sum(1 for _, s in self.alpha_status if s != EMPTY)
+        skipped = len(self.alpha_status) - checked
+        head = "pass" if self.passed else "FAIL"
+        fields = ", ".join(str(f) for f in self.fields)
+        lines = [
+            f"acyclic: {head} ({checked} degrees checked, {skipped} empty, "
+            f"fields {fields})"
+        ]
+        for alpha, fld in self.failures:
+            lines.append(
+                f"  failed at alpha = {' '.join(map(str, sorted(alpha)))} "
+                f"over {fld}"
+            )
+        lines.append(f"minimal: {'yes' if self.minimal else 'no'}")
+        return "\n".join(lines)
+
+
+def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
+    """Check that every downset of X in its label lattice is acyclic.
+
+    Fields are tried in order per degree; the first is the cheap screen
+    and the rest confirm.  With fail_fast=True the sweep stops at the
+    first failing degree (used inside exhaustive labeling searches).
+    """
+    report = VerificationReport(fields=tuple(fields))
+    if X.is_empty:
+        report.minimal = True
+        return report
+    for alpha in X.lcm_lattice():
+        sub = X.downset_leq(alpha)
+        if sub.is_empty:
+            report.alpha_status.append((alpha, EMPTY))
+            continue
+        status = ACYCLIC
+        for fld in fields:
+            st = acyclicity_status(sub, fld)
+            if st != ACYCLIC:
+                status = st
+                report.failures.append((alpha, fld))
+                break
+        report.alpha_status.append((alpha, status))
+        if fail_fast and report.failures:
+            break
+    report.minimal = verify_minimal(X)
+    return report
+
+
+def verify_minimal(X):
+    """No cell may share its label with any codimension-1 face."""
+    for dim in range(1, X.max_dim() + 1):
+        for cell in X.cells(dim):
+            lab = X.label(cell)
+            for face, _sign in X.boundary(cell):
+                if X.label(face) == lab:
+                    return False
+    return True
+
+
+def betti_from_faces(H):
+    """Betti numbers of the edge ideal by counting cells per label.
+
+    Valid because the complex of a cointerval graph supports a minimal
+    resolution: beta_{i, alpha} is the number of i-cells labeled alpha.
+    """
+    if not H.is_cointerval():
+        raise PreconditionError(
+            "face counting needs a cointerval graph as labeled"
+        )
+    X = build_complex(H)
+    entries = {}
+    for cell in X.all_cells():
+        key = (X.dim(cell), X.label(cell))
+        entries[key] = entries.get(key, 0) + 1
+    return BettiTable(entries)
+
+
+def betti_from_downset_homology(X, fld=GF2, checked=False):
+    """Betti numbers from reduced homology of strict downsets of X.
+
+    X must support a resolution (verified here unless checked=True);
+    minimality is not required.  beta_{0, alpha} counts the generators,
+    and for i >= 1, beta_{i, alpha} is the reduced rank of the strict
+    downset below alpha in degree i - 1.
+    """
+    if not checked:
+        report = verify_resolution(X, fields=(fld,))
+        if not report.passed:
+            raise PreconditionError(
+                "complex does not support a resolution over " + str(fld)
+            )
+    # one generator per distinct vertex label, even if several vertices
+    # carry the same one (non-minimal complexes)
+    entries = {(0, lab): 1 for lab in X.vertex_labels()}
+    for alpha in X.lcm_lattice():
+        strict = X.downset_lt(alpha)
+        if strict.is_empty:
+            continue
+        ranks = boundary_matrices(strict, fld).homology_ranks()
+        for degree, rank in enumerate(ranks):
+            if rank:
+                entries[(degree + 1, alpha)] = rank
+    return BettiTable(entries)
+
+
+def _independent_subsets(H):
+    verts = H.vertices
+    edges = [set(e) for e in H.edges]
+    out = []
+    for size in range(1, len(verts) + 1):
+        for sub in itertools.combinations(verts, size):
+            s = set(sub)
+            if not any(e <= s for e in edges):
+                out.append(sub)
+    return out
+
+
+def independence_complex(H):
+    """Simplicial complex of edge-free vertex subsets, as 1-block cells."""
+    return BlockComplex.from_blocks((sub,) for sub in _independent_subsets(H))
+
+
+def betti_hochster(H, fld=GF2):
+    """Betti numbers via independence-complex homology.
+
+    For each vertex subset alpha, beta_{i, alpha} is the reduced
+    (co)homology rank of the independence complex of the induced graph
+    in degree |alpha| - i - 2.  Works for any d-graph; no cell complex
+    is involved, so it serves as the independent oracle.
+    """
+    entries = {}
+    for size in range(H.d, H.n + 1):
+        for alpha in itertools.combinations(H.vertices, size):
+            sub = H.induced(alpha)
+            if not sub.edges:
+                continue
+            ind = independence_complex(sub)
+            if ind.is_empty:
+                # no independent vertices at all: one unit of homology in
+                # degree -1 (only reachable for 1-graphs)
+                i = size - 1
+                if i >= 0:
+                    entries[(i, frozenset(alpha))] = 1
+                continue
+            ranks = boundary_matrices(ind, fld).homology_ranks()
+            for degree, rank in enumerate(ranks):
+                if rank:
+                    i = size - degree - 2
+                    if i >= 0:
+                        entries[(i, frozenset(alpha))] = rank
+    return BettiTable(entries)
+
+
+def cube_betti(H, V=None):
+    """Number of top cells labeled by the whole vertex set.
+
+    Counts block tuples covering V whose transversals are all edges;
+    equals the top Betti number beta_{|V| - d, V} for cointerval H.
+    """
+    if V is None:
+        V = H.vertices
+    sub = H.induced(V)
+    verts = tuple(sorted(V))
+    size = len(verts)
+    if size < H.d:
+        return 0
+    count = 0
+    for cuts in itertools.combinations(range(1, size), H.d - 1):
+        bounds = (0,) + cuts + (size,)
+        blocks = tuple(verts[bounds[i]:bounds[i + 1]] for i in range(H.d))
+        if all(t in sub.edges for t in itertools.product(*blocks)):
+            count += 1
+    return count
+
+
+def taylor_complex(H):
+    """Full simplex on the generators, labeled by unions of edges.
+
+    Cells are nonempty subsets of the edge list (kept as index blocks so
+    the simplex face rule applies); always a resolution, rarely minimal.
+    """
+    edge_list = H.edge_list()
+    if not edge_list:
+        return BlockComplex({})
+    idx = {i + 1: set(e) for i, e in enumerate(edge_list)}
+
+    def label_fn(blocks):
+        out = set()
+        for i in blocks[0]:
+            out |= idx[i]
+        return out
+
+    subsets = []
+    for size in range(1, len(edge_list) + 1):
+        for sub in itertools.combinations(range(1, len(edge_list) + 1), size):
+            subsets.append((sub,))
+    return BlockComplex.from_blocks(subsets, label_fn)
+
+
+def is_d_linear(table, d):
+    """True when the resolution is d-linear (coarse support on j = i + d)."""
+    return table.is_d_linear(d)
