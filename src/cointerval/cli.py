@@ -27,6 +27,7 @@ from .hypergraph import (
     read_hypergraph,
 )
 from .resolution import (
+    betti_from_cells,
     betti_from_downset_homology,
     betti_from_faces,
     betti_hochster,
@@ -101,7 +102,7 @@ def cmd_resolve(args):
         )
     X = build_complex(H)
     report = verify_resolution(X, fields=_fields(args))
-    table = betti_from_faces(H)
+    table = betti_from_cells(X)
     lines = [f"f-vector: {_fvec(X.f_vector())}"]
     lines.append("betti (fine):")
     lines.extend(_table_lines(table))

@@ -11,7 +11,10 @@ blocks.
 
 `LabeledComplex` is the shared container: concrete subclasses only
 provide the boundary rule and cell sort keys, everything label-driven
-(downsets, the lcm lattice, f-vectors) lives here.
+(downsets, the lcm lattice, f-vectors) lives here.  Each complex builds
+one `CellIndex` on first use -- integer cell ids, labels as bitmasks,
+boundaries as sparse signed columns -- and checks it once; a downset is
+a `Downset` view selecting ids from that index, never a rebuilt complex.
 """
 
 from __future__ import annotations
@@ -19,7 +22,116 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError
+from .homology import _assert_squares_to_zero
 from .hypergraph import Hypergraph
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(bits):
+    """Positions of the set bits of a non-negative int, ascending."""
+    flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(itertools.compress(range(len(flags)), flags))
+
+
+class CellIndex:
+    """Integer ids, label bitmasks and sparse boundary columns of a complex.
+
+      keys[d]     the d-cells in the complex's sort order; a cell's id is
+                  its position here
+      pos         cell -> id
+      masks[d]    the label of each d-cell as an int bitmask, bit k
+                  standing for the k-th smallest vertex of `vertices`
+      holders[d]  for each vertex bit k, the set of d-cells whose label
+                  has bit k, as an int bitset over ids
+      columns[d]  for d >= 1, the boundary of each d-cell as a tuple of
+                  (face id, coefficient) pairs, zero coefficients dropped
+
+    Building checks the whole complex once and raises PreconditionError
+    unless every face is a cell one dimension down whose label lies
+    inside its cell's label, and the boundary squares to zero
+    (augmentation included).  Label monotonicity makes every downset
+    closed under faces, and the boundary of a subcomplex is the
+    restriction of the parent's, so neither check is needed again for a
+    downset.
+    """
+
+    def __init__(self, X):
+        top = X.max_dim()
+        self.keys = {d: X.cells(d) for d in range(top + 1)}
+        labels = [X.label(c) for c in X.all_cells()]
+        verts = sorted(frozenset().union(*labels))
+        self.vertices = frozenset(verts)
+        self._bit = {v: 1 << k for k, v in enumerate(verts)}
+        self.pos = {}
+        self.masks = {}
+        self.holders = {}
+        for d, keys in self.keys.items():
+            masks = self.masks[d] = [self.mask(X.label(c)) for c in keys]
+            self.holders[d] = [
+                sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+                for k in range(len(verts))
+            ]
+            for i, cell in enumerate(keys):
+                self.pos[cell] = i
+        self.columns = {}
+        for d in range(1, top + 1):
+            below = self.masks[d - 1]
+            self.columns[d] = [
+                self._column(X, d, cell, mask, below)
+                for cell, mask in zip(self.keys[d], self.masks[d])
+            ]
+        _assert_squares_to_zero(self)
+
+    def mask(self, vertices):
+        """Bitmask of the given vertices (ones no label uses are dropped)."""
+        bit = self._bit
+        return sum(bit[v] for v in vertices if v in bit)
+
+    def below(self, alpha, strict):
+        """Bitsets of the cells whose label is inside (or below) alpha.
+
+        A label lies inside alpha when it has no vertex outside it,
+        lab & ~mask(alpha) == 0; all cells of a dimension are tested at
+        once by removing the holders of every vertex outside alpha.  A
+        label inside alpha equals it when it also holds every vertex of
+        alpha.  Returns {dim: bitset} for the dimensions with such cells.
+        """
+        mask = self.mask(alpha)
+        inside = [k for k in range(len(self._bit)) if mask >> k & 1]
+        outside = [k for k in range(len(self._bit)) if not mask >> k & 1]
+        exact = strict and alpha <= self.vertices
+        sets = {}
+        for dim, holders in self.holders.items():
+            keep = (1 << len(self.keys[dim])) - 1
+            for k in outside:
+                keep &= ~holders[k]
+            if exact:
+                same = keep
+                for k in inside:
+                    same &= holders[k]
+                keep &= ~same
+            if keep:
+                sets[dim] = keep
+        return sets
+
+    def _column(self, X, dim, cell, mask, below):
+        acc = {}
+        for face, sign in X.boundary(cell):
+            i = self.pos.get(face)
+            if i is None or X.dim(face) != dim - 1:
+                raise PreconditionError(
+                    f"face {face} of {cell} is not a cell of dimension "
+                    f"{dim - 1}"
+                )
+            if below[i] & ~mask:
+                raise PreconditionError(
+                    f"label of face {face} is not contained in the label "
+                    f"of {cell}"
+                )
+            acc[i] = acc.get(i, 0) + sign
+        return tuple((i, c) for i, c in acc.items() if c)
 
 
 class LabeledComplex:
@@ -34,6 +146,7 @@ class LabeledComplex:
         for dim in by_dim:
             by_dim[dim].sort(key=self.sort_key)
         self._by_dim = by_dim
+        self._ix = None
 
     # --- subclass interface -------------------------------------------
     def boundary(self, cell):
@@ -42,10 +155,6 @@ class LabeledComplex:
 
     def sort_key(self, cell):
         return cell
-
-    def _subcomplex(self, keys):
-        keep = set(keys)
-        return type(self)({k: v for k, v in self._cells.items() if k in keep})
 
     # --- generic queries ----------------------------------------------
     def __contains__(self, cell):
@@ -56,7 +165,7 @@ class LabeledComplex:
 
     @property
     def is_empty(self):
-        return not self._cells
+        return len(self) == 0
 
     def dim(self, cell):
         return self._cells[cell][0]
@@ -68,21 +177,19 @@ class LabeledComplex:
         return sorted(self._by_dim)
 
     def max_dim(self):
-        return max(self._by_dim) if self._cells else -1
+        return max(self._by_dim) if self._by_dim else -1
 
     def cells(self, dim):
         return tuple(self._by_dim.get(dim, ()))
 
     def all_cells(self):
         for dim in self.dims():
-            yield from self._by_dim[dim]
+            yield from self.cells(dim)
 
     def f_vector(self):
         if self.is_empty:
             return ()
-        return tuple(
-            len(self._by_dim.get(d, ())) for d in range(self.max_dim() + 1)
-        )
+        return tuple(len(self.ids(d)) for d in range(self.max_dim() + 1))
 
     def vertex_labels(self):
         """Labels of the 0-cells (the generators of the resolved ideal)."""
@@ -104,19 +211,90 @@ class LabeledComplex:
             frontier = new
         return sorted(closure, key=lambda s: (len(s), sorted(s)))
 
+    # --- index and downsets -------------------------------------------
+    def index(self):
+        """The complex's CellIndex, built and checked on first use."""
+        if self._ix is None:
+            self._ix = CellIndex(self)
+        return self._ix
+
+    def ids(self, dim):
+        """Index ids of this complex's cells of the given dimension."""
+        return range(len(self._by_dim.get(dim, ())))
+
     def downset_leq(self, alpha):
         """Subcomplex of cells whose label is contained in alpha."""
-        alpha = frozenset(alpha)
-        return self._subcomplex(
-            k for k, (_d, lab) in self._cells.items() if lab <= alpha
-        )
+        return self._downset(frozenset(alpha), strict=False)
 
     def downset_lt(self, alpha):
         """Subcomplex of cells whose label is strictly below alpha."""
-        alpha = frozenset(alpha)
-        return self._subcomplex(
-            k for k, (_d, lab) in self._cells.items() if lab < alpha
-        )
+        return self._downset(frozenset(alpha), strict=True)
+
+    def _downset(self, alpha, strict):
+        return Downset(self, self.index().below(alpha, strict))
+
+
+class Downset(LabeledComplex):
+    """Cells of a complex selected by label: a view on its index.
+
+    Stores only the selected ids per dimension (as a bitset and as an
+    ascending list); cells, labels, boundaries and boundary columns are
+    the parent's, shared and never copied.  The selection is closed
+    under faces because the parent's index checked label monotonicity.
+    """
+
+    def __init__(self, parent, sets):
+        self._parent = parent
+        self._sets = sets
+        self._ids = {d: _members(bits) for d, bits in sets.items()}
+        self._ix = parent.index()
+        self._size = sum(len(v) for v in self._ids.values())
+
+    def boundary(self, cell):
+        return self._parent.boundary(cell)
+
+    def sort_key(self, cell):
+        return self._parent.sort_key(cell)
+
+    def __contains__(self, cell):
+        i = self._ix.pos.get(cell)
+        if i is None:
+            return False
+        return self._sets.get(self._parent.dim(cell), 0) >> i & 1 == 1
+
+    def __len__(self):
+        return self._size
+
+    def dim(self, cell):
+        if cell not in self:
+            raise KeyError(cell)
+        return self._parent.dim(cell)
+
+    def label(self, cell):
+        if cell not in self:
+            raise KeyError(cell)
+        return self._parent.label(cell)
+
+    def dims(self):
+        return sorted(self._ids)
+
+    def max_dim(self):
+        return max(self._ids) if self._ids else -1
+
+    def cells(self, dim):
+        keys = self._ix.keys.get(dim, ())
+        return tuple(keys[i] for i in self.ids(dim))
+
+    def ids(self, dim):
+        return self._ids.get(dim, ())
+
+    def _downset(self, alpha, strict):
+        sets = {}
+        for dim, bits in self._ix.below(alpha, strict).items():
+            bits &= self._sets.get(dim, 0)
+            if bits:
+                sets[dim] = bits
+        return Downset(self._parent, sets)
 
 
 def block_dim(blocks):
@@ -129,7 +307,7 @@ def block_boundary(blocks):
     Deleting vertex v from block i carries the sign
     (-1)^(sum of earlier block dimensions) * (-1)^(index of v in its
     block); blocks of size one cannot shrink.  Composing twice cancels,
-    which boundary-matrix construction asserts.
+    which building the complex's index checks.
     """
     out = []
     offset = 0

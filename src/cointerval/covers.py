@@ -43,12 +43,6 @@ class JoinComplex(LabeledComplex):
             for i, c in enumerate(cell)
         )
 
-    def _subcomplex(self, keys):
-        keep = set(keys)
-        return JoinComplex(
-            {k: v for k, v in self._cells.items() if k in keep}, self.factors
-        )
-
     def boundary(self, cell):
         out = []
         offset = 0

@@ -30,13 +30,6 @@ class PosetComplex(LabeledComplex):
     def boundary(self, cell):
         return self._boundaries[cell]
 
-    def _subcomplex(self, keys):
-        keep = set(keys)
-        cells = {k: v for k, v in self._cells.items() if k in keep}
-        return PosetComplex(
-            cells, {k: self._boundaries[k] for k in cells}
-        )
-
 
 def _blocks_of(X, cell):
     """Uniform-arity block representation of a cell, for serialization."""

@@ -1,10 +1,13 @@
 """Exact (reduced) cellular homology over the rationals or a prime field.
 
-Boundary matrices are assembled from a complex's per-cell signed faces;
-construction asserts that consecutive boundaries compose to zero.  Ranks
-are computed exactly: fraction-free elimination over the integers for
-characteristic zero, modular elimination for GF(p) (compiled kernel when
-available).
+Boundary matrices are sparse signed columns cut from a complex's
+`CellIndex`: the full complex uses its columns as they are, a downset
+view takes the columns of the cells it selects (their faces are again
+in the view).  The index checks once per complex that consecutive
+boundaries compose to zero and raises PreconditionError if not;
+`boundary_matrices` never re-checks.  Ranks are exact: xor elimination
+over GF(2), sparse elimination over GF(p) for odd p, and fraction-free
+elimination over the integers for characteristic zero (`_kernels`).
 """
 
 from __future__ import annotations
@@ -42,12 +45,15 @@ DEFAULT_FIELDS = (GF2, QQ)
 
 
 class ChainComplex:
-    """Dense integer boundary matrices of a labeled complex."""
+    """Sparse integer boundary matrices of a labeled complex."""
 
     def __init__(self, field, sizes, matrices, augmented):
         self.field = field
         self.sizes = sizes  # dict degree -> number of cells
-        self.matrices = matrices  # degree k -> columns over degree-(k-1) basis
+        # degree k -> one sparse column per k-cell, as (row, coefficient)
+        # pairs over the degree-(k-1) cells (row 0 is the empty face in
+        # the augmentation, degree 0)
+        self.matrices = matrices
         self.augmented = augmented
         self._ranks = None
 
@@ -56,7 +62,7 @@ class ChainComplex:
 
     def boundary_rank(self, k):
         mat = self.matrices.get(k)
-        if not mat or not mat[0]:
+        if not mat:
             return 0
         if self.field.char == 0:
             return _kernels.rank_bareiss(mat)
@@ -75,51 +81,60 @@ class ChainComplex:
         return ranks
 
 
-def boundary_matrices(X, field, augmented=True):
-    """Assemble the chain complex of X over the field.
+_AUG_COLUMN = ((0, 1),)  # a vertex's augmentation: once the empty face
 
-    Columns are indexed by cells in the complex's sort order.  With
-    augmented=True the degree-0 boundary is the all-ones augmentation
-    row, so homology ranks come out reduced.
+
+def boundary_matrices(X, field, augmented=True):
+    """The chain complex of X over the field, as sparse columns.
+
+    Columns follow the complex's sort order and rows are ids in X's
+    index (for a downset, the ids of the complex it was cut from).  With
+    augmented=True the degree-0 boundary sends every vertex to the empty
+    face, so homology ranks come out reduced.
     """
     if X.is_empty:
         return ChainComplex(field, {}, {}, augmented)
-    top = X.max_dim()
-    index = {}
-    for dim in range(0, top + 1):
-        for pos, cell in enumerate(X.cells(dim)):
-            index[cell] = pos
-    sizes = {dim: len(X.cells(dim)) for dim in range(0, top + 1)}
+    columns = X.index().columns
+    sizes = {}
     matrices = {}
+    for dim in range(0, X.max_dim() + 1):
+        ids = X.ids(dim)
+        sizes[dim] = len(ids)
+        if dim:
+            cols = columns[dim]
+            matrices[dim] = [cols[i] for i in ids]
     if augmented:
-        matrices[0] = [[1] for _ in range(sizes[0])]
-    for dim in range(1, top + 1):
-        rows = sizes[dim - 1]
-        cols = []
-        for cell in X.cells(dim):
-            col = [0] * rows
-            for face, sign in X.boundary(cell):
-                col[index[face]] += sign
-            cols.append(col)
-        matrices[dim] = cols
-    _assert_squares_to_zero(X, augmented)
+        matrices[0] = [_AUG_COLUMN] * sizes[0]
     return ChainComplex(field, sizes, matrices, augmented)
 
 
-def _assert_squares_to_zero(X, augmented):
-    for dim in range(1, X.max_dim() + 1):
-        for cell in X.cells(dim):
+def _assert_squares_to_zero(index):
+    """Raise PreconditionError unless every boundary composes to zero.
+
+    Takes a whole complex's CellIndex; the augmentation counts, so each
+    edge's two endpoints must cancel as well.  The error names the first
+    failing cell and the nonzero coefficients of its boundary's boundary.
+    """
+    columns = index.columns
+    for dim in sorted(columns):
+        below = columns.get(dim - 1)
+        for i, col in enumerate(columns[dim]):
             acc = {}
-            for face, sign in X.boundary(cell):
-                if dim == 1:
-                    if augmented:
-                        acc[_AUG] = acc.get(_AUG, 0) + sign
+            for face, sign in col:
+                if below is None:
+                    acc[_AUG] = acc.get(_AUG, 0) + sign
                     continue
-                for sub, subsign in X.boundary(face):
-                    key = sub
-                    acc[key] = acc.get(key, 0) + sign * subsign
-            bad = {k: v for k, v in acc.items() if v}
-            assert not bad, f"boundary does not square to zero at {cell}: {bad}"
+                for sub, subsign in below[face]:
+                    acc[sub] = acc.get(sub, 0) + sign * subsign
+            bad = {
+                ("empty face" if k == _AUG else index.keys[dim - 2][k]): v
+                for k, v in acc.items() if v
+            }
+            if bad:
+                raise PreconditionError(
+                    f"boundary does not square to zero at "
+                    f"{index.keys[dim][i]}: {bad}"
+                )
 
 
 def homology_ranks(X, field):

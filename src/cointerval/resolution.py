@@ -155,13 +155,28 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
 
 def verify_minimal(X):
     """No cell may share its label with any codimension-1 face."""
+    ix = X.index()
     for dim in range(1, X.max_dim() + 1):
-        for cell in X.cells(dim):
-            lab = X.label(cell)
-            for face, _sign in X.boundary(cell):
-                if X.label(face) == lab:
-                    return False
+        masks, below = ix.masks[dim], ix.masks[dim - 1]
+        for i in X.ids(dim):
+            col = ix.columns[dim][i]
+            if any(below[face] == masks[i] for face, _c in col):
+                return False
     return True
+
+
+def betti_from_cells(X):
+    """Betti numbers of a minimal resolution, counting cells per label.
+
+    X must support a minimal resolution (the complex of a cointerval
+    graph does); then beta_{i, alpha} is the number of i-cells labeled
+    alpha.
+    """
+    entries = {}
+    for cell in X.all_cells():
+        key = (X.dim(cell), X.label(cell))
+        entries[key] = entries.get(key, 0) + 1
+    return BettiTable(entries)
 
 
 def betti_from_faces(H):
@@ -174,12 +189,7 @@ def betti_from_faces(H):
         raise PreconditionError(
             "face counting needs a cointerval graph as labeled"
         )
-    X = build_complex(H)
-    entries = {}
-    for cell in X.all_cells():
-        key = (X.dim(cell), X.label(cell))
-        entries[key] = entries.get(key, 0) + 1
-    return BettiTable(entries)
+    return betti_from_cells(build_complex(H))
 
 
 def betti_from_downset_homology(X, fld=GF2, checked=False):

@@ -1,0 +1,107 @@
+"""Downset views agree with complexes built afresh from the same cells."""
+
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+from cointerval import (
+    GF2,
+    GF3,
+    GF32003,
+    QQ,
+    BlockComplex,
+    Hypergraph,
+    PosetComplex,
+    build_complex,
+    homology_ranks,
+    read_complex_dump,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+ALL_FIELDS = (GF2, GF3, GF32003, QQ)
+
+
+def fresh(X, keep):
+    """A new complex of X's kind on the cells whose label passes `keep`.
+
+    The filter works on the frozenset labels, not on the index's masks,
+    and the new complex builds (and checks) an index of its own.
+    """
+    cells = {
+        c: (X.dim(c), X.label(c)) for c in X.all_cells() if keep(X.label(c))
+    }
+    if isinstance(X, PosetComplex):
+        return PosetComplex(cells, {c: X.boundary(c) for c in cells})
+    return BlockComplex(cells)
+
+
+def random_2graphs(count, seed=11):
+    rng = random.Random(seed)
+    universe = list(itertools.combinations(range(1, 7), 2))
+    return [
+        Hypergraph(2, range(1, 7), [e for e in universe if rng.random() < 0.5])
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture
+def corpus(copath5, k4_3):
+    out = [
+        ("copath5", build_complex(copath5)),
+        ("k4_3", build_complex(k4_3)),
+        ("taylor_2k2", read_complex_dump(GOLDEN / "input_taylor_2k2.dump")),
+    ]
+    out += [
+        (f"random{i}", build_complex(H))
+        for i, H in enumerate(random_2graphs(6))
+    ]
+    assert all(not X.is_empty for _name, X in out)
+    return out
+
+
+def test_views_match_fresh_complexes(corpus):
+    compared = 0
+    for name, X in corpus:
+        for alpha in X.lcm_lattice():
+            for view, keep in (
+                (X.downset_leq(alpha), lambda lab: lab <= alpha),
+                (X.downset_lt(alpha), lambda lab: lab < alpha),
+            ):
+                new = fresh(X, keep)
+                where = (name, sorted(alpha))
+                assert list(view.all_cells()) == list(new.all_cells()), where
+                assert view.f_vector() == new.f_vector(), where
+                assert len(view) == len(new) and view.is_empty == new.is_empty
+                if new.is_empty:
+                    continue
+                for fld in ALL_FIELDS:
+                    assert homology_ranks(view, fld) == homology_ranks(
+                        new, fld
+                    ), (where, str(fld))
+                compared += 1
+    assert compared > 200
+
+
+def test_nested_views_and_membership(copath5):
+    X = build_complex(copath5)
+    alpha = frozenset({1, 2, 4, 5})
+    V = X.downset_leq(alpha)
+    for beta in X.lcm_lattice():
+        inner = beta & alpha
+        assert list(V.downset_leq(beta).all_cells()) == list(
+            X.downset_leq(inner).all_cells()
+        )
+    assert list(V.downset_lt(alpha).all_cells()) == list(
+        X.downset_lt(alpha).all_cells()
+    )
+    outside = [c for c in X.all_cells() if not X.label(c) <= alpha]
+    assert outside
+    for cell in X.all_cells():
+        assert (cell in V) == (X.label(cell) <= alpha)
+    with pytest.raises(KeyError):
+        V.label(outside[0])
+    # a label vertex outside every label leaves nothing strictly equal
+    wide = alpha | {99}
+    assert list(X.downset_lt(wide).all_cells()) == list(V.all_cells())

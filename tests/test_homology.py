@@ -1,4 +1,8 @@
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +16,14 @@ from cointerval import (
     GF3,
     GF32003,
     QQ,
+    BlockComplex,
     Field,
     Hypergraph,
+    PreconditionError,
     acyclicity_status,
     boundary_matrices,
     build_complex,
+    enumerate_block_cells,
     homology_ranks,
     is_acyclic,
 )
@@ -24,6 +31,24 @@ from cointerval._kernels import nullspace_rational, rank_bareiss, rank_mod
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC
 
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def sparse(rows):
+    """Dense rows as sparse columns (the rows become the columns)."""
+    return [tuple((j, v) for j, v in enumerate(row) if v) for row in rows]
+
+
+def dense(cc, k):
+    """Boundary matrix of degree k of a full complex: one row per k-cell."""
+    nrows = 1 if k == 0 else cc.sizes[k - 1]
+    out = []
+    for col in cc.matrices[k]:
+        row = [0] * nrows
+        for r, v in col:
+            row[r] += v
+        out.append(row)
+    return out
 
 
 def test_field_validation():
@@ -50,10 +75,11 @@ matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=80, deadline=None)
 def test_rank_kernels_against_sympy(rows):
     ncols = len(rows[0])
-    assert rank_bareiss(rows) == Matrix(rows).rank()
+    cols = sparse(rows)
+    assert rank_bareiss(cols) == Matrix(rows).rank()
     for p in (2, 3, 32003):
         dom = DomainMatrix.from_list(rows, sympy_GF(p))
-        assert rank_mod(rows, p) == dom.rank(), (rows, p)
+        assert rank_mod(cols, p) == dom.rank(), (rows, p)
     null = nullspace_rational(rows, ncols)
     assert len(null) == ncols - Matrix(rows).rank()
     for vec in null:
@@ -62,10 +88,23 @@ def test_rank_kernels_against_sympy(rows):
 
 
 def test_rank_mod_catches_characteristic():
-    rows = [[2]]
-    assert rank_mod(rows, 2) == 0
-    assert rank_mod(rows, 3) == 1
-    assert rank_bareiss(rows) == 1
+    cols = [((0, 2),)]
+    assert rank_mod(cols, 2) == 0
+    assert rank_mod(cols, 3) == 1
+    assert rank_bareiss(cols) == 1
+
+
+def test_rank_mod_huge_prime():
+    # p > 2^32: products of residues exceed 64 bits; Python ints absorb it
+    p = 2**61 - 1
+    rng = random.Random(3)
+    for _ in range(20):
+        rows = [[rng.randrange(-p, p) for _ in range(5)] for _ in range(5)]
+        dom = DomainMatrix.from_list(rows, sympy_GF(p))
+        assert rank_mod(sparse(rows), p) == dom.rank()
+    # a rank drop only visible modulo p
+    assert rank_mod(sparse([[1, 1], [1, 1 + p]]), p) == 1
+    assert rank_bareiss(sparse([[1, 1], [1, 1 + p]])) == 2
 
 
 def test_two_points_not_acyclic(two_k2):
@@ -111,8 +150,11 @@ def test_boundary_matrices_shape(copath5):
     assert cc.sizes == {0: 7, 1: 11, 2: 6, 3: 1}
     # one row per cell, columns over the basis one degree down;
     # the augmentation sends every vertex to the empty cell
-    assert cc.matrices[0] == [[1]] * 7
-    assert len(cc.matrices[1]) == 11 and len(cc.matrices[1][0]) == 7
+    assert dense(cc, 0) == [[1]] * 7
+    assert len(dense(cc, 1)) == 11 and len(dense(cc, 1)[0]) == 7
+    # the sparse columns index faces in the complex's sort order
+    assert all(r in range(cc.sizes[k - 1]) for k in (1, 2, 3)
+               for col in cc.matrices[k] for r, _v in col)
 
 
 def test_characteristic_independence_on_downsets(copath5, k4_3):
@@ -133,9 +175,9 @@ def test_characteristic_independence_on_downsets(copath5, k4_3):
 def test_complex_boundary_ranks_match_sympy(copath5):
     X = build_complex(copath5)
     cc = boundary_matrices(X, QQ)
-    for mat in cc.matrices.values():
-        if mat and mat[0]:
-            assert rank_bareiss(mat) == Matrix(mat).rank()
+    assert sorted(cc.matrices) == [0, 1, 2, 3]
+    for k, mat in cc.matrices.items():
+        assert rank_bareiss(mat) == Matrix(dense(cc, k)).rank()
 
 
 def test_random_complex_ranks_match_sympy():
@@ -150,7 +192,89 @@ def test_random_complex_ranks_match_sympy():
             continue
         for fld, p in ((GF2, 2), (GF3, 3)):
             cc = boundary_matrices(X, fld)
-            for mat in cc.matrices.values():
-                if mat and mat[0]:
-                    dom = DomainMatrix.from_list(mat, sympy_GF(p))
+            assert sorted(cc.matrices) == list(range(X.max_dim() + 1))
+            for k, mat in cc.matrices.items():
+                if mat:
+                    dom = DomainMatrix.from_list(dense(cc, k), sympy_GF(p))
                     assert rank_mod(mat, p) == dom.rank()
+
+
+class FlippedSign(BlockComplex):
+    """copath5's complex with one face sign of its top cell flipped."""
+
+    def boundary(self, cell):
+        faces = super().boundary(cell)
+        if cell == ((1,), (2, 3, 4, 5)):
+            (face, sign), *rest = faces
+            faces = [(face, -sign), *rest]
+        return faces
+
+
+def test_flipped_sign_raises(copath5):
+    X = FlippedSign.from_blocks(enumerate_block_cells(copath5))
+    with pytest.raises(PreconditionError) as err:
+        homology_ranks(X, GF2)
+    # flipping the first face, ((1,), (3, 4, 5)), leaves -2 times its boundary
+    assert str(err.value) == (
+        "boundary does not square to zero at ((1,), (2, 3, 4, 5)): "
+        "{((1,), (4, 5)): -2, ((1,), (3, 5)): 2, ((1,), (3, 4)): -2}"
+    )
+    # the downset view path builds the same index and raises the same way
+    Y = FlippedSign.from_blocks(enumerate_block_cells(copath5))
+    with pytest.raises(PreconditionError):
+        Y.downset_leq({1, 2, 3, 4, 5})
+
+
+def test_flipped_sign_raises_under_optimize():
+    code = textwrap.dedent(
+        """
+        from cointerval import GF2, BlockComplex, Hypergraph, PreconditionError
+        from cointerval import enumerate_block_cells, homology_ranks
+
+        class FlippedSign(BlockComplex):
+            def boundary(self, cell):
+                faces = super().boundary(cell)
+                if len(cell[1]) == 4:
+                    (face, sign), *rest = faces
+                    faces = [(face, -sign), *rest]
+                return faces
+
+        H = Hypergraph(2, range(1, 6), [(1, 2), (1, 3), (1, 4), (1, 5),
+                                        (2, 4), (2, 5), (3, 5)])
+        X = FlippedSign.from_blocks(enumerate_block_cells(H))
+        try:
+            homology_ranks(X, GF2)
+        except PreconditionError as exc:
+            print("raised:", exc)
+        else:
+            print("no error")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: boundary does not square to zero")
+
+
+def test_label_not_monotone_rejected():
+    # the edge's label misses vertex 3, which one of its endpoints carries
+    X = BlockComplex({
+        ((1, 2),): (1, frozenset({1, 2})),
+        ((1,),): (0, frozenset({1, 3})),
+        ((2,),): (0, frozenset({2})),
+    })
+    with pytest.raises(PreconditionError, match="not contained in the label"):
+        X.index()
+    with pytest.raises(PreconditionError):
+        X.downset_leq({1, 2, 3})
+
+
+def test_missing_face_rejected():
+    X = BlockComplex({
+        ((1, 2),): (1, frozenset({1, 2})),
+        ((1,),): (0, frozenset({1})),
+    })
+    with pytest.raises(PreconditionError, match="not a cell of dimension 0"):
+        homology_ranks(X, GF2)
