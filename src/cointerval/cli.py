@@ -125,7 +125,9 @@ def cmd_betti(args):
             "use --method=hochster"
         )
     tables = {}
-    for method in methods:
+    # Hochster's route carries the budget guard: run it first, so that a
+    # refusal comes before the other routes do any work
+    for method in sorted(methods, key=lambda m: m != "hochster"):
         if method == "faces":
             tables[method] = betti_from_faces(H)
         elif method == "cellular":

@@ -16,6 +16,7 @@ which `interval_representation` witnesses directly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .errors import BudgetError, ParseError, PreconditionError
 
@@ -125,19 +126,7 @@ class Hypergraph:
         no edge are unconstrained (their layers are empty, and they never
         bound another vertex's layer).
         """
-        if self.d == 1:
-            return True
-        supp = self.support()
-        layers = [self.layer(v) for v in supp]
-        for lay in layers:
-            if not lay.is_cointerval():
-                return False
-        for i in range(len(supp)):
-            bigger = layers[i].edges
-            for j in range(i + 1, len(supp)):
-                if not layers[j].edges <= bigger:
-                    return False
-        return True
+        return self.d == 1 or _nested_layers(self.edges)
 
     def is_strongly_stable(self):
         """Closure under lowering any edge vertex by one.
@@ -222,6 +211,33 @@ class Hypergraph:
         return Hypergraph(self.d, target, best or ())
 
 
+def _nested_layers(edges):
+    """`Hypergraph.is_cointerval` on a set of sorted edge tuples.
+
+    Groups the edges by their first vertex, walks the support in order
+    requiring each layer to lie inside the previous one (nesting is
+    transitive, so consecutive layers suffice; a support vertex that
+    starts no edge has an empty layer and still counts), then recurses
+    on each layer's tuples.  Edges of length 1 (and no edges) nest
+    trivially.
+    """
+    layers = {}
+    support = set()
+    for e in edges:
+        if len(e) == 1:
+            return True
+        layers.setdefault(e[0], set()).add(e[1:])
+        support.update(e)
+    empty = frozenset()
+    prev = None
+    for v in sorted(support):
+        lay = layers.get(v, empty)
+        if prev is not None and not lay <= prev:
+            return False
+        prev = lay
+    return all(_nested_layers(lay) for lay in layers.values())
+
+
 def find_cointerval_labeling(H):
     """Search for a relabeling making H cointerval.
 
@@ -258,9 +274,10 @@ def find_cointerval_labeling(H):
     def dfs():
         if len(order) == n:
             mapping = {v: p for p, v in enumerate(order, start=1)}
-            if H.relabel(mapping).is_cointerval():
-                return mapping
-            return None
+            relabeled = [
+                tuple(sorted(mapping[v] for v in e)) for e in H.edges
+            ]
+            return mapping if _nested_layers(relabeled) else None
         for v in verts:
             if v in chosen:
                 continue
@@ -282,28 +299,53 @@ def find_cointerval_labeling(H):
 
 
 def find_strongly_stable_labeling(H):
-    """Search for a relabeling onto 1..n making H strongly stable.
+    """Relabeling onto 1..n making H strongly stable, or None.
 
-    In any strongly stable labeling the support occupies an initial
-    segment (an edge vertex right above an isolated one could not shift
-    down), so only permutations of the support need to be tried; the
-    edgeless vertices follow in increasing order.
+    The support must take the labels 1..k: an edge vertex right above
+    an isolated one could not shift down.  Degrees then fix everything
+    else.  In a strongly stable labeling with i < j, lowering j to i
+    maps the edges that contain j but not i injectively onto edges that
+    contain i but not j, so deg(i) >= deg(j).  When the degrees are
+    equal that map is a bijection, and the transposition (i j) carries
+    E onto itself.  So if any strongly stable labeling exists, they are
+    exactly the labelings that give each degree class its own block of
+    labels, in descending degree order, with the vertices ordered
+    freely inside each block -- and all of them yield the same edge set.
+
+    One check therefore decides: walk the support in increasing order,
+    give each vertex the smallest free label of its degree block, and
+    test that labeling.  It is the lexicographically first strongly
+    stable labeling of the support (the first one a sweep over all k!
+    permutations would meet).  Edgeless vertices follow in increasing
+    order.
     """
-    support = H.support()
+    degree = {}
+    for e in H.edges:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    support = sorted(degree)
     k = len(support)
-    for perm in itertools.permutations(range(1, k + 1)):
-        mapping = dict(zip(support, perm))
-        probe = Hypergraph(
-            H.d, range(1, k + 1), [[mapping[v] for v in e] for e in H.edges]
-        )
-        if probe.is_strongly_stable():
-            nxt = k + 1
-            for v in H.vertices:
-                if v not in mapping:
-                    mapping[v] = nxt
-                    nxt += 1
-            return mapping
-    return None
+    block_size = Counter(degree.values())
+    next_label = {}  # degree -> smallest free label of its block
+    start = 1
+    for deg in sorted(block_size, reverse=True):
+        next_label[deg] = start
+        start += block_size[deg]
+    mapping = {}
+    for v in support:
+        mapping[v] = next_label[degree[v]]
+        next_label[degree[v]] += 1
+    probe = Hypergraph(
+        H.d, range(1, k + 1), [[mapping[v] for v in e] for e in H.edges]
+    )
+    if not probe.is_strongly_stable():
+        return None
+    nxt = k + 1
+    for v in H.vertices:
+        if v not in mapping:
+            mapping[v] = nxt
+            nxt += 1
+    return mapping
 
 
 def interval_representation(H):

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .complexes import BlockComplex, build_complex
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .homology import (
     ACYCLIC,
     DEFAULT_FIELDS,
@@ -26,6 +26,9 @@ from .homology import (
     acyclicity_status,
     boundary_matrices,
 )
+
+HOCHSTER_VERTEX_LIMIT = 12  # 2^n vertex-subset sweep guard
+TAYLOR_EDGE_LIMIT = 12  # 2^|E| - 1 Taylor cells guard
 
 
 class BettiTable:
@@ -245,6 +248,11 @@ def betti_hochster(H, fld=GF2):
     in degree |alpha| - i - 2.  Works for any d-graph; no cell complex
     is involved, so it serves as the independent oracle.
     """
+    if H.n > HOCHSTER_VERTEX_LIMIT:
+        raise BudgetError(
+            f"Hochster's formula sweeps every vertex subset; refusing "
+            f"{H.n} > {HOCHSTER_VERTEX_LIMIT} vertices"
+        )
     entries = {}
     for size in range(H.d, H.n + 1):
         for alpha in itertools.combinations(H.vertices, size):
@@ -297,6 +305,11 @@ def taylor_complex(H):
     the simplex face rule applies); always a resolution, rarely minimal.
     """
     edge_list = H.edge_list()
+    if len(edge_list) > TAYLOR_EDGE_LIMIT:
+        raise BudgetError(
+            f"the Taylor complex has 2^|E| - 1 cells; refusing "
+            f"{len(edge_list)} > {TAYLOR_EDGE_LIMIT} edges"
+        )
     if not edge_list:
         return BlockComplex({})
     idx = {i + 1: set(e) for i, e in enumerate(edge_list)}

@@ -1,8 +1,16 @@
+import os
 import pathlib
+import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import cointerval
+from cointerval import Hypergraph, parse_hypergraph
 from cointerval.cli import main
+from cointerval.resolution import HOCHSTER_VERTEX_LIMIT
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -130,3 +138,73 @@ def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, "decompose", TWO_K2)
     _, second, _ = run(capsys, "decompose", TWO_K2)
     assert first == second
+
+
+def _check_in_subprocess(path):
+    """`check --find-labeling` in a fresh interpreter, 10 s to finish."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(cointerval.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cointerval.cli", "check", str(path),
+         "--find-labeling"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_find_labeling_perfect_matching_is_bounded(tmp_path):
+    matching = tmp_path / "matching10.txt"
+    matching.write_text(
+        "2 10\n" + "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(5))
+    )
+    out = _check_in_subprocess(matching)
+    assert "strongly-stable: no (all 3628800 labelings)" in out.splitlines()
+
+
+def test_find_labeling_shuffled_borel_is_bounded(tmp_path):
+    # Borel closure on 1..12 of two triples, under a shuffled labeling
+    stack, seen = [(3, 7, 12), (5, 9, 11)], set()
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen.add(e)
+            for i in e:
+                if i > 1 and i - 1 not in e:
+                    stack.append(tuple(sorted(set(e) - {i} | {i - 1})))
+    perm = list(range(1, 13))
+    random.Random(7).shuffle(perm)
+    H = Hypergraph(3, range(1, 13), seen).relabel(dict(zip(range(1, 13), perm)))
+    path = tmp_path / "borel12.txt"
+    path.write_text(
+        "3 12\n" + "".join(" ".join(map(str, e)) + "\n" for e in H.edge_list())
+    )
+    assert not H.is_strongly_stable()
+    out = _check_in_subprocess(path)
+    line = [l for l in out.splitlines() if l.startswith("strongly-stable")][0]
+    prefix = "strongly-stable: yes (labeling: "
+    assert line.startswith(prefix), line
+    labels = map(int, line[len(prefix):-1].split())
+    G = parse_hypergraph(path.read_text())
+    assert G.relabel(dict(zip(G.vertices, labels))).is_strongly_stable()
+
+
+def test_betti_hochster_budget(capsys, tmp_path):
+    # the complement of a path is cointerval as labeled, so `all` passes
+    # its precondition and reaches the guard
+    path = tmp_path / "copath20.txt"
+    path.write_text(
+        "2 20\n"
+        + "".join(
+            f"{i} {j}\n" for i in range(1, 21) for j in range(i + 2, 21)
+        )
+    )
+    for method in ("hochster", "all"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "betti", str(path), "--method", method)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == ""
+        assert f"refusing 20 > {HOCHSTER_VERTEX_LIMIT} vertices" in err

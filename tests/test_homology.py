@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,21 @@ def test_field_validation():
     with pytest.raises(ValueError):
         Field(-3)
     assert Field(32003) == GF32003
+
+
+def test_field_primality_is_fast_and_exact():
+    start = time.perf_counter()
+    assert Field(2**61 - 1).char == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    for p in (2, 3, 32003):
+        assert Field(p).char == p
+    # 2^61 + 1 is divisible by 3; 561 and 41041 are Carmichael numbers;
+    # the last one fools Miller-Rabin with the first 12 primes as bases
+    for composite in (2**61 + 1, 561, 41041, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            Field(composite)
+    with pytest.raises(ValueError, match="cannot certify"):
+        Field(2**89 - 1)  # prime, but beyond the deterministic range
 
 
 matrices = st.integers(1, 5).flatmap(

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,79 @@ from cointerval import (
     interval_representation,
     parse_hypergraph,
 )
+from cointerval.hypergraph import _nested_layers
+
+
+def all_graphs(d, n):
+    """Every d-graph on 1..n."""
+    universe = list(itertools.combinations(range(1, n + 1), d))
+    for mask in range(2 ** len(universe)):
+        yield Hypergraph(
+            d, range(1, n + 1), [e for i, e in enumerate(universe) if mask >> i & 1]
+        )
+
+
+def random_graph(rng, d, vertices, p):
+    edges = [
+        e for e in itertools.combinations(vertices, d) if rng.random() < p
+    ]
+    return Hypergraph(d, vertices, edges)
+
+
+def borel_closure(n, gens):
+    """Smallest strongly stable d-graph on 1..n holding the generators."""
+    stack = [tuple(sorted(g)) for g in gens]
+    seen = set()
+    while stack:
+        e = stack.pop()
+        if e in seen:
+            continue
+        seen.add(e)
+        members = set(e)
+        for i in e:
+            if i > 1 and i - 1 not in members:
+                stack.append(tuple(sorted(members - {i} | {i - 1})))
+    return Hypergraph(len(gens[0]), range(1, n + 1), seen)
+
+
+def shuffled(rng, H):
+    perm = list(H.vertices)
+    rng.shuffle(perm)
+    return H.relabel(dict(zip(H.vertices, perm)))
+
+
+def _ss_sweep(H):
+    """Oracle: the first of the k! support permutations that is stable."""
+    support = H.support()
+    k = len(support)
+    for perm in itertools.permutations(range(1, k + 1)):
+        mapping = dict(zip(support, perm))
+        probe = Hypergraph(
+            H.d, range(1, k + 1), [[mapping[v] for v in e] for e in H.edges]
+        )
+        if probe.is_strongly_stable():
+            nxt = k + 1
+            for v in H.vertices:
+                if v not in mapping:
+                    mapping[v] = nxt
+                    nxt += 1
+            return mapping
+    return None
+
+
+def _layer_oracle(H):
+    """Oracle: the recursive layer-nesting test through `Hypergraph.layer`."""
+    if H.d == 1:
+        return True
+    supp = H.support()
+    layers = [H.layer(v) for v in supp]
+    if not all(_layer_oracle(lay) for lay in layers):
+        return False
+    return all(
+        layers[j].edges <= layers[i].edges
+        for i in range(len(supp))
+        for j in range(i + 1, len(supp))
+    )
 
 
 def graphs(max_n=6, d=2):
@@ -117,6 +191,86 @@ def test_strongly_stable(copath5, k4_3):
     assert not flipped.is_strongly_stable()
     cert = find_strongly_stable_labeling(flipped)
     assert cert is not None and flipped.relabel(cert).is_strongly_stable()
+
+
+def test_ss_labeling_matches_sweep_exhaustive():
+    # the whole dict, edgeless vertices included, on every small graph
+    corpus = [H for n in range(1, 6) for H in all_graphs(2, n)]
+    corpus += list(all_graphs(3, 5))
+    found = 0
+    for H in corpus:
+        got = find_strongly_stable_labeling(H)
+        assert got == _ss_sweep(H), H
+        found += got is not None
+    assert found > 0 and found < len(corpus)
+
+
+def test_ss_labeling_matches_sweep_sampled():
+    rng = random.Random(20261017)
+    corpus = []
+    for _ in range(120):
+        # 2-graphs on 6 vertices, edges drawn among a random subset so
+        # that isolated vertices occur
+        inner = sorted(rng.sample(range(1, 7), rng.randint(2, 6)))
+        edges = [
+            e for e in itertools.combinations(inner, 2) if rng.random() < 0.6
+        ]
+        corpus.append(Hypergraph(2, range(1, 7), edges))
+    assert any(len(H.support()) < H.n for H in corpus)
+    for _ in range(60):
+        # labels outside 1..n, the shape covers passes for a cover part
+        labels = sorted(rng.sample(range(2, 40), rng.randint(3, 6)))
+        d = rng.choice((2, 3)) if len(labels) > 3 else 2
+        corpus.append(random_graph(rng, d, labels, 0.5))
+    for n in (5, 6):
+        # stable graphs under a shuffled labeling: the answer is a dict
+        corpus.append(shuffled(rng, borel_closure(n, [(2, 4, n)])))
+    found = 0
+    for H in corpus:
+        got = find_strongly_stable_labeling(H)
+        assert got == _ss_sweep(H), H
+        found += got is not None
+    assert found > 0
+
+
+def test_ss_labeling_on_shuffled_borel_closures():
+    # an 8! sweep takes seconds, so only one 8-vertex case runs it
+    rng = random.Random(7)
+    for n, gens, sweep in [
+        (7, [(2, 5, 7), (1, 6, 7)], True),
+        (7, [(3, 4, 7)], True),
+        (8, [(2, 6, 8), (4, 5, 7)], False),
+        (8, [(1, 2, 8), (3, 5, 6)], True),
+    ]:
+        H = shuffled(rng, borel_closure(n, gens))
+        got = find_strongly_stable_labeling(H)
+        assert got is not None
+        assert H.relabel(got).is_strongly_stable()
+        if sweep:
+            assert got == _ss_sweep(H)
+
+
+def test_nested_layers_matches_layer_recursion():
+    corpus = [H for n in range(1, 6) for H in all_graphs(2, n)]
+    corpus += list(all_graphs(3, 5))
+    corpus += list(all_graphs(1, 4))
+    rng = random.Random(20261018)
+    for _ in range(150):
+        d = rng.choice((3, 4))
+        n = rng.randint(d, 8)
+        corpus.append(random_graph(rng, d, range(1, n + 1), rng.random()))
+    # vertex 2 starts no edge, so its empty layer sits between the
+    # layers of 1 and 3
+    gap = Hypergraph(2, range(1, 5), [(1, 2), (1, 4), (3, 4)])
+    assert not _layer_oracle(gap)
+    corpus.append(gap)
+    hits = 0
+    for H in corpus:
+        want = _layer_oracle(H)
+        assert _nested_layers(H.edges) == want, H
+        assert H.is_cointerval() == want, H
+        hits += want
+    assert 0 < hits < len(corpus)
 
 
 @given(graphs(max_n=5))

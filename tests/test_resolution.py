@@ -7,6 +7,7 @@ from cointerval import (
     GF3,
     QQ,
     BettiTable,
+    BudgetError,
     Hypergraph,
     PreconditionError,
     betti_from_downset_homology,
@@ -19,6 +20,7 @@ from cointerval import (
     verify_minimal,
     verify_resolution,
 )
+from cointerval.resolution import HOCHSTER_VERTEX_LIMIT, TAYLOR_EDGE_LIMIT
 
 # resolution of the running example, frozen entry by entry
 COPATH5_TABLE = {
@@ -166,3 +168,15 @@ def test_betti_table_formatting(copath5):
 def test_coarse_collapse(copath5):
     coarse = betti_from_faces(copath5).coarse()
     assert coarse == {(0, 2): 7, (1, 3): 11, (2, 4): 6, (3, 5): 1}
+
+
+def test_exhaustive_routes_are_budgeted():
+    n = HOCHSTER_VERTEX_LIMIT + 1
+    path = Hypergraph(2, range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+    with pytest.raises(BudgetError):
+        betti_hochster(path)
+    t = TAYLOR_EDGE_LIMIT
+    edges = list(itertools.combinations(range(1, 8), 2))
+    assert taylor_complex(Hypergraph(2, range(1, 8), edges[:t])).f_vector()[-1] == 1
+    with pytest.raises(BudgetError):
+        taylor_complex(Hypergraph(2, range(1, 8), edges[: t + 1]))
