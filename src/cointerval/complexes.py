@@ -35,6 +35,15 @@ def _members(bits):
     return list(itertools.compress(range(len(flags)), flags))
 
 
+def _holders(masks):
+    """For each bit set in some mask, the bitset of positions holding it."""
+    ids = {}
+    for i, mask in enumerate(masks):
+        for k in _members(mask):
+            ids.setdefault(k, []).append(i)
+    return {k: sum(1 << i for i in members) for k, members in ids.items()}
+
+
 class CellIndex:
     """Integer ids, label bitmasks and sparse boundary columns of a complex.
 
@@ -69,10 +78,8 @@ class CellIndex:
         self.holders = {}
         for d, keys in self.keys.items():
             masks = self.masks[d] = [self.mask(X.label(c)) for c in keys]
-            self.holders[d] = [
-                sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
-                for k in range(len(verts))
-            ]
+            holders = _holders(masks)
+            self.holders[d] = [holders.get(k, 0) for k in range(len(verts))]
             for i, cell in enumerate(keys):
                 self.pos[cell] = i
         self.columns = {}
@@ -196,8 +203,16 @@ class LabeledComplex:
         return {self.label(c) for c in self.cells(0)}
 
     def lcm_lattice(self):
-        """All unions of vertex labels, sorted by (size, elements)."""
-        gens = sorted(self.vertex_labels(), key=sorted)
+        """All unions of vertex labels, sorted by (size, elements).
+
+        Closed on int bitmasks, bit k standing for the k-th smallest
+        vertex, so the ascending bit list of a mask orders like the
+        sorted elements of its label.
+        """
+        labels = self.vertex_labels()
+        order = sorted(frozenset().union(*labels))
+        bit = {v: 1 << k for k, v in enumerate(order)}
+        gens = {sum(bit[v] for v in lab) for lab in labels}
         closure = set(gens)
         frontier = set(gens)
         while frontier:
@@ -209,7 +224,8 @@ class LabeledComplex:
                         closure.add(u)
                         new.add(u)
             frontier = new
-        return sorted(closure, key=lambda s: (len(s), sorted(s)))
+        keyed = sorted((len(b), b) for b in map(_members, closure))
+        return [frozenset(order[k] for k in b) for _n, b in keyed]
 
     # --- index and downsets -------------------------------------------
     def index(self):

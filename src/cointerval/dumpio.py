@@ -9,14 +9,20 @@ faces' boundary matrix, and any deviation (wrong kernel dimension,
 non-unit entries) means the text is not the face poset of a polyhedral
 complex and raises ParseError.  The parsed object plugs into the same
 verification machinery as internally built complexes.
+
+Faces are found with one holder bitset per (block slot, value) pair
+and dimension, not by testing every pair of cells.  The kernel is
+solved over a large prime field and lifted to +-1 signs checked over
+the integers, which pins down the rational kernel; Fraction arithmetic
+runs only for a cell whose lift fails, to name the rejection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._kernels import nullspace_rational
-from .complexes import LabeledComplex
+from ._kernels import nullspace_mod, nullspace_rational
+from .complexes import LabeledComplex, _holders, _members
 from .errors import ParseError
 
 
@@ -66,6 +72,11 @@ def write_complex_dump(X):
 
 def parse_complex_dump(text):
     """Rebuild a verifiable complex from dump text."""
+    return _orient(_read_cells(text))
+
+
+def _read_cells(text):
+    """The dump's cells as {blocks: (dim, label)}, checked line by line."""
     cells = {}
     arity = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,73 +125,144 @@ def parse_complex_dump(text):
         if dim < 0:
             raise ParseError(f"negative dimension {dim}", lineno)
         cells[blocks] = (dim, label)
-    return _orient(cells)
-
-
-def _below(small, big):
-    return all(set(s) <= set(b) for s, b in zip(small, big))
+    return cells
 
 
 _AUG = "aug"
 
+# Orientation is solved modulo this prime (the largest below 2^30, so a
+# residue fits one CPython int digit) and lifted to signs over the integers.
+ORIENT_PRIME = 1_073_741_789
+
+
+def _pair_bits(keys, bits):
+    """Bitmask of each cell's (slot, value) pairs; new pairs get new bits."""
+    masks = []
+    for key in keys:
+        mask = 0
+        for slot, block in enumerate(key):
+            for v in block:
+                k = bits.get((slot, v))
+                if k is None:
+                    k = bits[(slot, v)] = len(bits)
+                mask |= 1 << k
+        masks.append(mask)
+    return masks
+
 
 def _orient(cells):
-    """Derive signed boundaries from the face poset, degree by degree."""
+    """Derive signed boundaries from the face poset, degree by degree.
+
+    The faces of a cell are the cells one dimension down whose every
+    block slot lies inside the cell's (componentwise containment): all
+    of them, minus the holders of each (slot, value) pair the cell does
+    not have.  The signs span the kernel of the faces' boundaries; see
+    `_unit_kernel` for why solving it over a prime field is exact.
+    """
     by_dim = {}
     for key, (dim, _label) in cells.items():
         by_dim.setdefault(dim, []).append(key)
     for dim in by_dim:
         by_dim[dim].sort()
+    bits = {}
     boundaries = {}
+    below, holders = (), {}
     for dim in sorted(by_dim):
-        for cell in by_dim[dim]:
-            if dim == 0:
+        keys = by_dim[dim]
+        masks = _pair_bits(keys, bits)
+        if dim == 0:
+            for cell in keys:
                 boundaries[cell] = []
-                continue
-            faces = [f for f in by_dim.get(dim - 1, ()) if _below(f, cell)]
-            # label monotonicity along the face relation
-            for f in faces:
-                if not cells[f][1] <= cells[cell][1]:
-                    raise ParseError(
-                        f"label of face {f} does not divide label of {cell}"
-                    )
-            if not faces:
-                raise ParseError(
-                    f"cell {cell} of dimension {dim} has no faces"
+        else:
+            every = (1 << len(below)) - 1
+            present = sum(1 << k for k in holders)
+            for cell, mask in zip(keys, masks):
+                keep = every
+                for k in _members(present & ~mask):
+                    keep &= ~holders[k]
+                faces = [below[i] for i in _members(keep)]
+                boundaries[cell] = _signed_faces(
+                    cells, boundaries, dim, cell, faces
                 )
-            targets = {}
-            if dim == 1:
-                targets[_AUG] = 0
-            for f in faces:
-                for g, _s in boundaries[f]:
-                    targets.setdefault(g, len(targets))
-            target_index = {g: i for i, g in enumerate(sorted(targets, key=str))}
-            rows = [[0] * len(faces) for _ in target_index]
-            for j, f in enumerate(faces):
-                if dim == 1:
-                    rows[target_index[_AUG]][j] = 1
-                else:
-                    for g, s in boundaries[f]:
-                        rows[target_index[g]][j] += s
-            basis = nullspace_rational(rows, len(faces))
-            if len(basis) != 1:
-                raise ParseError(
-                    f"cell {cell}: boundary kernel has dimension "
-                    f"{len(basis)}, not a polyhedral cell"
-                )
-            vec = basis[0]
-            lead = next((v for v in vec if v), None)
-            if lead is None:
-                raise ParseError(f"cell {cell}: degenerate boundary")
-            vec = [v / lead for v in vec]
-            if any(v not in (Fraction(1), Fraction(-1)) for v in vec):
-                raise ParseError(
-                    f"cell {cell}: boundary coefficients are not units"
-                )
-            boundaries[cell] = [
-                (f, 1 if v > 0 else -1) for f, v in zip(faces, vec)
-            ]
+        # holders are only needed for the next dimension up
+        if dim + 1 in by_dim:
+            below, holders = keys, _holders(masks)
+        else:
+            below, holders = (), {}
     return PosetComplex(cells, boundaries)
+
+
+def _signed_faces(cells, boundaries, dim, cell, faces):
+    # label monotonicity along the face relation
+    for f in faces:
+        if not cells[f][1] <= cells[cell][1]:
+            raise ParseError(
+                f"label of face {f} does not divide label of {cell}"
+            )
+    if not faces:
+        raise ParseError(f"cell {cell} of dimension {dim} has no faces")
+    targets = {_AUG: 0} if dim == 1 else {}
+    for f in faces:
+        for g, _s in boundaries[f]:
+            targets.setdefault(g, len(targets))
+    rows = [[0] * len(faces) for _ in targets]
+    for j, f in enumerate(faces):
+        if dim == 1:
+            rows[0][j] = 1
+        else:
+            for g, s in boundaries[f]:
+                rows[targets[g]][j] += s
+    signs = _unit_kernel(rows, len(faces))
+    if signs is None:
+        signs = _rational_signs(cell, rows, len(faces))
+    return list(zip(faces, signs))
+
+
+def _unit_kernel(rows, ncols):
+    """The +-1 kernel vector of an integer matrix, found mod a prime.
+
+    Returns signs v (leading entry +1) when the kernel mod ORIENT_PRIME
+    is one-dimensional, its normalised vector has only entries +-1, and
+    their lift satisfies M v = 0 over the integers; otherwise None.
+    Then the rational kernel is exactly span(v): it contains v, and its
+    dimension is at most the mod-p nullity, 1, because reducing mod p
+    can only lower the rank.  So v is what `_rational_signs` would give.
+    """
+    p = ORIENT_PRIME
+    basis = nullspace_mod(rows, ncols, p)
+    if len(basis) != 1 or not basis[0][0]:
+        return None
+    inv = pow(basis[0][0], -1, p)
+    signs = []
+    for v in basis[0]:
+        v = v * inv % p
+        if v == 1:
+            signs.append(1)
+        elif v == p - 1:
+            signs.append(-1)
+        else:
+            return None
+    if any(sum(a * s for a, s in zip(row, signs)) for row in rows):
+        return None
+    return signs
+
+
+def _rational_signs(cell, rows, ncols):
+    """Signs from the exact rational kernel, or a ParseError saying why not."""
+    basis = nullspace_rational(rows, ncols)
+    if len(basis) != 1:
+        raise ParseError(
+            f"cell {cell}: boundary kernel has dimension "
+            f"{len(basis)}, not a polyhedral cell"
+        )
+    vec = basis[0]
+    lead = next((v for v in vec if v), None)
+    if lead is None:
+        raise ParseError(f"cell {cell}: degenerate boundary")
+    vec = [v / lead for v in vec]
+    if any(v not in (Fraction(1), Fraction(-1)) for v in vec):
+        raise ParseError(f"cell {cell}: boundary coefficients are not units")
+    return [1 if v > 0 else -1 for v in vec]
 
 
 def write_complex_dump_file(X, path):

@@ -23,8 +23,9 @@ from .homology import (
     DEFAULT_FIELDS,
     EMPTY,
     GF2,
-    acyclicity_status,
+    NOT_ACYCLIC,
     boundary_matrices,
+    homology_ranks,
 )
 
 HOCHSTER_VERTEX_LIMIT = 12  # 2^n vertex-subset sweep guard
@@ -95,6 +96,34 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
+class Failure(tuple):
+    """A failing degree: the pair (alpha, field), and where it failed.
+
+    Compares, unpacks and indexes as the pair.  `ranks` maps each degree
+    in which the downset below alpha has nonzero reduced homology over
+    the field to that rank; `degree`, the lowest of them, is the
+    homological degree at which the cellular complex stops being exact
+    in multidegree alpha.
+    """
+
+    def __new__(cls, alpha, field, ranks):
+        self = super().__new__(cls, (alpha, field))
+        self.ranks = dict(ranks)
+        self.degree = min(self.ranks)
+        return self
+
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__
+        return (self[0], self[1], self.ranks)
+
+    @property
+    def alpha(self):
+        return self[0]
+
+    @property
+    def field(self):
+        return self[1]
+
+
 @dataclass
 class VerificationReport:
     """Outcome of the label-lattice acyclicity sweep over a complex."""
@@ -132,6 +161,14 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
     Fields are tried in order per degree; the first is the cheap screen
     and the rest confirm.  With fail_fast=True the sweep stops at the
     first failing degree (used inside exhaustive labeling searches).
+
+    The rationals are skipped for a degree that a prime field earlier in
+    `fields` already passed, because they cannot fail there.  The index
+    checked that the boundary squares to zero over the integers, and an
+    integer matrix has rank over Q at least its rank over any GF(p).  So
+    if size_k = rp_k + rp_{k+1} in every degree k (acyclic over GF(p)),
+    then size_k <= rQ_k + rQ_{k+1} <= size_k, and the downset is acyclic
+    over Q as well.  Q listed first, or alone, is still computed.
     """
     report = VerificationReport(fields=tuple(fields))
     if X.is_empty:
@@ -143,12 +180,17 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
             report.alpha_status.append((alpha, EMPTY))
             continue
         status = ACYCLIC
+        prime_passed = False
         for fld in fields:
-            st = acyclicity_status(sub, fld)
-            if st != ACYCLIC:
-                status = st
-                report.failures.append((alpha, fld))
+            if prime_passed and fld.char == 0:
+                continue
+            ranks = homology_ranks(sub, fld)
+            if any(ranks):
+                status = NOT_ACYCLIC
+                nonzero = {k: r for k, r in enumerate(ranks) if r}
+                report.failures.append(Failure(alpha, fld, nonzero))
                 break
+            prime_passed = prime_passed or fld.char != 0
         report.alpha_status.append((alpha, status))
         if fail_fast and report.failures:
             break

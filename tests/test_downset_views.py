@@ -105,3 +105,39 @@ def test_nested_views_and_membership(copath5):
     # a label vertex outside every label leaves nothing strictly equal
     wide = alpha | {99}
     assert list(X.downset_lt(wide).all_cells()) == list(V.all_cells())
+
+
+def frozenset_lcm_lattice(X):
+    """The lcm lattice closed on frozenset labels (the former method)."""
+    gens = sorted(X.vertex_labels(), key=sorted)
+    closure = set(gens)
+    frontier = set(gens)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for g in gens:
+                u = a | g
+                if u not in closure:
+                    closure.add(u)
+                    new.add(u)
+        frontier = new
+    return sorted(closure, key=lambda s: (len(s), sorted(s)))
+
+
+def test_lcm_lattice_matches_frozenset_closure(corpus):
+    more = [
+        (f"wide{i}", build_complex(H))
+        for i, H in enumerate(random_2graphs(8, seed=29))
+        if H.edges
+    ]
+    # labels off 1..n, so a vertex's bit is its rank, not its value
+    far = Hypergraph(2, (3, 10, 40, 77), [(3, 40), (10, 77), (3, 10)])
+    more.append(("far", build_complex(far)))
+    for name, X in corpus + more:
+        lattice = X.lcm_lattice()
+        assert lattice == frozenset_lcm_lattice(X), name
+        assert all(isinstance(a, frozenset) for a in lattice)
+        # a view's lattice is closed over its own vertex labels only
+        for alpha in lattice[:: max(1, len(lattice) // 5)]:
+            V = X.downset_leq(alpha)
+            assert V.lcm_lattice() == frozenset_lcm_lattice(V), (name, alpha)

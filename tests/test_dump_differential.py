@@ -1,0 +1,307 @@
+"""The dump parser against the pairwise face scan and Fraction orientation.
+
+`oracle_orient` is the orientation step as it was written first: every
+(dim - 1)-cell is tested against every dim-cell by `_below`, and each
+cell's signs come from the exact rational kernel.  The parser finds
+faces by holder bitsets and solves the kernel over a prime field; on
+every dump here both must give the same boundaries, or the same
+ParseError text.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cointerval import (
+    Hypergraph,
+    ParseError,
+    PosetComplex,
+    build_complex,
+    glued_resolution,
+    linear_width,
+    parse_complex_dump,
+    taylor_complex,
+    write_complex_dump,
+)
+from cointerval._kernels import nullspace_rational
+from cointerval.dumpio import _read_cells
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _below(small, big):
+    return all(set(s) <= set(b) for s, b in zip(small, big))
+
+
+def oracle_orient(cells):
+    by_dim = {}
+    for key, (dim, _label) in cells.items():
+        by_dim.setdefault(dim, []).append(key)
+    for dim in by_dim:
+        by_dim[dim].sort()
+    boundaries = {}
+    for dim in sorted(by_dim):
+        for cell in by_dim[dim]:
+            if dim == 0:
+                boundaries[cell] = []
+                continue
+            faces = [f for f in by_dim.get(dim - 1, ()) if _below(f, cell)]
+            for f in faces:
+                if not cells[f][1] <= cells[cell][1]:
+                    raise ParseError(
+                        f"label of face {f} does not divide label of {cell}"
+                    )
+            if not faces:
+                raise ParseError(
+                    f"cell {cell} of dimension {dim} has no faces"
+                )
+            targets = {}
+            if dim == 1:
+                targets["aug"] = 0
+            for f in faces:
+                for g, _s in boundaries[f]:
+                    targets.setdefault(g, len(targets))
+            target_index = {
+                g: i for i, g in enumerate(sorted(targets, key=str))
+            }
+            rows = [[0] * len(faces) for _ in target_index]
+            for j, f in enumerate(faces):
+                if dim == 1:
+                    rows[target_index["aug"]][j] = 1
+                else:
+                    for g, s in boundaries[f]:
+                        rows[target_index[g]][j] += s
+            basis = nullspace_rational(rows, len(faces))
+            if len(basis) != 1:
+                raise ParseError(
+                    f"cell {cell}: boundary kernel has dimension "
+                    f"{len(basis)}, not a polyhedral cell"
+                )
+            vec = basis[0]
+            lead = next((v for v in vec if v), None)
+            if lead is None:
+                raise ParseError(f"cell {cell}: degenerate boundary")
+            vec = [v / lead for v in vec]
+            if any(v not in (Fraction(1), Fraction(-1)) for v in vec):
+                raise ParseError(
+                    f"cell {cell}: boundary coefficients are not units"
+                )
+            boundaries[cell] = [
+                (f, 1 if v > 0 else -1) for f, v in zip(faces, vec)
+            ]
+    return PosetComplex(cells, boundaries)
+
+
+def outcome(parse, text):
+    """('ok', boundaries in cell order) or ('error', message)."""
+    try:
+        X = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("ok", [(c, X.boundary(c)) for c in X.all_cells()])
+
+
+def oracle_parse(text):
+    return oracle_orient(_read_cells(text))
+
+
+def copath(n):
+    return Hypergraph(
+        2, range(1, n + 1),
+        [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
+         if j - i >= 2],
+    )
+
+
+def interval_complement(rng, n):
+    """Complement of a random interval graph: a cointerval 2-graph."""
+    spans = []
+    for _ in range(n):
+        a = rng.randrange(10)
+        spans.append((a, a + rng.randrange(1, 4)))
+    edges = [
+        (i + 1, j + 1)
+        for i, j in itertools.combinations(range(n), 2)
+        if spans[i][1] < spans[j][0] or spans[j][1] < spans[i][0]
+    ]
+    return Hypergraph(2, range(1, n + 1), edges)
+
+
+def source_dumps():
+    """Written dumps of block, Taylor and join complexes, plus the golden."""
+    rng = random.Random(7)
+    out = [("golden_taylor", (GOLDEN / "input_taylor_2k2.dump").read_text())]
+    blocks = [copath(5), copath(7)]
+    k5_3 = itertools.combinations(range(1, 6), 3)
+    blocks.append(Hypergraph(3, range(1, 6), k5_3))
+    for _ in range(6):
+        H = interval_complement(rng, rng.randrange(4, 7))
+        if H.edges and H.is_cointerval():
+            blocks.append(H)
+    out += [(f"block{i}", write_complex_dump(build_complex(H)))
+            for i, H in enumerate(blocks)]
+    taylors = [
+        Hypergraph(2, range(1, 4), itertools.combinations(range(1, 4), 2)),
+        Hypergraph(2, range(1, 5), [(1, 2), (3, 4)]),
+        Hypergraph(2, range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)]),
+    ]
+    out += [(f"taylor{i}", write_complex_dump(taylor_complex(H)))
+            for i, H in enumerate(taylors)]
+    joins = [
+        Hypergraph(2, range(1, 5), [(1, 2), (3, 4)]),
+        Hypergraph(2, range(1, 7), [(1, 2), (3, 4), (5, 6)]),
+        Hypergraph(2, range(1, 6), [(1, 2), (1, 3), (4, 5)]),
+    ]
+    for i, H in enumerate(joins):
+        _, cover = linear_width(H)
+        glued, _ = glued_resolution(H, cover)
+        out.append((f"join{i}", write_complex_dump(glued)))
+    return out
+
+
+def _line(dim, blocks, label):
+    btxt = " ; ".join(" ".join(map(str, b)) if b else "-" for b in blocks)
+    return f"{dim} | {btxt} | {' '.join(map(str, sorted(label)))}"
+
+
+def mutations(text, rng):
+    """Seeded corruptions of a dump, each named after what it does."""
+    lines = text.splitlines()
+    cells = _read_cells(text)
+    rows = [(key, dim, label) for key, (dim, label) in cells.items()]
+    out = []
+    i = rng.randrange(len(lines))
+    out.append(("drop", "\n".join(lines[:i] + lines[i + 1:])))
+    key, dim, label = rng.choice(rows)
+    shifted = dict(cells)
+    shifted[key] = (max(0, dim + rng.choice((-1, 1))), label)
+    out.append(("shift", shifted))
+    key, dim, label = rng.choice(rows)
+    if len(label) > 1:
+        shrunk = dict(cells)
+        shrunk[key] = (dim, label - {rng.choice(sorted(label))})
+        out.append(("shrink", shrunk))
+    # a subset two or more dimensions down, declared one below a cell
+    deep = [
+        (small, big)
+        for big, (bdim, _b) in cells.items() if bdim >= 2
+        for small, (sdim, _s) in cells.items()
+        if sdim <= bdim - 2 and _below(small, big)
+    ]
+    if deep:
+        small, big = rng.choice(deep)
+        lowered = dict(cells)
+        lowered[small] = (cells[big][0] - 1, cells[small][1])
+        out.append(("deeper", lowered))
+    j = rng.randrange(len(lines))
+    out.append(("duplicate", "\n".join(lines[: j + 1] + lines[j:])))
+    return [
+        (name, m if isinstance(m, str) else "\n".join(
+            _line(d, k, lab) for k, (d, lab) in sorted(
+                m.items(), key=lambda kv: (kv[1][0], kv[0])
+            )
+        ))
+        for name, m in out
+    ]
+
+
+def test_parser_matches_oracle_on_written_dumps():
+    for name, text in source_dumps():
+        got = outcome(parse_complex_dump, text)
+        assert got[0] == "ok", (name, got)
+        assert got == outcome(oracle_parse, text), name
+
+
+def test_parser_matches_oracle_on_mutations():
+    rng = random.Random(2024)
+    seen = {}
+    for name, text in source_dumps():
+        for _round in range(6):
+            for kind, mutated in mutations(text, rng):
+                got = outcome(parse_complex_dump, mutated)
+                assert got == outcome(oracle_parse, mutated), (name, kind)
+                seen.setdefault(kind, []).append(
+                    got[1] if got[0] == "error" else "ok"
+                )
+    assert set(seen) == {"drop", "shift", "shrink", "deeper", "duplicate"}
+    messages = [m for ms in seen.values() for m in ms]
+    # accepted dumps and every kind of rejection the mutations reach
+    for part in ("ok", "kernel has dimension", "no faces", "does not divide",
+                 "duplicate cell"):
+        assert sum(part in m for m in messages) >= 5, part
+
+
+def square(top_faces):
+    """Four points, the given 1-cells, and (1 2 3 4) declared a 2-cell."""
+    lines = [_line(0, ((v,),), {v}) for v in range(1, 5)]
+    lines += [_line(1, (e,), set(e)) for e in top_faces]
+    lines.append(_line(2, ((1, 2, 3, 4),), {1, 2, 3, 4}))
+    return "\n".join(lines)
+
+
+def test_deeper_subset_counts_as_a_face():
+    # (1 4) is two deletions below (1 2 3 4); containment makes it a face
+    # of the cell declared one dimension up, which is then a square
+    text = square([(1, 2), (2, 3), (3, 4), (1, 4)])
+    got = outcome(parse_complex_dump, text)
+    assert got == outcome(oracle_parse, text)
+    assert got[0] == "ok"
+    assert [f for f, _s in got[1][-1][1]] == [
+        ((1, 2),), ((1, 4),), ((2, 3),), ((3, 4),)
+    ]
+
+
+def test_rejections_name_the_rational_reason():
+    # a triangle with a pendant edge: a one-dimensional kernel with a zero
+    text = square([(1, 2), (1, 3), (2, 3), (3, 4)])
+    got = outcome(parse_complex_dump, text)
+    assert got == outcome(oracle_parse, text)
+    assert got == (
+        "error", "cell ((1, 2, 3, 4),): boundary coefficients are not units"
+    )
+    # a path: no cycle, so the kernel is trivial
+    text = square([(1, 2), (2, 3), (3, 4)])
+    got = outcome(parse_complex_dump, text)
+    assert got == outcome(oracle_parse, text)
+    assert got == (
+        "error",
+        "cell ((1, 2, 3, 4),): boundary kernel has dimension 0, "
+        "not a polyhedral cell",
+    )
+
+
+DUMP_CHARS = st.sampled_from(list("0123 |;-#\n") + ["12", " - ", " ; "])
+
+
+@st.composite
+def dump_texts(draw):
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(DUMP_CHARS, max_size=60)))
+    vertices = st.lists(st.integers(0, 5), max_size=4)
+    lines = []
+    for _ in range(draw(st.integers(0, 9))):
+        dim = draw(st.integers(-1, 3))
+        blocks = draw(st.lists(vertices, min_size=1, max_size=2))
+        label = draw(vertices)
+        lines.append(
+            f"{dim} | "
+            + " ; ".join(" ".join(map(str, b)) or "-" for b in blocks)
+            + " | " + " ".join(map(str, label))
+        )
+    return "\n".join(lines)
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(dump_texts())
+def test_any_text_parses_or_raises_parse_error(text):
+    got = outcome(parse_complex_dump, text)
+    if got[0] == "ok":
+        assert isinstance(parse_complex_dump(text), PosetComplex)
+    assert got == outcome(oracle_parse, text)

@@ -28,7 +28,12 @@ from cointerval import (
     homology_ranks,
     is_acyclic,
 )
-from cointerval._kernels import nullspace_rational, rank_bareiss, rank_mod
+from cointerval._kernels import (
+    nullspace_mod,
+    nullspace_rational,
+    rank_bareiss,
+    rank_mod,
+)
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC
 
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
@@ -101,6 +106,14 @@ def test_rank_kernels_against_sympy(rows):
     for vec in null:
         for row in rows:
             assert sum(a * x for a, x in zip(row, vec)) == 0
+    for p in (2, 3, 32003):
+        null = nullspace_mod(rows, ncols, p)
+        rank = DomainMatrix.from_list(rows, sympy_GF(p)).rank()
+        assert len(null) == ncols - rank, (rows, p)
+        for vec in null:
+            assert all(0 <= x < p for x in vec)
+            for row in rows:
+                assert sum(a * x for a, x in zip(row, vec)) % p == 0
 
 
 def test_rank_mod_catches_characteristic():

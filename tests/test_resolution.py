@@ -1,10 +1,15 @@
+import copy
 import itertools
+import pickle
+from pathlib import Path
 
 import pytest
 
 from cointerval import (
+    BlockComplex,
     GF2,
     GF3,
+    GF32003,
     QQ,
     BettiTable,
     BudgetError,
@@ -16,11 +21,20 @@ from cointerval import (
     build_complex,
     cube_betti,
     independence_complex,
+    read_complex_dump,
     taylor_complex,
-    verify_minimal,
     verify_resolution,
 )
-from cointerval.resolution import HOCHSTER_VERTEX_LIMIT, TAYLOR_EDGE_LIMIT
+from cointerval import _kernels
+from cointerval.homology import ACYCLIC, EMPTY, acyclicity_status
+from cointerval.resolution import (
+    HOCHSTER_VERTEX_LIMIT,
+    TAYLOR_EDGE_LIMIT,
+    VerificationReport,
+    verify_minimal,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # resolution of the running example, frozen entry by entry
 COPATH5_TABLE = {
@@ -180,3 +194,114 @@ def test_exhaustive_routes_are_budgeted():
     assert taylor_complex(Hypergraph(2, range(1, 8), edges[:t])).f_vector()[-1] == 1
     with pytest.raises(BudgetError):
         taylor_complex(Hypergraph(2, range(1, 8), edges[: t + 1]))
+
+
+def verify_every_field(X, fields):
+    """The sweep that runs every field on every degree (no Q skipped)."""
+    report = VerificationReport(fields=tuple(fields))
+    for alpha in X.lcm_lattice():
+        sub = X.downset_leq(alpha)
+        if sub.is_empty:
+            report.alpha_status.append((alpha, EMPTY))
+            continue
+        status = ACYCLIC
+        for fld in fields:
+            status = acyclicity_status(sub, fld)
+            if status != ACYCLIC:
+                report.failures.append((alpha, fld))
+                break
+        report.alpha_status.append((alpha, status))
+    report.minimal = verify_minimal(X)
+    return report
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+    real = _kernels.rank_bareiss
+
+    def counted(cols):
+        calls.append(len(cols))
+        return real(cols)
+
+    monkeypatch.setattr(_kernels, "rank_bareiss", counted)
+    return calls
+
+
+def test_q_after_a_passing_prime_is_skipped(copath5, bareiss_calls):
+    X = build_complex(copath5)
+    Y = read_complex_dump(GOLDEN / "input_taylor_2k2.dump")
+    expected = {
+        "copath5": "acyclic: pass (21 degrees checked, 0 empty, "
+        "fields GF(32003), Q)\nminimal: yes",
+        "taylor": "acyclic: pass (3 degrees checked, 0 empty, "
+        "fields GF(32003), Q)\nminimal: yes",
+    }
+    for name, C in (("copath5", X), ("taylor", Y)):
+        report = verify_resolution(C, (GF32003, QQ))
+        assert report.summary() == expected[name]
+        assert bareiss_calls == [], name
+        oracle = verify_every_field(C, (GF32003, QQ))
+        assert bareiss_calls, name  # the oracle did run Bareiss
+        assert report.summary() == oracle.summary()
+        assert report.alpha_status == oracle.alpha_status
+        bareiss_calls.clear()
+
+
+def test_q_first_or_alone_still_runs_bareiss(copath5, bareiss_calls):
+    X = build_complex(copath5)
+    for fields in ((QQ,), (QQ, GF2)):
+        report = verify_resolution(X, fields)
+        assert report.passed
+        assert len(bareiss_calls) > 21, fields  # several ranks per degree
+        bareiss_calls.clear()
+    betti_from_downset_homology(X, QQ)
+    assert bareiss_calls
+
+
+def test_a_second_prime_field_still_runs(copath5, monkeypatch):
+    seen = []
+    real = _kernels.rank_mod
+
+    def counted(cols, p):
+        seen.append(p)
+        return real(cols, p)
+
+    monkeypatch.setattr(_kernels, "rank_mod", counted)
+    report = verify_resolution(build_complex(copath5), (GF2, GF3))
+    assert report.passed
+    assert seen.count(3) >= 21 and seen.count(2) >= 21
+
+
+def test_planted_2k2_failures_unchanged(copath5, bareiss_calls):
+    # copath5 with a disjoint edge: {6, 7} and (1, 2) span an induced 2K2
+    planted = Hypergraph(2, range(1, 8), list(copath5.edges) + [(6, 7)])
+    X = build_complex(planted)
+    for fields in ((GF32003, QQ), (GF2, GF3, QQ), (QQ, GF2)):
+        report = verify_resolution(X, fields)
+        oracle = verify_every_field(X, fields)
+        assert list(report.failures) == oracle.failures, fields
+        assert report.alpha_status == oracle.alpha_status, fields
+        assert report.summary() == oracle.summary(), fields
+        assert len(report.failures) == 21
+        assert report.failures[0] == (frozenset({1, 2, 6, 7}), fields[0])
+
+
+def test_failure_records_degree_and_ranks(two_k2):
+    report = verify_resolution(build_complex(two_k2), (GF2, QQ))
+    (failure,) = report.failures
+    alpha, fld = failure
+    assert (alpha, fld) == (frozenset({1, 2, 3, 4}), GF2)
+    assert (failure.alpha, failure.field) == (alpha, fld)
+    # two points: reduced homology of rank one in degree 0
+    assert failure.degree == 0 and failure.ranks == {0: 1}
+    assert report.summary().splitlines()[1] == (
+        "  failed at alpha = 1 2 3 4 over GF(2)"
+    )
+    for twin in (pickle.loads(pickle.dumps(failure)), copy.deepcopy(failure)):
+        assert twin == failure and twin.ranks == {0: 1} and twin.degree == 0
+    # a hollow triangle fails in degree 1
+    hollow = BlockComplex.from_blocks([((1,),), ((2,),), ((3,),),
+                                       ((1, 2),), ((1, 3),), ((2, 3),)])
+    (failure,) = verify_resolution(hollow, (QQ,)).failures
+    assert failure.degree == 1 and failure.ranks == {1: 1}
