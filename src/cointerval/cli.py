@@ -11,6 +11,7 @@ randomized).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -202,6 +203,7 @@ def cmd_verify(args):
     return lines
 
 
+@functools.cache  # built on the first `main` call, then reused
 def _parser():
     p = argparse.ArgumentParser(
         prog="cointerval",

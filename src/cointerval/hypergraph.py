@@ -21,6 +21,7 @@ from collections import Counter
 from .errors import BudgetError, ParseError, PreconditionError
 
 CANONICAL_VERTEX_LIMIT = 9  # exhaustive relabeling guard: 9! permutations
+COINTERVAL_PLACEMENT_LIMIT = 50_000  # labeling search guard: DFS placements
 
 
 class Hypergraph:
@@ -244,7 +245,9 @@ def find_cointerval_labeling(H):
     Depth-first over assignments of new labels 1, 2, ... to original
     vertices in increasing original order, pruning as soon as the layer
     edge sets determined so far stop nesting.  Returns the first success
-    as a dict (original -> new label), or None.
+    as a dict (original -> new label), or None.  Raises BudgetError once
+    the search has tried more than COINTERVAL_PLACEMENT_LIMIT
+    placements.
     """
     verts = H.vertices
     n = len(verts)
@@ -256,8 +259,14 @@ def find_cointerval_labeling(H):
     order = []  # order[p-1] = original vertex with new label p
     chosen = set()
     layers = []  # layer edge sets (families of frozensets), per position
+    placements = itertools.count(1)
 
     def place(v):
+        if next(placements) > COINTERVAL_PLACEMENT_LIMIT:
+            raise BudgetError(
+                f"the cointerval labeling search is exhaustive; refusing "
+                f"more than {COINTERVAL_PLACEMENT_LIMIT} placements"
+            )
         members = set()
         for e in edges_at[v]:
             others = [u for u in e if u != v]

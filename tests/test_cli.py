@@ -10,6 +10,7 @@ import pytest
 import cointerval
 from cointerval import Hypergraph, parse_hypergraph
 from cointerval.cli import main
+from cointerval.hypergraph import COINTERVAL_PLACEMENT_LIMIT
 from cointerval.resolution import HOCHSTER_VERTEX_LIMIT
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -140,20 +141,65 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def _check_in_subprocess(path):
-    """`check --find-labeling` in a fresh interpreter, 10 s to finish."""
+def _fresh_run(*argv, timeout=10):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
     env = dict(os.environ)
     src = str(pathlib.Path(cointerval.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "cointerval.cli", "check", str(path),
-         "--find-labeling"],
-        capture_output=True, text=True, timeout=10, env=env,
+        [sys.executable, "-m", "cointerval.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _check_in_subprocess(path):
+    """`check --find-labeling` in a fresh interpreter, 10 s to finish."""
+    code, out, err = _fresh_run("check", path, "--find-labeling")
+    assert code == 0, err
+    return out
+
+
+def test_repeated_main_calls_match_fresh_runs(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 4\nbogus line\n")
+    calls = [
+        ("resolve", COPATH5, "--confirm"),
+        ("resolve", COPATH5),  # no --confirm carried over
+        ("--seed", "3", "check", TWO_K2, "--find-labeling"),
+        ("check", TWO_K2),
+        ("betti", COPATH5, "--method=all", "--field=q"),
+        ("betti", TWO_K2),
+        ("verify", TAYLOR, "--field", "3", "--confirm"),
+        ("resolve", TWO_K2),  # exit 3
+        ("casestudy", "--d", "2", "--n", "9"),  # exit 4
+        ("check", str(bad)),  # exit 2
+        ("casestudy", "--d", "2", "--n", "4", "--seed", "1"),
+        ("resolve", COPATH5, "--confirm"),
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert {code for code, _out, _err in in_process} == {0, 2, 3, 4}
+    for argv, got in zip(calls, in_process):
+        assert got == _fresh_run(*argv), argv
+
+
+def test_cointerval_labeling_search_is_budgeted(tmp_path):
+    # a dense random 2-graph on 14 vertices on which the labeling search
+    # passes 100,000 placements without an answer
+    rng = random.Random(7)
+    edges = [
+        (i, j) for i in range(1, 15) for j in range(i + 1, 15)
+        if rng.random() < 0.85
+    ]
+    path = tmp_path / "dense14.txt"
+    path.write_text("2 14\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    start = time.perf_counter()
+    code, out, err = _fresh_run("check", path, "--find-labeling")
+    assert time.perf_counter() - start < 5.0
+    assert code == 4 and out == ""
+    assert f"more than {COINTERVAL_PLACEMENT_LIMIT} placements" in err
 
 
 def test_find_labeling_perfect_matching_is_bounded(tmp_path):

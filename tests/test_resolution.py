@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -14,23 +15,30 @@ from cointerval import (
     BettiTable,
     BudgetError,
     Hypergraph,
+    ParseError,
+    PosetComplex,
     PreconditionError,
     betti_from_downset_homology,
     betti_from_faces,
     betti_hochster,
     build_complex,
     cube_betti,
+    homology_ranks,
     independence_complex,
+    parse_complex_dump,
     read_complex_dump,
     taylor_complex,
     verify_resolution,
+    write_complex_dump,
 )
 from cointerval import _kernels
-from cointerval.homology import ACYCLIC, EMPTY, acyclicity_status
+from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC, acyclicity_status
 from cointerval.resolution import (
     HOCHSTER_VERTEX_LIMIT,
     TAYLOR_EDGE_LIMIT,
+    Failure,
     VerificationReport,
+    _certified,
     verify_minimal,
 )
 
@@ -248,18 +256,52 @@ def test_q_after_a_passing_prime_is_skipped(copath5, bareiss_calls):
         bareiss_calls.clear()
 
 
-def test_q_first_or_alone_still_runs_bareiss(copath5, bareiss_calls):
-    X = build_complex(copath5)
+class ScrambledComplex(BlockComplex):
+    """A block complex whose cell ids follow a seeded shuffle.
+
+    Acyclicity does not depend on the order of the cells, but the lead
+    matching of `verify_resolution` does: under a shuffled order leads
+    collide, so some acyclic downsets go to exact elimination.
+    """
+
+    def __init__(self, cells, seed):
+        order = sorted(cells)
+        random.Random(seed).shuffle(order)
+        self._rank = {c: i for i, c in enumerate(order)}
+        super().__init__(cells)
+
+    def sort_key(self, cell):
+        return self._rank[cell]
+
+
+@pytest.fixture
+def scrambled():
+    # the complement of the path 2-3-...-7 plus the dominating vertex 1,
+    # a cointerval graph; 60 of its 111 degrees are left to elimination
+    H = Hypergraph(
+        2, range(1, 8),
+        [(1, j) for j in range(2, 8)]
+        + [(i, j) for i in range(2, 8) for j in range(i + 2, 8)],
+    )
+    X = build_complex(H)
+    cells = {c: (X.dim(c), X.label(c)) for c in X.all_cells()}
+    return ScrambledComplex(cells, seed=0)
+
+
+def test_q_first_or_alone_still_runs_bareiss(copath5, scrambled,
+                                             bareiss_calls):
+    # on degrees the lead matching leaves open
     for fields in ((QQ,), (QQ, GF2)):
-        report = verify_resolution(X, fields)
+        report = verify_resolution(scrambled, fields)
         assert report.passed
+        assert report.eliminated >= 21, fields
         assert len(bareiss_calls) > 21, fields  # several ranks per degree
         bareiss_calls.clear()
-    betti_from_downset_homology(X, QQ)
+    betti_from_downset_homology(build_complex(copath5), QQ)
     assert bareiss_calls
 
 
-def test_a_second_prime_field_still_runs(copath5, monkeypatch):
+def test_a_second_prime_field_still_runs(scrambled, monkeypatch):
     seen = []
     real = _kernels.rank_mod
 
@@ -268,8 +310,8 @@ def test_a_second_prime_field_still_runs(copath5, monkeypatch):
         return real(cols, p)
 
     monkeypatch.setattr(_kernels, "rank_mod", counted)
-    report = verify_resolution(build_complex(copath5), (GF2, GF3))
-    assert report.passed
+    report = verify_resolution(scrambled, (GF2, GF3))
+    assert report.passed and report.eliminated >= 21
     assert seen.count(3) >= 21 and seen.count(2) >= 21
 
 
@@ -305,3 +347,238 @@ def test_failure_records_degree_and_ranks(two_k2):
                                        ((1, 2),), ((1, 3),), ((2, 3),)])
     (failure,) = verify_resolution(hollow, (QQ,)).failures
     assert failure.degree == 1 and failure.ranks == {1: 1}
+
+
+# --- the lead-matching proof against elimination everywhere ------------
+
+
+def eliminate_everything(X, fields, fail_fast=False):
+    """The sweep with no proof: every downset, every field, eliminated."""
+    report = VerificationReport(fields=tuple(fields))
+    if X.is_empty:
+        report.minimal = True
+        return report
+    for alpha in X.lcm_lattice():
+        sub = X.downset_leq(alpha)
+        if sub.is_empty:
+            report.alpha_status.append((alpha, EMPTY))
+            continue
+        ranks = {fld: homology_ranks(sub, fld) for fld in fields}
+        bad = [fld for fld in fields if any(ranks[fld])]
+        if bad:
+            nonzero = {k: r for k, r in enumerate(ranks[bad[0]]) if r}
+            report.failures.append(Failure(alpha, bad[0], nonzero))
+        report.alpha_status.append((alpha, NOT_ACYCLIC if bad else ACYCLIC))
+        if fail_fast and report.failures:
+            break
+    report.minimal = verify_minimal(X)
+    return report
+
+
+def copath(n):
+    """Complement of the path 1-2-...-n: edges {i, j} with j - i >= 2."""
+    return Hypergraph(
+        2, range(1, n + 1),
+        [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)],
+    )
+
+
+def interval_complements(count, seed=5):
+    """Complements of random interval graphs, ordered by right endpoint."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randrange(5, 9)
+        ivs = sorted(
+            (a + rng.randrange(1, 5), a)
+            for a in (rng.randrange(12) for _ in range(n))
+        )
+        edges = [
+            (i + 1, j + 1) for i, j in itertools.combinations(range(n), 2)
+            if ivs[i][0] < ivs[j][1] or ivs[j][0] < ivs[i][1]
+        ]
+        out.append(Hypergraph(2, range(1, n + 1), edges))
+    return out
+
+
+def hand_built(cells, boundaries):
+    """A PosetComplex from {key: (dim, label)} and {key: [(face, sign)]}."""
+    return PosetComplex(
+        {k: (d, frozenset(lab)) for k, (d, lab) in cells.items()},
+        {k: tuple(boundaries.get(k, ())) for k in cells},
+    )
+
+
+def rp2_like():
+    # one cell per dimension, all labelled {1}: de = 0 and df = 2e
+    return hand_built(
+        {"v": (0, {1}), "e": (1, {1}), "f": (2, {1})}, {"f": [("e", 2)]}
+    )
+
+
+def loop_on_a_segment(filled):
+    # a segment ab and a loop l with empty boundary, both labelled {1, 2};
+    # with `filled`, a disk D bounds the loop
+    cells = {"a": (0, {1}), "b": (0, {2}), "ab": (1, {1, 2}),
+             "l": (1, {1, 2})}
+    boundaries = {"ab": [("a", -1), ("b", 1)]}
+    if filled:
+        cells["D"] = (2, {1, 2})
+        boundaries["D"] = [("l", 1)]
+    return hand_built(cells, boundaries)
+
+
+def disk_on_a_triangle():
+    # triangles abx (label {1, 2}) and abc (label {1, 2, 3}) on a shared
+    # edge ab, both filled; the strict downset below {1, 2, 3} keeps the
+    # 2-cell abx but not abc, so its boundary cycle stays open there
+    def edge(e):
+        return [(e[0], -1), (e[1], 1)]
+
+    def triangle(x, y, z):
+        return [(y + z, 1), (x + z, -1), (x + y, 1)]
+
+    return hand_built(
+        {"a": (0, {1}), "b": (0, {2}), "c": (0, {3}), "x": (0, {1, 2}),
+         "ab": (1, {1, 2}), "ac": (1, {1, 3}), "bc": (1, {2, 3}),
+         "ax": (1, {1, 2}), "bx": (1, {1, 2}),
+         "abc": (2, {1, 2, 3}), "abx": (2, {1, 2})},
+        {**{e: edge(e) for e in ("ab", "ac", "bc", "ax", "bx")},
+         "abc": triangle("a", "b", "c"), "abx": triangle("a", "b", "x")},
+    )
+
+
+def dumps_with_holes():
+    """Parsed dumps: written ones that pass, and ones missing a top cell."""
+    sources = [
+        (GOLDEN / "input_taylor_2k2.dump").read_text(),
+        write_complex_dump(build_complex(copath(6))),
+        write_complex_dump(taylor_complex(copath(5))),
+    ]
+    sources += [write_complex_dump(build_complex(H))
+                for H in interval_complements(3, seed=9) if H.edges]
+    out = []
+    rng = random.Random(3)
+    for text in sources:
+        out.append(parse_complex_dump(text))
+        lines = text.splitlines()
+        top = max(int(line.split("|")[0]) for line in lines)
+        tops = [i for i, line in enumerate(lines)
+                if int(line.split("|")[0]) == top and top > 0]
+        for i in rng.sample(tops, min(2, len(tops))):
+            try:
+                out.append(parse_complex_dump(
+                    "\n".join(lines[:i] + lines[i + 1:])
+                ))
+            except ParseError:
+                pass
+    return out
+
+
+def random_complexes(count=8, seed=17):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randrange(5, 8)
+        p = rng.choice((0.4, 0.6, 0.8))
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+                 if rng.random() < p]
+        out.append(build_complex(Hypergraph(2, range(1, n + 1), edges)))
+    return out
+
+
+@pytest.fixture
+def proof_corpus(copath5, k4_3, two_k2, scrambled):
+    planted = Hypergraph(2, range(1, 8), list(copath5.edges) + [(6, 7)])
+    k3 = Hypergraph(2, range(1, 4), itertools.combinations(range(1, 4), 2))
+    resolved = build_complex(copath5)
+    out = [
+        ("copath5", resolved),
+        ("copath5_strict", resolved.downset_lt(frozenset(range(1, 6)))),
+        ("k4_3", build_complex(k4_3)),
+        ("2k2", build_complex(two_k2)),
+        ("planted", build_complex(planted)),
+        ("scrambled", scrambled),
+        ("rp2", rp2_like()),
+        ("loop", loop_on_a_segment(filled=False)),
+        ("disk", loop_on_a_segment(filled=True)),
+        ("two_disks", disk_on_a_triangle()),
+        ("two_disks_strict",
+         disk_on_a_triangle().downset_lt(frozenset({1, 2, 3}))),
+    ]
+    out += [(f"taylor{i}", taylor_complex(H))
+            for i, H in enumerate((k3, two_k2, copath5, copath(5)))]
+    out += [(f"dump{i}", X) for i, X in enumerate(dumps_with_holes())]
+    out += [(f"random{i}", X) for i, X in enumerate(random_complexes())]
+    return out
+
+
+def test_proof_matches_elimination_everywhere(proof_corpus):
+    runs = [((GF2, GF3, QQ), True)] + [
+        (fields, False)
+        for fields in ((GF2, GF3, QQ), (QQ,), (GF32003, QQ), (GF3, GF2))
+    ]
+    outcomes = set()
+    for name, X in proof_corpus:
+        for fields, fail_fast in runs:
+            got = verify_resolution(X, fields, fail_fast=fail_fast)
+            want = eliminate_everything(X, fields, fail_fast=fail_fast)
+            where = (name, fields, fail_fast)
+            assert got.alpha_status == want.alpha_status, where
+            assert got.failures == want.failures, where
+            assert [(f.degree, f.ranks) for f in got.failures] == [
+                (f.degree, f.ranks) for f in want.failures
+            ], where
+            assert got.summary() == want.summary(), where
+            outcomes.add((got.passed, got.eliminated > 0))
+    # the corpus reaches every case: settled by the proof, eliminated
+    # and passing, eliminated and failing
+    assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+def test_certified_degrees_are_acyclic_over_every_field(proof_corpus):
+    """The proof on every vertex subset, not just the lattice."""
+    for name, X in proof_corpus:
+        verts = sorted(set().union(*(X.label(c) for c in X.all_cells())))
+        if len(verts) > 7:
+            continue
+        alphas = [frozenset(s) for r in range(len(verts) + 1)
+                  for s in itertools.combinations(verts, r)]
+        bits = _certified(X, alphas)
+        for pos, alpha in enumerate(alphas):
+            if bits >> pos & 1:
+                sub = X.downset_leq(alpha)
+                assert not sub.is_empty, (name, alpha)
+                for fld in (GF2, GF3, QQ):
+                    assert not any(homology_ranks(sub, fld)), (name, alpha)
+
+
+def test_rp2_like_complex_fails_only_in_characteristic_two():
+    X = rp2_like()
+    (failure,) = verify_resolution(X, (GF2,)).failures
+    assert failure == (frozenset({1}), GF2)
+    assert failure.ranks == {1: 1, 2: 1} and failure.degree == 1
+    for fld in (GF3, QQ):
+        report = verify_resolution(X, (fld,))
+        assert report.passed and report.eliminated == 1
+
+
+def test_empty_columns_are_left_to_elimination():
+    loop = verify_resolution(loop_on_a_segment(filled=False), (GF2, QQ))
+    (failure,) = loop.failures
+    assert failure == (frozenset({1, 2}), GF2) and failure.ranks == {1: 1}
+    assert loop.eliminated == 1
+    # a disk bounding the loop clears it, and the proof applies
+    disk = verify_resolution(loop_on_a_segment(filled=True), (GF2, QQ))
+    assert disk.passed and disk.eliminated == 0
+
+
+def test_cointerval_complexes_need_no_elimination(copath5):
+    planted = Hypergraph(2, range(1, 8), list(copath5.edges) + [(6, 7)])
+    graphs = [copath(n) for n in range(5, 11)] + interval_complements(12)
+    for H in graphs:
+        assert H.is_cointerval()
+        report = verify_resolution(build_complex(H), (GF2, QQ))
+        assert report.passed and report.eliminated == 0, H
+    report = verify_resolution(build_complex(planted), (GF2, QQ))
+    assert not report.passed and report.eliminated > 0
