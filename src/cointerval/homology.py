@@ -150,27 +150,73 @@ def _assert_squares_to_zero(index):
     Takes a whole complex's CellIndex; the augmentation counts, so each
     edge's two endpoints must cancel as well.  The error names the first
     failing cell and the nonzero coefficients of its boundary's boundary.
+
+    An edge passes when its coefficients sum to zero.  Above that, when
+    every coefficient involved is +-1, a cell passes iff the faces of
+    its faces, taken with a plus sign, are the same multiset as those
+    taken with a minus sign; that is tested by sorting.  Other
+    coefficients, and the cell that fails, are summed exactly.
     """
     columns = index.columns
     for dim in sorted(columns):
         below = columns.get(dim - 1)
+        split = None if below is None else _split_by_sign(below)
         for i, col in enumerate(columns[dim]):
-            acc = {}
-            for face, sign in col:
-                if below is None:
-                    acc[_AUG] = acc.get(_AUG, 0) + sign
+            if below is None:
+                if not sum(sign for _face, sign in col):
                     continue
-                for sub, subsign in below[face]:
-                    acc[sub] = acc.get(sub, 0) + sign * subsign
+            elif split is not None and _cancels(col, split):
+                continue
             bad = {
                 ("empty face" if k == _AUG else index.keys[dim - 2][k]): v
-                for k, v in acc.items() if v
+                for k, v in _boundary_of_boundary(col, below).items() if v
             }
             if bad:
                 raise PreconditionError(
                     f"boundary does not square to zero at "
                     f"{index.keys[dim][i]}: {bad}"
                 )
+
+
+def _split_by_sign(columns):
+    """Each column's rows as (rows with +1, rows with -1), or None if some
+    coefficient is not a unit."""
+    out = []
+    for col in columns:
+        plus = [r for r, c in col if c == 1]
+        minus = [r for r, c in col if c == -1]
+        if len(plus) + len(minus) != len(col):
+            return None
+        out.append((plus, minus))
+    return out
+
+
+def _cancels(col, split):
+    plus, minus = [], []
+    for face, sign in col:
+        p, m = split[face]
+        if sign == 1:
+            plus += p
+            minus += m
+        elif sign == -1:
+            plus += m
+            minus += p
+        else:
+            return False
+    plus.sort()
+    minus.sort()
+    return plus == minus
+
+
+def _boundary_of_boundary(col, below):
+    acc = {}
+    for face, sign in col:
+        if below is None:
+            acc[_AUG] = acc.get(_AUG, 0) + sign
+            continue
+        for sub, subsign in below[face]:
+            acc[sub] = acc.get(sub, 0) + sign * subsign
+    return acc
 
 
 def homology_ranks(X, field):

@@ -22,6 +22,10 @@ from .errors import BudgetError, ParseError, PreconditionError
 
 CANONICAL_VERTEX_LIMIT = 9  # exhaustive relabeling guard: 9! permutations
 COINTERVAL_PLACEMENT_LIMIT = 50_000  # labeling search guard: DFS placements
+# parser guard: the labeling search recurses once per vertex (Python's
+# default limit is 1,000 frames) and `check` prints n!, which str()
+# refuses past 4,300 digits (n > ~1,550)
+VERTEX_LIMIT = 500
 
 
 class Hypergraph:
@@ -393,7 +397,8 @@ def parse_hypergraph(text):
 
     Line 1: `d n`.  An optional `vertices:` line lists the n labels;
     otherwise they default to 1..n.  Every other nonblank line is one
-    edge of d integers.  `#` starts a comment.
+    edge of d integers.  `#` starts a comment.  Raises BudgetError for
+    n > VERTEX_LIMIT, before any vertex is built.
     """
     d = n = None
     vertices = None
@@ -412,6 +417,10 @@ def parse_hypergraph(text):
                 raise ParseError("expected header `d n`", lineno) from None
             if d < 1 or n < 0:
                 raise ParseError(f"bad header values d={d} n={n}", lineno)
+            if n > VERTEX_LIMIT:
+                raise BudgetError(
+                    f"refusing {n} > {VERTEX_LIMIT} vertices"
+                )
             continue
         if line.startswith("vertices:"):
             if vertices is not None or edges:

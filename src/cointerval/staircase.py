@@ -20,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .complexes import CELL_LIMIT
+from .errors import BudgetError, PreconditionError
 
 
 def enumerate_staircase(d, m):
@@ -79,7 +80,7 @@ def cell_to_blocks(bseq):
 
 def polarize_blocks(taus):
     """Apply the polarization shift blockwise to a weak tuple."""
-    return tuple(tuple(a + k for a in tau) for k, tau in enumerate(taus))
+    return tuple([tuple([a + k for a in tau]) for k, tau in enumerate(taus)])
 
 
 def weak_tuples(d, m):
@@ -173,7 +174,14 @@ def restrict_to_graph(d, n, H):
     H must be a d-graph on vertex labels 1..n; the subdivision lives on
     the dilated simplex with m = n - d.  A face survives exactly when
     every transversal polarizes to an edge, so the result's polarized
-    block cells coincide with the labeled complex of H.
+    block cells coincide with the labeled complex of H.  Raises
+    BudgetError once more than CELL_LIMIT faces survive.
+
+    Survival is closed under shrinking blocks, so the faces are grown
+    from the surviving vertices (the depolarized edges) one point at a
+    time, one dimension after another (`_extend`).  A face is maximal
+    exactly when no one-point extension of it survives, since any face
+    containing it contains one.
     """
     if H.d != d:
         raise PreconditionError(f"expected a {d}-graph, got d={H.d}")
@@ -182,32 +190,83 @@ def restrict_to_graph(d, n, H):
     m = n - d
     if m < 0:
         raise PreconditionError(f"need n >= d, got n={n} d={d}")
-    edges = H.edges
+    # the surviving vertices are the depolarized edges; links[i][rest]:
+    # bitmask of the points p such that rest with p put in place i is
+    # one of them
+    multisets = [tuple(a - k for k, a in enumerate(e)) for e in H.edges]
+    links = [{} for _ in range(d)]
+    for w in multisets:
+        for i in range(d):
+            rest = w[:i] + w[i + 1:]
+            links[i][rest] = links[i].get(rest, 0) | 1 << w[i]
+    # a face travels with the point masks of its blocks
+    faces = sorted(
+        (tuple((a,) for a in w), tuple(1 << a for a in w)) for w in multisets
+    )
     kept = {}
-    for taus in weak_tuples(d, m):
-        if all(polarize(t) in edges for t in _transversals(taus)):
-            kept.setdefault(_tuple_dim(taus), []).append(taus)
-    for faces in kept.values():
-        faces.sort()
+    maximal = []
+    count = 0
+    while faces:
+        kept[len(kept)] = [face[0] for face in faces]
+        count += len(faces)
+        grown = []
+        for face in faces:
+            if count + len(grown) > CELL_LIMIT:
+                raise BudgetError(
+                    f"the staircase restriction has more than {CELL_LIMIT} "
+                    f"faces"
+                )
+            if not _extend(*face, m, links, grown):
+                maximal.append(face[0])
+        faces = sorted(grown)
     verts = []
-    vertex_ids = {}
     for taus in kept.get(0, ()):
         multiset = tuple(t[0] for t in taus)
         coords = [0] * (m + 1)
         for a in multiset:
             coords[a - 1] += 1
-        vertex_ids[multiset] = len(verts)
-        verts.append((len(verts), tuple(coords), multiset, polarize(multiset)))
-    maximal = []
-    for dim in sorted(kept):
-        above = kept.get(dim + 1, ())
-        for taus in kept[dim]:
-            if not any(
-                all(set(t) <= set(s) for t, s in zip(taus, sigma))
-                for sigma in above
-            ):
-                maximal.append(taus)
+        label = tuple(a + k for k, a in enumerate(multiset))  # polarized
+        verts.append((len(verts), tuple(coords), multiset, label))
     return Geometry(d, m, n, verts, kept, maximal)
+
+
+def _extend(taus, masks, m, links, grown):
+    """Append to `grown` the surviving faces grown from taus; return
+    whether any one-point extension of taus survives.
+
+    taus survives, so a one-point extension survives when every
+    transversal through its new point is a surviving vertex: in block i
+    the new point must lie in the link of every transversal of the
+    other blocks (and in the block's weak-order window), and the search
+    stops at the first transversal that leaves no point.  Each face of
+    positive dimension is grown from one face only: the one without the
+    largest point of its last block of size >= 2.  So from taus grow
+    only that block or a later one, by a point above its maximum.
+    """
+    last = first = len(taus) - 1
+    while first and len(taus[first]) == 1:
+        first -= 1
+    extends = False
+    for i, tau in enumerate(taus):
+        lo = taus[i - 1][-1] if i else 1
+        hi = taus[i + 1][0] if i < last else m + 1
+        new = (1 << hi + 1) - (1 << lo) - masks[i]
+        link = links[i]
+        for rest in itertools.product(*taus[:i], *taus[i + 1:]):
+            new &= link.get(rest, 0)
+            if not new:
+                break
+        if not new:
+            continue
+        extends = True
+        if i >= first:
+            for p in range(tau[-1] + 1, hi + 1):
+                if new >> p & 1:
+                    grown.append((
+                        taus[:i] + (tau + (p,),) + taus[i + 1:],
+                        masks[:i] + (masks[i] | 1 << p,) + masks[i + 1:],
+                    ))
+    return extends
 
 
 def _format_blocks(taus):

@@ -10,7 +10,8 @@ import pytest
 import cointerval
 from cointerval import Hypergraph, parse_hypergraph
 from cointerval.cli import main
-from cointerval.hypergraph import COINTERVAL_PLACEMENT_LIMIT
+from cointerval.complexes import CELL_LIMIT
+from cointerval.hypergraph import COINTERVAL_PLACEMENT_LIMIT, VERTEX_LIMIT
 from cointerval.resolution import HOCHSTER_VERTEX_LIMIT
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -254,3 +255,41 @@ def test_betti_hochster_budget(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0
         assert code == 4 and out == ""
         assert f"refusing 20 > {HOCHSTER_VERTEX_LIMIT} vertices" in err
+
+
+def test_parser_refuses_huge_vertex_count(capsys, tmp_path):
+    # building range(1, n + 1) into a set used to hang on this header
+    path = tmp_path / "huge.txt"
+    path.write_text("2 99999999999\n1 2\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 4 and out == ""
+    assert f"refusing 99999999999 > {VERTEX_LIMIT} vertices" in err
+
+
+def test_find_labeling_on_many_vertices_is_refused(capsys, tmp_path):
+    # the labeling search recursed once per vertex and ended in a
+    # RecursionError traceback; n! also passed str()'s digit limit
+    path = tmp_path / "matching2000.txt"
+    path.write_text("2 2000\n1 2\n3 4\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path), "--find-labeling")
+    assert time.perf_counter() - start < 2.0
+    assert code == 4 and out == ""
+    assert f"refusing 2000 > {VERTEX_LIMIT} vertices" in err
+
+
+def test_block_complex_cell_budget(tmp_path):
+    # the complete 2-graph on 24 vertices is cointerval, and its complex
+    # has far more than CELL_LIMIT cells
+    path = tmp_path / "k24.txt"
+    path.write_text("2 24\n" + "".join(
+        f"{i} {j}\n" for i in range(1, 25) for j in range(i + 1, 25)
+    ))
+    code, out, err = _fresh_run("resolve", path, timeout=5)
+    assert code == 4 and out == ""
+    assert f"more than {CELL_LIMIT} cells" in err
+    code, out, err = _fresh_run("embed", path, timeout=5)
+    assert code == 4 and out == ""
+    assert f"more than {CELL_LIMIT} faces" in err
