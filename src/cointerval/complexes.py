@@ -1,4 +1,4 @@
-"""Labeled polyhedral complexes built from block tuples.
+"""Labeled cell complexes, and the block complexes of d-graphs.
 
 A block cell is a tuple of disjoint increasing vertex blocks
 (s_1, ..., s_k) with max(s_i) < min(s_{i+1}); geometrically it is the
@@ -9,26 +9,29 @@ transversals (one vertex per block) are all edges of H; its vertices are
 the edges themselves and each cell is labeled by the union of its
 blocks.
 
-`LabeledComplex` is the shared container: concrete subclasses only
-provide the boundary rule and cell sort keys, everything label-driven
-(downsets, the lcm lattice, f-vectors) lives here.  Each complex builds
-one `CellIndex` on first use -- integer cell ids, labels as bitmasks,
-boundaries as sparse signed columns -- and checks it once; a downset is
-a `Downset` view selecting ids from that index, never a rebuilt complex.
+`LabeledComplex` is the one complex class.  It keeps what its index
+reads: the cells of each dimension in sort order (a cell's id is its
+position), their labels as bitmasks, and a builder's rule for the
+boundary columns.  `index()` hands these to `CellIndex` on first use,
+which checks label monotonicity and that the boundary squares to zero,
+once per complex.  A downset is the same class with an id selection,
+sharing the index of the complex it was cut from.
 
+The builders differ only in how they find cells and columns.
 `build_complex` grows the cells of a d-graph by downward closure
 (`_grow`): "every transversal is an edge" survives shrinking blocks, so
 block tuples grow one vertex at a time and a branch is cut at its first
-non-edge.  The growth meets the cells in sort order and hands the index
-its keys, label masks and one-vertex-deletion columns directly.  Every
-other complex (dumps, joins, Taylor and independence complexes,
-hand-built ones) is indexed from its cells and `boundary()` by
-`CellIndex.of`; both routes go through the same checks.  Growth stops
-with BudgetError past CELL_LIMIT cells.
+non-edge.  The growth meets the cells in sort order and yields their
+label masks and one-vertex-deletion columns directly; it stops with
+BudgetError past CELL_LIMIT cells.  `LabeledComplex.from_cells` takes
+cells, labels and a boundary rule (Taylor and independence complexes,
+part complexes, hand-built ones); `covers.join` and
+`dumpio.parse_complex_dump` build joins and parsed dumps.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 
@@ -72,34 +75,31 @@ def _holders(masks):
 
 
 class CellIndex:
-    """Integer ids, label bitmasks and sparse boundary columns of a complex.
+    """Checked label bitmasks and sparse boundary columns of a complex.
 
       keys[d]     the d-cells in the complex's sort order; a cell's id is
                   its position here
-      pos         cell -> id (built on first use)
       masks[d]    the label of each d-cell as an int bitmask, bit k
-                  standing for the k-th smallest vertex of `vertices`
+                  standing for vertices[k]
+      vertices    the label vertices, ascending
       holders[d]  for each vertex bit k, the set of d-cells whose label
                   has bit k, as an int bitset over ids
       columns[d]  for d >= 1, the boundary of each d-cell as a tuple of
                   (face id, coefficient) pairs, zero coefficients dropped
 
-    A builder hands over keys, masks, the sorted vertices and columns;
-    `of(X)` is the generic builder, which reads them off a complex's
-    cells, labels and `boundary()`.  Whatever the builder, construction
-    checks the whole complex once and raises PreconditionError unless
-    every face is a cell one dimension down whose label lies inside its
-    cell's label, and the boundary squares to zero (augmentation
-    included).  Label monotonicity makes every downset closed under
-    faces, and the boundary of a subcomplex is the restriction of the
-    parent's, so neither check is needed again for a downset.
+    Construction checks the whole complex once and raises
+    PreconditionError unless every face is a cell one dimension down
+    whose label lies inside its cell's label, and the boundary squares
+    to zero (augmentation included).  Label monotonicity makes every
+    downset closed under faces, and the boundary of a subcomplex is the
+    restriction of the parent's, so neither check is needed again for a
+    downset.
     """
 
     def __init__(self, keys, masks, vertices, columns):
         self.keys = keys
         self.masks = masks
-        self.vertices = frozenset(vertices)
-        self._bit = {v: 1 << k for k, v in enumerate(vertices)}
+        self.vertices = tuple(vertices)
         self.holders = {}
         for d, dim_masks in masks.items():
             holders = _holders(dim_masks)
@@ -118,57 +118,23 @@ class CellIndex:
         self.columns = columns
         _assert_squares_to_zero(self)
 
-    @classmethod
-    def of(cls, X):
-        """Index a complex from its cells, labels and `boundary()`."""
-        top = X.max_dim()
-        keys = {d: X.cells(d) for d in range(top + 1)}
-        labels = {d: [X.label(c) for c in cells] for d, cells in keys.items()}
-        verts = sorted(frozenset().union(*itertools.chain(*labels.values())))
-        bit = {v: 1 << k for k, v in enumerate(verts)}
-        masks = {
-            d: [sum(bit[v] for v in lab) for lab in labs]
-            for d, labs in labels.items()
-        }
-        pos = {cell: i for cells in keys.values() for i, cell in enumerate(cells)}
-        columns = {
-            d: [_column(X, d, cell, pos) for cell in keys[d]]
-            for d in range(1, top + 1)
-        }
-        return cls(keys, masks, verts, columns)
+    def below(self, mask, strict):
+        """Bitsets of the cells whose label lies inside (or below) a mask.
 
-    @functools.cached_property
-    def pos(self):
-        """cell -> id, over every dimension."""
-        return {
-            cell: i for cells in self.keys.values()
-            for i, cell in enumerate(cells)
-        }
-
-    def mask(self, vertices):
-        """Bitmask of the given vertices (ones no label uses are dropped)."""
-        bit = self._bit
-        return sum(bit[v] for v in vertices if v in bit)
-
-    def below(self, alpha, strict):
-        """Bitsets of the cells whose label is inside (or below) alpha.
-
-        A label lies inside alpha when it has no vertex outside it,
-        lab & ~mask(alpha) == 0; all cells of a dimension are tested at
-        once by removing the holders of every vertex outside alpha.  A
-        label inside alpha equals it when it also holds every vertex of
-        alpha.  Returns {dim: bitset} for the dimensions with such cells.
+        A label lies inside the mask when it has no bit outside it; all
+        cells of a dimension are tested at once by removing the holders
+        of every vertex outside.  With strict, a label inside the mask
+        that also holds each of its bits equals it and is dropped.
+        Returns {dim: bitset} for the dimensions with such cells.
         """
-        mask = self.mask(alpha)
-        inside = [k for k in range(len(self._bit)) if mask >> k & 1]
-        outside = [k for k in range(len(self._bit)) if not mask >> k & 1]
-        exact = strict and alpha <= self.vertices
+        inside = _members(mask)
+        outside = _members((1 << len(self.vertices)) - 1 & ~mask)
         sets = {}
         for dim, holders in self.holders.items():
             keep = (1 << len(self.keys[dim])) - 1
             for k in outside:
                 keep &= ~holders[k]
-            if exact:
+            if strict:
                 same = keep
                 for k in inside:
                     same &= holders[k]
@@ -184,93 +150,208 @@ def _not_a_cell(face, cell, dim):
     )
 
 
-def _column(X, dim, cell, pos):
-    """The boundary of a cell as (face id, coefficient) pairs."""
+def _column(faces, pos, cell, dim):
+    """Signed faces as (face id, coefficient) pairs; `pos` ids the
+    cells one dimension down."""
     acc = {}
-    for face, sign in X.boundary(cell):
+    for face, sign in faces:
         i = pos.get(face)
-        if i is None or X.dim(face) != dim - 1:
+        if i is None:
             raise _not_a_cell(face, cell, dim)
         acc[i] = acc.get(i, 0) + sign
     return tuple((i, c) for i, c in acc.items() if c)
 
 
+def _layout(cells):
+    """Keys (sorted, per dimension 0..top), label masks and ascending
+    label vertices of {cell: (dim, label)}."""
+    top = max((dim for dim, _label in cells.values()), default=-1)
+    keys = {d: [] for d in range(top + 1)}
+    for cell, (dim, _label) in cells.items():
+        keys[dim].append(cell)
+    for dim_cells in keys.values():
+        dim_cells.sort()
+    verts = sorted(frozenset().union(*(lab for _d, lab in cells.values())))
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    masks = {
+        d: [sum(bit[v] for v in cells[c][1]) for c in dim_cells]
+        for d, dim_cells in keys.items()
+    }
+    return keys, masks, verts
+
+
 class LabeledComplex:
-    """Finite labeled complex: cells with dimensions and label sets."""
+    """Finite labeled cell complex, stored as its index reads it.
 
-    def __init__(self, cells, by_dim=None):
-        # cells: dict cell_key -> (dim, frozenset label); by_dim, if
-        # given: dim -> the cells of that dimension, already sorted, and
-        # then both are a builder's own, kept without copying
-        if by_dim is None:
-            cells = dict(cells)
-            by_dim = {}
-            for key, (dim, _label) in cells.items():
-                by_dim.setdefault(dim, []).append(key)
-            for dim in by_dim:
-                by_dim[dim].sort(key=self.sort_key)
-        self._cells = cells
-        self._by_dim = by_dim
-        self._ix = None
+      keys[d]     the d-cells in sort order; a cell's id is its position
+      masks[d]    their labels as int bitmasks, bit k for vertices[k]
+      vertices    the label vertices, ascending
+      columns     the builder's function giving {d: the columns of the
+                  d-cells, as (face id, coefficient) pairs}
 
-    # --- subclass interface -------------------------------------------
-    def boundary(self, cell):
-        """Signed codimension-1 faces as (cell, sign) pairs."""
-        raise NotImplementedError
+    Cells, dimensions and labels are read off keys and masks, so the
+    columns are made only for `boundary` or `index`.  A downset is a
+    copy with an id selection ({dim: id bitset}); it shares the keys,
+    masks, columns and checked index of the complex it was cut from.
+    """
 
-    def sort_key(self, cell):
-        return cell
+    def __init__(self, keys, masks, vertices, columns):
+        self._keys = keys
+        self._masks = masks
+        self._vertices = tuple(vertices)
+        self._bit = {v: 1 << k for k, v in enumerate(self._vertices)}
+        self._make_columns = columns
+        self._labels = {}  # one frozenset per distinct label mask
+        self._base = None  # a downset's: the complex it was cut from
+        self._sets = None  # a downset's selection
+        self._ids = {d: range(len(cells)) for d, cells in keys.items() if cells}
 
-    # --- generic queries ----------------------------------------------
+    @classmethod
+    def from_cells(cls, cells, boundary):
+        """A complex from {cell: (dim, label)} and a boundary rule.
+
+        Cells are sorted within each dimension; `boundary(cell)` gives
+        signed faces as (cell, sign) pairs and is read when the columns
+        are first needed.
+        """
+        keys, masks, verts = _layout(cells)
+
+        def columns():
+            out = {}
+            for d in range(1, len(keys)):
+                pos = {face: i for i, face in enumerate(keys[d - 1])}
+                out[d] = [_column(boundary(c), pos, c, d) for c in keys[d]]
+            return out
+
+        return cls(keys, masks, verts, columns)
+
+    @classmethod
+    def from_blocks(cls, blocks_iter, label_fn=None):
+        """Block cells under `block_boundary`, labeled by label_fn(blocks)
+        (by default the union of the blocks)."""
+        if label_fn is None:
+            label_fn = itertools.chain.from_iterable
+        cells = {b: (block_dim(b), frozenset(label_fn(b))) for b in blocks_iter}
+        return cls.from_cells(cells, block_boundary)
+
+    def remapped(self, mapping):
+        """Push block contents *and* labels through a vertex bijection.
+
+        Shrink faces commute with the bijection, and the sign rule only
+        sees block sizes and within-block positions, so the image is
+        again a valid block complex (on relabeled vertices).
+        """
+        return LabeledComplex.from_cells({
+            tuple(tuple(sorted(mapping[v] for v in b)) for b in cell): (
+                self.dim(cell), frozenset(mapping[v] for v in self.label(cell))
+            )
+            for cell in self.all_cells()
+        }, block_boundary)
+
+    # --- cells and labels ---------------------------------------------
+    @property
+    def _whole(self):
+        # the complex a downset is cut from; a whole complex holds no
+        # reference to itself, so it is freed without the cycle collector
+        return self if self._base is None else self._base
+
+    @property
+    def pos(self):
+        """cell -> (dim, id), over the complex a downset is cut from."""
+        return self._whole._pos
+
+    @functools.cached_property
+    def _pos(self):
+        return {
+            cell: (d, i) for d, cells in self._keys.items()
+            for i, cell in enumerate(cells)
+        }
+
     def __contains__(self, cell):
-        return cell in self._cells
+        where = self.pos.get(cell)
+        if where is None or self._sets is None:
+            return where is not None
+        return self._sets.get(where[0], 0) >> where[1] & 1 == 1
+
+    def _where(self, cell):
+        dim, i = where = self.pos[cell]
+        if self._sets is not None and not self._sets.get(dim, 0) >> i & 1:
+            raise KeyError(cell)
+        return where
 
     def __len__(self):
-        return len(self._cells)
+        return sum(len(ids) for ids in self._ids.values())
 
     @property
     def is_empty(self):
-        return len(self) == 0
+        return not self._ids
 
     def dim(self, cell):
-        return self._cells[cell][0]
+        return self._where(cell)[0]
 
     def label(self, cell):
-        return self._cells[cell][1]
+        dim, i = self._where(cell)
+        return self.label_of(self._masks[dim][i])
+
+    def label_of(self, mask):
+        """The label with this bitmask (one frozenset per mask)."""
+        label = self._labels.get(mask)
+        if label is None:
+            label = self._labels[mask] = frozenset(
+                self._vertices[k] for k in _members(mask)
+            )
+        return label
+
+    def mask(self, vertices):
+        """Bitmask of the given vertices (ones no label uses are dropped)."""
+        bit = self._bit
+        return sum(bit[v] for v in vertices if v in bit)
 
     def dims(self):
-        return sorted(self._by_dim)
+        return sorted(self._ids)
 
     def max_dim(self):
-        return max(self._by_dim) if self._by_dim else -1
+        return max(self._ids, default=-1)
+
+    def ids(self, dim):
+        """Index ids of this complex's cells of the given dimension."""
+        return self._ids.get(dim, ())
 
     def cells(self, dim):
-        return tuple(self._by_dim.get(dim, ()))
+        keys = self._keys.get(dim, ())
+        return tuple(keys[i] for i in self.ids(dim))
+
+    def masks(self, dim):
+        """Label bitmasks of this complex's cells of the given dimension."""
+        masks = self._masks.get(dim, ())
+        return [masks[i] for i in self.ids(dim)]
 
     def all_cells(self):
         for dim in self.dims():
             yield from self.cells(dim)
 
+    def boundary(self, cell):
+        """Signed codimension-1 faces as (cell, sign) pairs."""
+        dim, i = self._where(cell)
+        if not dim:
+            return []
+        faces = self._keys[dim - 1]
+        return [(faces[f], c) for f, c in self._whole._columns[dim][i]]
+
     def f_vector(self):
-        if self.is_empty:
-            return ()
         return tuple(len(self.ids(d)) for d in range(self.max_dim() + 1))
 
     def vertex_labels(self):
         """Labels of the 0-cells (the generators of the resolved ideal)."""
-        return {self.label(c) for c in self.cells(0)}
+        return {self.label_of(m) for m in self.masks(0)}
 
-    def lcm_lattice(self):
-        """All unions of vertex labels, sorted by (size, elements).
+    def lattice_masks(self):
+        """The lcm lattice as label bitmasks, in `lcm_lattice` order.
 
-        Closed on int bitmasks, bit k standing for the k-th smallest
-        vertex, so the ascending bit list of a mask orders like the
-        sorted elements of its label.
+        Bit k stands for the k-th smallest vertex, so the ascending bit
+        list of a mask orders like the sorted elements of its label.
         """
-        labels = self.vertex_labels()
-        order = sorted(frozenset().union(*labels))
-        bit = {v: 1 << k for k, v in enumerate(order)}
-        gens = {sum(bit[v] for v in lab) for lab in labels}
+        gens = set(self.masks(0))
         closure = set(gens)
         frontier = set(gens)
         while frontier:
@@ -282,96 +363,47 @@ class LabeledComplex:
                         closure.add(u)
                         new.add(u)
             frontier = new
-        keyed = sorted((len(b), b) for b in map(_members, closure))
-        return [frozenset(order[k] for k in b) for _n, b in keyed]
+        keyed = sorted((m.bit_count(), _members(m), m) for m in closure)
+        return [m for _size, _bits, m in keyed]
+
+    def lcm_lattice(self):
+        """All unions of vertex labels, sorted by (size, elements)."""
+        return [self.label_of(m) for m in self.lattice_masks()]
 
     # --- index and downsets -------------------------------------------
+    @functools.cached_property
+    def _columns(self):
+        return self._make_columns()
+
+    @functools.cached_property
+    def _index(self):
+        return CellIndex(self._keys, self._masks, self._vertices, self._columns)
+
     def index(self):
         """The complex's CellIndex, built and checked on first use."""
-        if self._ix is None:
-            self._ix = self._make_index()
-        return self._ix
-
-    def _make_index(self):
-        return CellIndex.of(self)
-
-    def ids(self, dim):
-        """Index ids of this complex's cells of the given dimension."""
-        return range(len(self._by_dim.get(dim, ())))
+        return self._whole._index
 
     def downset_leq(self, alpha):
         """Subcomplex of cells whose label is contained in alpha."""
-        return self._downset(frozenset(alpha), strict=False)
+        return self.downset(self.mask(alpha))
 
     def downset_lt(self, alpha):
         """Subcomplex of cells whose label is strictly below alpha."""
-        return self._downset(frozenset(alpha), strict=True)
+        alpha = frozenset(alpha)
+        # no label equals an alpha holding a vertex that no label has
+        strict = all(v in self._bit for v in alpha)
+        return self.downset(self.mask(alpha), strict)
 
-    def _downset(self, alpha, strict):
-        return Downset(self, self.index().below(alpha, strict))
-
-
-class Downset(LabeledComplex):
-    """Cells of a complex selected by label: a view on its index.
-
-    Stores only the selected ids per dimension (as a bitset and as an
-    ascending list); cells, labels, boundaries and boundary columns are
-    the parent's, shared and never copied.  The selection is closed
-    under faces because the parent's index checked label monotonicity.
-    """
-
-    def __init__(self, parent, sets):
-        self._parent = parent
-        self._sets = sets
-        self._ids = {d: _members(bits) for d, bits in sets.items()}
-        self._ix = parent.index()
-        self._size = sum(len(v) for v in self._ids.values())
-
-    def boundary(self, cell):
-        return self._parent.boundary(cell)
-
-    def sort_key(self, cell):
-        return self._parent.sort_key(cell)
-
-    def __contains__(self, cell):
-        i = self._ix.pos.get(cell)
-        if i is None:
-            return False
-        return self._sets.get(self._parent.dim(cell), 0) >> i & 1 == 1
-
-    def __len__(self):
-        return self._size
-
-    def dim(self, cell):
-        if cell not in self:
-            raise KeyError(cell)
-        return self._parent.dim(cell)
-
-    def label(self, cell):
-        if cell not in self:
-            raise KeyError(cell)
-        return self._parent.label(cell)
-
-    def dims(self):
-        return sorted(self._ids)
-
-    def max_dim(self):
-        return max(self._ids) if self._ids else -1
-
-    def cells(self, dim):
-        keys = self._ix.keys.get(dim, ())
-        return tuple(keys[i] for i in self.ids(dim))
-
-    def ids(self, dim):
-        return self._ids.get(dim, ())
-
-    def _downset(self, alpha, strict):
-        sets = {}
-        for dim, bits in self._ix.below(alpha, strict).items():
-            bits &= self._sets.get(dim, 0)
-            if bits:
-                sets[dim] = bits
-        return Downset(self._parent, sets)
+    def downset(self, mask, strict=False):
+        """Cells whose label lies inside (or strictly below) a label mask."""
+        sets = self.index().below(mask, strict)
+        if self._sets is not None:
+            sets = {d: bits & self._sets.get(d, 0) for d, bits in sets.items()}
+        view = copy.copy(self._whole)
+        view._base = self._whole
+        view._sets = {d: bits for d, bits in sets.items() if bits}
+        view._ids = {d: _members(bits) for d, bits in view._sets.items()}
+        return view
 
 
 def block_dim(blocks):
@@ -397,57 +429,6 @@ def block_boundary(blocks):
                 out.append((face, sign))
         offset += len(block) - 1
     return out
-
-
-class BlockComplex(LabeledComplex):
-    """Complex whose cells are block tuples; labels stored per cell."""
-
-    def __init__(self, cells, growth=None):
-        # build_complex passes its growth: the cells in sort order per
-        # dimension, and what the index is built from
-        self._growth = growth
-        super().__init__(cells, None if growth is None else growth.keys)
-
-    def boundary(self, cell):
-        return block_boundary(cell)
-
-    def _make_index(self):
-        if self._growth is None:
-            return super()._make_index()
-        return self._growth.index()
-
-    @classmethod
-    def from_blocks(cls, blocks_iter, label_fn=None):
-        if label_fn is None:
-            label_fn = lambda blocks: frozenset(itertools.chain(*blocks))
-        cells = {}
-        for blocks in blocks_iter:
-            cells[blocks] = (block_dim(blocks), frozenset(label_fn(blocks)))
-        return cls(cells)
-
-    def relabeled(self, mapping):
-        """Same cells with every label pushed through the vertex map."""
-        return type(self)(
-            {
-                key: (dim, frozenset(mapping[v] for v in lab))
-                for key, (dim, lab) in self._cells.items()
-            }
-        )
-
-    def remapped(self, mapping):
-        """Push block contents *and* labels through a vertex bijection.
-
-        Shrink faces commute with the bijection, and the sign rule only
-        sees block sizes and within-block positions, so the image is
-        again a valid block complex (on relabeled vertices).
-        """
-        cells = {}
-        for key, (dim, lab) in self._cells.items():
-            new_key = tuple(
-                tuple(sorted(mapping[v] for v in block)) for block in key
-            )
-            cells[new_key] = (dim, frozenset(mapping[v] for v in lab))
-        return type(self)(cells)
 
 
 def _grow(H, bit, stride):
@@ -542,69 +523,6 @@ def _lex_subsets(verts, bit):
     return out
 
 
-class _Growth:
-    """Cells of a d-graph's complex with what its index needs.
-
-    Growing (`_grow`) files each cell under its dimension in sort order,
-    with its label (as a set in `cells`, as a mask in `masks`) and its
-    code; `index()` turns the codes into one-vertex-deletion columns
-    and hands all of it to CellIndex.
-    """
-
-    def __init__(self, H):
-        verts = H.support()
-        self.vertices = verts
-        self._stride = len(verts)
-        self._bit = {v: 1 << k for k, v in enumerate(verts)}
-        self.cells = {}  # cell -> (dim, label)
-        self.keys, self.masks, self._codes = {}, {}, {}
-        self._ids = {}
-        labels = {}  # one frozenset per distinct label
-        for cell, dim, mask, code in _grow(H, self._bit, self._stride):
-            keys = self.keys.get(dim)
-            if keys is None:
-                keys = self.keys[dim] = []
-                self.masks[dim], self._codes[dim] = [], []
-            self._ids[code] = len(keys)
-            keys.append(cell)
-            self.masks[dim].append(mask)
-            self._codes[dim].append(code)
-            label = labels.get(mask)
-            if label is None:
-                label = labels[mask] = frozenset(itertools.chain(*cell))
-            self.cells[cell] = (dim, label)
-
-    def index(self):
-        ids, bit, stride = self._ids, self._bit, self._stride
-        columns = {}
-        for dim in range(1, len(self.keys)):
-            cols = columns[dim] = []
-            for cell, code in zip(self.keys[dim], self._codes[dim]):
-                col = []
-                shift = offset = 0
-                for block in cell:
-                    if len(block) > 1:
-                        sign = -1 if offset & 1 else 1
-                        for v in block:
-                            face = ids.get(code ^ bit[v] << shift)
-                            if face is None:
-                                raise _not_a_cell(
-                                    _delete(cell, block, v), cell, dim
-                                )
-                            col.append((face, sign))
-                            sign = -sign
-                        offset += len(block) - 1
-                    shift += stride
-                cols.append(tuple(col))
-        return CellIndex(self.keys, self.masks, self.vertices, columns)
-
-
-def _delete(cell, block, v):
-    """The face of a block cell that drops vertex v from the given block."""
-    i = cell.index(block)
-    return cell[:i] + (tuple(u for u in block if u != v),) + cell[i + 1:]
-
-
 def enumerate_block_cells(H):
     """Block tuples of H (every transversal an edge), grown in preorder."""
     verts = H.support()
@@ -617,12 +535,50 @@ def build_complex(H):
 
     Cells are block tuples whose transversals are all edges; the label
     is the union of blocks.  The cells are grown by downward closure
-    (`_grow`), already in sort order, and the index comes from the same
-    growth: masks, and columns by one-vertex deletion.  Shrinking blocks
-    only removes transversals, so the result is closed under faces.
+    (`_grow`), already in sort order, and filed per dimension with their
+    label masks and codes; the columns come from the codes by
+    one-vertex deletion.  Shrinking blocks only removes transversals,
+    so the result is closed under faces.
     """
-    growth = _Growth(H)
-    return BlockComplex(growth.cells, growth)
+    verts = H.support()
+    stride = len(verts)
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    keys, masks, codes, ids = {}, {}, {}, {}
+    for cell, dim, mask, code in _grow(H, bit, stride):
+        dim_keys = keys.get(dim)
+        if dim_keys is None:
+            dim_keys = keys[dim] = []
+            masks[dim], codes[dim] = [], []
+        ids[code] = len(dim_keys)
+        dim_keys.append(cell)
+        masks[dim].append(mask)
+        codes[dim].append(code)
+
+    def columns():
+        out = {}
+        for dim in range(1, len(keys)):
+            cols = out[dim] = []
+            for cell, code in zip(keys[dim], codes[dim]):
+                col = []
+                shift = offset = 0
+                for j, block in enumerate(cell):
+                    if len(block) > 1:
+                        sign = -1 if offset & 1 else 1
+                        for v in block:
+                            face = ids.get(code ^ bit[v] << shift)
+                            if face is None:
+                                face = tuple(u for u in block if u != v)
+                                raise _not_a_cell(
+                                    cell[:j] + (face,) + cell[j + 1:], cell, dim
+                                )
+                            col.append((face, sign))
+                            sign = -sign
+                        offset += len(block) - 1
+                    shift += stride
+                cols.append(tuple(col))
+        return out
+
+    return LabeledComplex(keys, masks, verts, columns)
 
 
 def fold(H, i, j):

@@ -6,10 +6,9 @@ complexes then supports a resolution of the whole ideal.  The smallest
 number of pieces needed is the linear width of the graph, computed here
 by exhaustive search over edge subsets.
 
-Join cells are tuples holding one cell (or None) per factor; the label
-is the union of the constituent labels and the boundary follows the
-product rule over factors, with a factor vertex allowed to vanish
-entirely (its augmentation term).
+A join is built straight into a `LabeledComplex`: each cell is keyed by
+its factors' block tuples side by side, empty where a factor vanished,
+so a join and its dump share keys and sort order.
 """
 
 from __future__ import annotations
@@ -30,55 +29,55 @@ from .resolution import verify_resolution
 LINEAR_WIDTH_EDGE_LIMIT = 12  # 2^|E| membership sweep guard
 
 
-class JoinComplex(LabeledComplex):
-    """Join of labeled complexes; cells are per-factor choices."""
+def join(factors):
+    """Join of the given complexes (empty factors are dropped).
 
-    def __init__(self, cells, factors):
-        self.factors = tuple(factors)
-        super().__init__(cells)
-
-    def sort_key(self, cell):
-        return tuple(
-            (self.factors[i].sort_key(c),) if c is not None else ()
-            for i, c in enumerate(cell)
+    A join cell picks a cell or nothing from each factor, and something
+    from at least one; its dimension is the sum of the picks' dim + 1,
+    minus one, and its label the union of their labels.  Its key is the
+    picks' block tuples concatenated, with empty blocks for a factor it
+    picks nothing from, which is the block tuple its dump line holds.
+    The boundary follows the product rule over the factors, with a
+    picked vertex allowed to vanish (its augmentation term).  A factor
+    with empty blocks is a join itself and is refused.
+    """
+    factors = tuple(X for X in factors if not X.is_empty)
+    picks = [list(X.all_cells()) for X in factors]
+    if any(not block for cells in picks for cell in cells for block in cell):
+        raise ValueError(
+            "nested joins are not supported; join every factor in one call"
         )
+    vanished = [((),) * len(cells[0]) for cells in picks]
+    # factor i's blocks sit at key[starts[i]:starts[i + 1]]
+    starts = list(itertools.accumulate(map(len, vanished), initial=0))
+    slots = list(zip(factors, starts, starts[1:], vanished))
+    cells = {}
+    for combo in itertools.product(*([v] + c for v, c in zip(vanished, picks))):
+        picked = [(X, c) for X, c in zip(factors, combo) if any(c)]
+        if picked:
+            cells[sum(combo, ())] = (
+                sum(X.dim(c) + 1 for X, c in picked) - 1,
+                frozenset().union(*(X.label(c) for X, c in picked)),
+            )
 
-    def boundary(self, cell):
+    def boundary(key):
         out = []
         offset = 0
-        for i, c in enumerate(cell):
-            if c is None:
+        for X, a, b, empty in slots:
+            cell = key[a:b]
+            if not any(cell):
                 continue
-            factor = self.factors[i]
-            dim_i = factor.dim(c)
+            dim = X.dim(cell)
             sign = -1 if offset & 1 else 1
-            for face, s in factor.boundary(c):
-                out.append((cell[:i] + (face,) + cell[i + 1:], sign * s))
-            if dim_i == 0:
-                dropped = cell[:i] + (None,) + cell[i + 1:]
-                if any(x is not None for x in dropped):
-                    out.append((dropped, sign))
-            offset += dim_i + 1
+            for face, s in X.boundary(cell):
+                out.append((key[:a] + face + key[b:], sign * s))
+            dropped = key[:a] + empty + key[b:]
+            if dim == 0 and any(dropped):
+                out.append((dropped, sign))
+            offset += dim + 1
         return out
 
-
-def join(factors):
-    """Join of the given complexes (empty factors are dropped)."""
-    factors = tuple(X for X in factors if not X.is_empty)
-    cells = {}
-    choices = [[None, *X.all_cells()] for X in factors]
-    for combo in itertools.product(*choices):
-        picked = [
-            (i, c) for i, c in enumerate(combo) if c is not None
-        ]
-        if not picked:
-            continue
-        dim = sum(factors[i].dim(c) + 1 for i, c in picked) - 1
-        label = frozenset().union(
-            *(factors[i].label(c) for i, c in picked)
-        )
-        cells[combo] = (dim, label)
-    return JoinComplex(cells, factors)
+    return LabeledComplex.from_cells(cells, boundary)
 
 
 @dataclass(frozen=True)

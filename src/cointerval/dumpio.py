@@ -22,51 +22,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._kernels import nullspace_mod, nullspace_rational
-from .complexes import LabeledComplex, _holders, _members
+from .complexes import LabeledComplex, _holders, _layout, _members
 from .errors import ParseError
 
 
-class PosetComplex(LabeledComplex):
-    """Complex reconstructed from a dump; boundaries stored explicitly."""
-
-    def __init__(self, cells, boundaries):
-        self._boundaries = boundaries
-        super().__init__(cells)
-
-    def boundary(self, cell):
-        return self._boundaries[cell]
-
-
-def _blocks_of(X, cell):
-    """Uniform-arity block representation of a cell, for serialization."""
-    factors = getattr(X, "factors", None)
-    if factors is None:
-        return cell
-    out = []
-    for i, c in enumerate(cell):
-        arity = len(next(iter(factors[i].all_cells())))
-        if c is None:
-            out.extend([()] * arity)
-        else:
-            if getattr(factors[i], "factors", None) is not None:
-                raise ValueError("nested joins cannot be dumped")
-            out.extend(c)
-    return tuple(out)
-
-
 def write_complex_dump(X):
-    """Serialize X in the dump format (deterministic, byte-stable)."""
-    rows = []
-    for cell in X.all_cells():
-        blocks = _blocks_of(X, cell)
-        rows.append((X.dim(cell), blocks, tuple(sorted(X.label(cell)))))
-    rows.sort()
+    """Serialize X in the dump format (deterministic, byte-stable).
+
+    Cells come out in X's order, which is (dim, blocks) order.
+    """
     lines = []
-    for dim, blocks, label in rows:
+    for cell in X.all_cells():
         btxt = " ; ".join(
-            " ".join(map(str, b)) if b else "-" for b in blocks
+            " ".join(map(str, b)) if b else "-" for b in cell
         )
-        lines.append(f"{dim} | {btxt} | {' '.join(map(str, label))}")
+        label = " ".join(map(str, sorted(X.label(cell))))
+        lines.append(f"{X.dim(cell)} | {btxt} | {label}")
     return "\n".join(lines) + "\n"
 
 
@@ -128,8 +99,6 @@ def _read_cells(text):
     return cells
 
 
-_AUG = "aug"
-
 # Orientation is solved modulo this prime (the largest below 2^30, so a
 # residue fits one CPython int digit) and lifted to signs over the integers.
 ORIENT_PRIME = 1_073_741_789
@@ -157,65 +126,55 @@ def _orient(cells):
     block slot lies inside the cell's (componentwise containment): all
     of them, minus the holders of each (slot, value) pair the cell does
     not have.  The signs span the kernel of the faces' boundaries; see
-    `_unit_kernel` for why solving it over a prime field is exact.
+    `_unit_kernel` for why solving it over a prime field is exact.  The
+    columns, as face ids and signs, go to the complex as they are.
     """
-    by_dim = {}
-    for key, (dim, _label) in cells.items():
-        by_dim.setdefault(dim, []).append(key)
-    for dim in by_dim:
-        by_dim[dim].sort()
-    bits = {}
-    boundaries = {}
-    below, holders = (), {}
-    for dim in sorted(by_dim):
-        keys = by_dim[dim]
-        masks = _pair_bits(keys, bits)
-        if dim == 0:
-            for cell in keys:
-                boundaries[cell] = []
-        else:
-            every = (1 << len(below)) - 1
+    keys, masks, verts = _layout(cells)
+    bits, columns, holders = {}, {}, {}
+    for dim, dim_keys in keys.items():
+        pairs = _pair_bits(dim_keys, bits)
+        if dim:
+            every = (1 << len(keys[dim - 1])) - 1
             present = sum(1 << k for k in holders)
-            for cell, mask in zip(keys, masks):
+            columns[dim] = cols = []
+            for cell, mask in zip(dim_keys, pairs):
                 keep = every
                 for k in _members(present & ~mask):
                     keep &= ~holders[k]
-                faces = [below[i] for i in _members(keep)]
-                boundaries[cell] = _signed_faces(
-                    cells, boundaries, dim, cell, faces
-                )
+                cols.append(_signed_faces(
+                    cells, keys, columns, dim, cell, _members(keep)
+                ))
         # holders are only needed for the next dimension up
-        if dim + 1 in by_dim:
-            below, holders = keys, _holders(masks)
-        else:
-            below, holders = (), {}
-    return PosetComplex(cells, boundaries)
+        holders = _holders(pairs) if dim + 1 in keys else {}
+    return LabeledComplex(keys, masks, verts, lambda: columns)
 
 
-def _signed_faces(cells, boundaries, dim, cell, faces):
+def _signed_faces(cells, keys, columns, dim, cell, faces):
+    """The column of a cell with the given face ids one dimension down."""
+    below = keys[dim - 1]
     # label monotonicity along the face relation
     for f in faces:
-        if not cells[f][1] <= cells[cell][1]:
+        if not cells[below[f]][1] <= cells[cell][1]:
             raise ParseError(
-                f"label of face {f} does not divide label of {cell}"
+                f"label of face {below[f]} does not divide label of {cell}"
             )
     if not faces:
         raise ParseError(f"cell {cell} of dimension {dim} has no faces")
-    targets = {_AUG: 0} if dim == 1 else {}
-    for f in faces:
-        for g, _s in boundaries[f]:
-            targets.setdefault(g, len(targets))
-    rows = [[0] * len(faces) for _ in targets]
-    for j, f in enumerate(faces):
-        if dim == 1:
-            rows[0][j] = 1
-        else:
-            for g, s in boundaries[f]:
+    if dim == 1:
+        rows = [[1] * len(faces)]  # the augmentation
+    else:
+        targets = {}
+        for f in faces:
+            for g, _s in columns[dim - 1][f]:
+                targets.setdefault(g, len(targets))
+        rows = [[0] * len(faces) for _ in targets]
+        for j, f in enumerate(faces):
+            for g, s in columns[dim - 1][f]:
                 rows[targets[g]][j] += s
     signs = _unit_kernel(rows, len(faces))
     if signs is None:
         signs = _rational_signs(cell, rows, len(faces))
-    return list(zip(faces, signs))
+    return tuple(zip(faces, signs))
 
 
 def _unit_kernel(rows, ncols):

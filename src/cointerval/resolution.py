@@ -17,10 +17,11 @@ exact elimination runs only on the downsets that proof leaves open.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .complexes import BlockComplex, _holders, _members, build_complex
+from .complexes import LabeledComplex, _holders, _members, build_complex
 from .errors import BudgetError, PreconditionError
 from .homology import (
     ACYCLIC,
@@ -189,13 +190,14 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
     if X.is_empty:
         report.minimal = True
         return report
-    lattice = X.lcm_lattice()
+    lattice = X.lattice_masks()
     certified = _certified(X, lattice)
-    for pos, alpha in enumerate(lattice):
+    for pos, mask in enumerate(lattice):
+        alpha = X.label_of(mask)
         if certified >> pos & 1:
             report.alpha_status.append((alpha, ACYCLIC))
             continue
-        sub = X.downset_leq(alpha)
+        sub = X.downset(mask)
         if sub.is_empty:
             report.alpha_status.append((alpha, EMPTY))
             continue
@@ -222,8 +224,9 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
 def _certified(X, lattice):
     """Bitset of the lattice positions whose downset is provably acyclic.
 
-    Bit i is set when a lead matching proves the downset D below
-    lattice[i] acyclic over every field at once:
+    `lattice` holds label masks of X.  Bit i is set when a lead matching
+    proves the downset D below lattice[i] acyclic over every field at
+    once:
 
     - For a cell c of dimension >= 1, lead(c) is the largest face id in
       its index column.
@@ -254,7 +257,7 @@ def _certified(X, lattice):
     """
     ix = X.index()
     everywhere = (1 << len(lattice)) - 1
-    holders = _holders([ix.mask(alpha) for alpha in lattice])
+    holders = _holders(lattice)
     inside = {}  # label mask -> positions whose alpha contains the label
 
     def live_at(mask, cleared):
@@ -315,9 +318,9 @@ def betti_from_cells(X):
     alpha.
     """
     entries = {}
-    for cell in X.all_cells():
-        key = (X.dim(cell), X.label(cell))
-        entries[key] = entries.get(key, 0) + 1
+    for dim in X.dims():
+        for mask, count in collections.Counter(X.masks(dim)).items():
+            entries[(dim, X.label_of(mask))] = count
     return BettiTable(entries)
 
 
@@ -376,7 +379,9 @@ def _independent_subsets(H):
 
 def independence_complex(H):
     """Simplicial complex of edge-free vertex subsets, as 1-block cells."""
-    return BlockComplex.from_blocks((sub,) for sub in _independent_subsets(H))
+    return LabeledComplex.from_blocks(
+        (sub,) for sub in _independent_subsets(H)
+    )
 
 
 def betti_hochster(H, fld=GF2):
@@ -449,8 +454,6 @@ def taylor_complex(H):
             f"the Taylor complex has 2^|E| - 1 cells; refusing "
             f"{len(edge_list)} > {TAYLOR_EDGE_LIMIT} edges"
         )
-    if not edge_list:
-        return BlockComplex({})
     idx = {i + 1: set(e) for i, e in enumerate(edge_list)}
 
     def label_fn(blocks):
@@ -463,9 +466,4 @@ def taylor_complex(H):
     for size in range(1, len(edge_list) + 1):
         for sub in itertools.combinations(range(1, len(edge_list) + 1), size):
             subsets.append((sub,))
-    return BlockComplex.from_blocks(subsets, label_fn)
-
-
-def is_d_linear(table, d):
-    """True when the resolution is d-linear (coarse support on j = i + d)."""
-    return table.is_d_linear(d)
+    return LabeledComplex.from_blocks(subsets, label_fn)

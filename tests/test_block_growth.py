@@ -5,7 +5,7 @@ CellIndex keys, label masks and one-vertex-deletion columns straight
 from that growth.  The oracle here is the enumeration it replaced:
 every support subset times every composition into d blocks, kept when
 all transversals are edges, indexed by the generic route (cells, labels
-and `block_boundary` through `CellIndex.of`).  Cells must agree in the
+and `block_boundary` through `LabeledComplex.from_blocks`).  Cells must agree in the
 same order, and the two indexes entry for entry.
 """
 
@@ -15,10 +15,10 @@ import random
 import pytest
 
 from cointerval import (
-    BlockComplex,
     BudgetError,
     CellIndex,
     Hypergraph,
+    LabeledComplex,
     PreconditionError,
     build_complex,
     complexes,
@@ -112,7 +112,7 @@ EDGE_CASES = [
 
 def assert_same_index(H):
     grown = build_complex(H)
-    oracle = BlockComplex.from_blocks(scan_block_cells(H))
+    oracle = LabeledComplex.from_blocks(scan_block_cells(H))
     assert len(grown) == len(oracle), H
     assert grown.dims() == oracle.dims(), H
     for d in oracle.dims():
@@ -120,6 +120,7 @@ def assert_same_index(H):
     for cell in oracle.all_cells():
         assert grown.dim(cell) == oracle.dim(cell)
         assert grown.label(cell) == oracle.label(cell)
+    assert grown.pos == oracle.pos, H
     if oracle.is_empty:
         return
     a, b = grown.index(), oracle.index()
@@ -130,7 +131,6 @@ def assert_same_index(H):
     assert a.masks == b.masks, H
     assert a.holders == b.holders, H
     assert a.columns == b.columns, H
-    assert a.pos == b.pos, H
 
 
 def test_scanned_graphs_is_the_scan():

@@ -47,16 +47,30 @@ def test_join_boundary_squares_to_zero():
         assert all(v == 0 for v in acc.values())
 
 
+def split_by_arity(factors, cell):
+    """A join key cut into one piece per factor; None where it vanished."""
+    out, at = [], 0
+    for F in factors:
+        arity = len(next(F.all_cells()))
+        piece = cell[at:at + arity]
+        out.append(piece if any(piece) else None)
+        at += arity
+    assert at == len(cell)
+    return out
+
+
 def test_join_labels_are_unions():
-    X = join([zero_sphere(1, 2), zero_sphere(3, 4)])
+    factors = [zero_sphere(1, 2), zero_sphere(3, 4)]
+    X = join(factors)
     for cell in X.all_cells():
+        pieces = split_by_arity(factors, cell)
         expect = frozenset()
-        for i, c in enumerate(cell):
+        for i, c in enumerate(pieces):
             if c is not None:
-                expect |= X.factors[i].label(c)
+                expect |= factors[i].label(c)
         assert X.label(cell) == expect
         assert X.dim(cell) == sum(
-            X.factors[i].dim(c) + 1 for i, c in enumerate(cell) if c is not None
+            factors[i].dim(c) + 1 for i, c in enumerate(pieces) if c is not None
         ) - 1
 
 

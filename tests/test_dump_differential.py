@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from cointerval import (
     Hypergraph,
+    LabeledComplex,
     ParseError,
-    PosetComplex,
     build_complex,
     glued_resolution,
     linear_width,
@@ -93,7 +93,7 @@ def oracle_orient(cells):
             boundaries[cell] = [
                 (f, 1 if v > 0 else -1) for f, v in zip(faces, vec)
             ]
-    return PosetComplex(cells, boundaries)
+    return LabeledComplex.from_cells(cells, boundaries.__getitem__)
 
 
 def outcome(parse, text):
@@ -303,5 +303,5 @@ def dump_texts(draw):
 def test_any_text_parses_or_raises_parse_error(text):
     got = outcome(parse_complex_dump, text)
     if got[0] == "ok":
-        assert isinstance(parse_complex_dump(text), PosetComplex)
+        assert isinstance(parse_complex_dump(text), LabeledComplex)
     assert got == outcome(oracle_parse, text)

@@ -17,9 +17,9 @@ from cointerval import (
     GF3,
     GF32003,
     QQ,
-    BlockComplex,
     Field,
     Hypergraph,
+    LabeledComplex,
     PreconditionError,
     acyclicity_status,
     boundary_matrices,
@@ -34,6 +34,7 @@ from cointerval._kernels import (
     rank_bareiss,
     rank_mod,
 )
+from cointerval.complexes import block_boundary, block_dim
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC
 
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
@@ -228,19 +229,22 @@ def test_random_complex_ranks_match_sympy():
                     assert rank_mod(mat, p) == dom.rank()
 
 
-class FlippedSign(BlockComplex):
-    """copath5's complex with one face sign of its top cell flipped."""
+def flipped_sign(blocks_iter):
+    """Block cells with one face sign of ((1,), (2, 3, 4, 5)) flipped."""
 
-    def boundary(self, cell):
-        faces = super().boundary(cell)
+    def boundary(cell):
+        faces = block_boundary(cell)
         if cell == ((1,), (2, 3, 4, 5)):
             (face, sign), *rest = faces
             faces = [(face, -sign), *rest]
         return faces
 
+    cells = {b: (block_dim(b), frozenset().union(*b)) for b in blocks_iter}
+    return LabeledComplex.from_cells(cells, boundary)
+
 
 def test_flipped_sign_raises(copath5):
-    X = FlippedSign.from_blocks(enumerate_block_cells(copath5))
+    X = flipped_sign(enumerate_block_cells(copath5))
     with pytest.raises(PreconditionError) as err:
         homology_ranks(X, GF2)
     # flipping the first face, ((1,), (3, 4, 5)), leaves -2 times its boundary
@@ -249,7 +253,7 @@ def test_flipped_sign_raises(copath5):
         "{((1,), (4, 5)): -2, ((1,), (3, 5)): 2, ((1,), (3, 4)): -2}"
     )
     # the downset view path builds the same index and raises the same way
-    Y = FlippedSign.from_blocks(enumerate_block_cells(copath5))
+    Y = flipped_sign(enumerate_block_cells(copath5))
     with pytest.raises(PreconditionError):
         Y.downset_leq({1, 2, 3, 4, 5})
 
@@ -257,20 +261,25 @@ def test_flipped_sign_raises(copath5):
 def test_flipped_sign_raises_under_optimize():
     code = textwrap.dedent(
         """
-        from cointerval import GF2, BlockComplex, Hypergraph, PreconditionError
+        from cointerval import GF2, Hypergraph, LabeledComplex
+        from cointerval import PreconditionError
         from cointerval import enumerate_block_cells, homology_ranks
+        from cointerval.complexes import block_boundary, block_dim
 
-        class FlippedSign(BlockComplex):
-            def boundary(self, cell):
-                faces = super().boundary(cell)
-                if len(cell[1]) == 4:
-                    (face, sign), *rest = faces
-                    faces = [(face, -sign), *rest]
-                return faces
+        def boundary(cell):
+            faces = block_boundary(cell)
+            if len(cell[1]) == 4:
+                (face, sign), *rest = faces
+                faces = [(face, -sign), *rest]
+            return faces
 
         H = Hypergraph(2, range(1, 6), [(1, 2), (1, 3), (1, 4), (1, 5),
                                         (2, 4), (2, 5), (3, 5)])
-        X = FlippedSign.from_blocks(enumerate_block_cells(H))
+        X = LabeledComplex.from_cells(
+            {b: (block_dim(b), frozenset().union(*b))
+             for b in enumerate_block_cells(H)},
+            boundary,
+        )
         try:
             homology_ranks(X, GF2)
         except PreconditionError as exc:
@@ -289,11 +298,11 @@ def test_flipped_sign_raises_under_optimize():
 
 def test_label_not_monotone_rejected():
     # the edge's label misses vertex 3, which one of its endpoints carries
-    X = BlockComplex({
+    X = LabeledComplex.from_cells({
         ((1, 2),): (1, frozenset({1, 2})),
         ((1,),): (0, frozenset({1, 3})),
         ((2,),): (0, frozenset({2})),
-    })
+    }, block_boundary)
     with pytest.raises(PreconditionError, match="not contained in the label"):
         X.index()
     with pytest.raises(PreconditionError):
@@ -301,9 +310,9 @@ def test_label_not_monotone_rejected():
 
 
 def test_missing_face_rejected():
-    X = BlockComplex({
+    X = LabeledComplex.from_cells({
         ((1, 2),): (1, frozenset({1, 2})),
         ((1,),): (0, frozenset({1})),
-    })
+    }, block_boundary)
     with pytest.raises(PreconditionError, match="not a cell of dimension 0"):
         homology_ranks(X, GF2)

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from cointerval import (
-    BlockComplex,
     GF2,
     GF3,
     GF32003,
@@ -15,8 +14,8 @@ from cointerval import (
     BettiTable,
     BudgetError,
     Hypergraph,
+    LabeledComplex,
     ParseError,
-    PosetComplex,
     PreconditionError,
     betti_from_downset_homology,
     betti_from_faces,
@@ -32,6 +31,7 @@ from cointerval import (
     write_complex_dump,
 )
 from cointerval import _kernels
+from cointerval.complexes import block_boundary
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC, acyclicity_status
 from cointerval.resolution import (
     HOCHSTER_VERTEX_LIMIT,
@@ -256,22 +256,24 @@ def test_q_after_a_passing_prime_is_skipped(copath5, bareiss_calls):
         bareiss_calls.clear()
 
 
-class ScrambledComplex(BlockComplex):
+def scrambled_complex(cells, seed):
     """A block complex whose cell ids follow a seeded shuffle.
 
     Acyclicity does not depend on the order of the cells, but the lead
     matching of `verify_resolution` does: under a shuffled order leads
-    collide, so some acyclic downsets go to exact elimination.
+    collide, so some acyclic downsets go to exact elimination.  Each
+    cell is keyed (rank, blocks), so sorting the keys sorts by rank.
     """
+    order = sorted(cells)
+    random.Random(seed).shuffle(order)
+    rank = {c: i for i, c in enumerate(order)}
 
-    def __init__(self, cells, seed):
-        order = sorted(cells)
-        random.Random(seed).shuffle(order)
-        self._rank = {c: i for i, c in enumerate(order)}
-        super().__init__(cells)
+    def boundary(key):
+        return [((rank[f], f), s) for f, s in block_boundary(key[1])]
 
-    def sort_key(self, cell):
-        return self._rank[cell]
+    return LabeledComplex.from_cells(
+        {(rank[c], c): dim_label for c, dim_label in cells.items()}, boundary
+    )
 
 
 @pytest.fixture
@@ -285,7 +287,7 @@ def scrambled():
     )
     X = build_complex(H)
     cells = {c: (X.dim(c), X.label(c)) for c in X.all_cells()}
-    return ScrambledComplex(cells, seed=0)
+    return scrambled_complex(cells, seed=0)
 
 
 def test_q_first_or_alone_still_runs_bareiss(copath5, scrambled,
@@ -343,8 +345,8 @@ def test_failure_records_degree_and_ranks(two_k2):
     for twin in (pickle.loads(pickle.dumps(failure)), copy.deepcopy(failure)):
         assert twin == failure and twin.ranks == {0: 1} and twin.degree == 0
     # a hollow triangle fails in degree 1
-    hollow = BlockComplex.from_blocks([((1,),), ((2,),), ((3,),),
-                                       ((1, 2),), ((1, 3),), ((2, 3),)])
+    hollow = LabeledComplex.from_blocks([((1,),), ((2,),), ((3,),),
+                                         ((1, 2),), ((1, 3),), ((2, 3),)])
     (failure,) = verify_resolution(hollow, (QQ,)).failures
     assert failure.degree == 1 and failure.ranks == {1: 1}
 
@@ -402,10 +404,10 @@ def interval_complements(count, seed=5):
 
 
 def hand_built(cells, boundaries):
-    """A PosetComplex from {key: (dim, label)} and {key: [(face, sign)]}."""
-    return PosetComplex(
+    """A complex from {key: (dim, label)} and {key: [(face, sign)]}."""
+    return LabeledComplex.from_cells(
         {k: (d, frozenset(lab)) for k, (d, lab) in cells.items()},
-        {k: tuple(boundaries.get(k, ())) for k in cells},
+        lambda k: boundaries.get(k, ()),
     )
 
 
@@ -544,7 +546,7 @@ def test_certified_degrees_are_acyclic_over_every_field(proof_corpus):
             continue
         alphas = [frozenset(s) for r in range(len(verts) + 1)
                   for s in itertools.combinations(verts, r)]
-        bits = _certified(X, alphas)
+        bits = _certified(X, [X.mask(alpha) for alpha in alphas])
         for pos, alpha in enumerate(alphas):
             if bits >> pos & 1:
                 sub = X.downset_leq(alpha)
