@@ -11,11 +11,10 @@ empty.  Everything is exact:
          ints, so no overflow);
   Q      densified, then fraction-free (Bareiss) elimination.
 
-The nullspace kernels are dense; they serve the orientation step of
-dump parsing, where face boundaries are small.  `nullspace_mod` is the
-one that runs on every cell; `nullspace_rational` (Fraction arithmetic)
-runs only when the prime-field answer does not lift to +-1 signs over
-the integers, in practice on the way to rejecting a malformed dump.
+`nullspace_rational` is dense Fraction Gauss-Jordan.  Dump parsing
+orients cells by sign propagation and calls it only for a cell that
+propagation leaves open, in practice on the way to rejecting a
+malformed dump; the dump oracle in the tests uses it for every cell.
 """
 
 from fractions import Fraction
@@ -114,48 +113,6 @@ def rank_bareiss(cols):
         if r == m:
             break
     return rank
-
-
-def nullspace_mod(rows, ncols, p):
-    """Basis of the nullspace over GF(p), as lists of residues in [0, p).
-
-    Gauss-Jordan on a copy of the dense integer rows; each basis vector
-    has a 1 at its free column, like `nullspace_rational`.
-    """
-    m = len(rows)
-    a = [[v % p for v in row] for row in rows]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        row_r = a[r] = [v * inv % p for v in a[r]]
-        for i in range(m):
-            f = a[i][c]
-            if i != r and f:
-                a[i] = [(u - f * v) % p for u, v in zip(a[i], row_r)]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    pivots = set(pivot_cols)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -a[i][fc] % p
-        basis.append(vec)
-    return basis
 
 
 def nullspace_rational(rows, ncols):

@@ -11,19 +11,24 @@ complex and raises ParseError.  The parsed object plugs into the same
 verification machinery as internally built complexes.
 
 Faces are found with one holder bitset per (block slot, value) pair
-and dimension, not by testing every pair of cells.  The kernel is
-solved over a large prime field and lifted to +-1 signs checked over
-the integers, which pins down the rational kernel; Fraction arithmetic
-runs only for a cell whose lift fails, to name the rejection.
+and dimension, not by testing every pair of cells.  Signs are carried
+from face to face across ridges that lie in exactly two faces, as in
+any polytope, and checked over the integers (`_propagated_signs`);
+Fraction arithmetic runs only for a cell they leave open, to find its
+signs or name the rejection.  More than `complexes.CELL_LIMIT` cells,
+or a dimension that needs that many, raise BudgetError while the lines
+are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._kernels import nullspace_mod, nullspace_rational
-from .complexes import LabeledComplex, _holders, _layout, _members
-from .errors import ParseError
+from . import complexes
+from ._kernels import nullspace_rational
+from .complexes import LabeledComplex, _holders, _layout
+from .errors import BudgetError, ParseError
+from .hypergraph import read_text
 
 
 def write_complex_dump(X):
@@ -95,13 +100,18 @@ def _read_cells(text):
             raise ParseError(f"duplicate cell {blocks}", lineno)
         if dim < 0:
             raise ParseError(f"negative dimension {dim}", lineno)
+        # a d-cell has faces in every dimension below it, so d + 1 cells
+        if dim >= complexes.CELL_LIMIT:
+            raise BudgetError(
+                f"a cell of dimension {dim} needs more than "
+                f"{complexes.CELL_LIMIT} cells"
+            )
         cells[blocks] = (dim, label)
+        if len(cells) > complexes.CELL_LIMIT:
+            raise BudgetError(
+                f"the dump has more than {complexes.CELL_LIMIT} cells"
+            )
     return cells
-
-
-# Orientation is solved modulo this prime (the largest below 2^30, so a
-# residue fits one CPython int digit) and lifted to signs over the integers.
-ORIENT_PRIME = 1_073_741_789
 
 
 def _pair_bits(keys, bits):
@@ -119,15 +129,27 @@ def _pair_bits(keys, bits):
     return masks
 
 
+def _set_bits(bits):
+    """Positions of the set bits of a non-negative int, ascending.
+
+    One step per set bit, so a wide bitset with few members is cheap.
+    """
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def _orient(cells):
     """Derive signed boundaries from the face poset, degree by degree.
 
     The faces of a cell are the cells one dimension down whose every
     block slot lies inside the cell's (componentwise containment): all
     of them, minus the holders of each (slot, value) pair the cell does
-    not have.  The signs span the kernel of the faces' boundaries; see
-    `_unit_kernel` for why solving it over a prime field is exact.  The
-    columns, as face ids and signs, go to the complex as they are.
+    not have.  The columns, as face ids and signs, go to the complex as
+    they are.
     """
     keys, masks, verts = _layout(cells)
     bits, columns, holders = {}, {}, {}
@@ -137,72 +159,88 @@ def _orient(cells):
             every = (1 << len(keys[dim - 1])) - 1
             present = sum(1 << k for k in holders)
             columns[dim] = cols = []
-            for cell, mask in zip(dim_keys, pairs):
-                keep = every
-                for k in _members(present & ~mask):
-                    keep &= ~holders[k]
+            for i, mask in enumerate(pairs):
+                drop = 0
+                for k in _set_bits(present & ~mask):
+                    drop |= holders[k]
                 cols.append(_signed_faces(
-                    cells, keys, columns, dim, cell, _members(keep)
+                    keys, masks, columns, dim, i, _set_bits(every & ~drop)
                 ))
         # holders are only needed for the next dimension up
         holders = _holders(pairs) if dim + 1 in keys else {}
     return LabeledComplex(keys, masks, verts, lambda: columns)
 
 
-def _signed_faces(cells, keys, columns, dim, cell, faces):
-    """The column of a cell with the given face ids one dimension down."""
-    below = keys[dim - 1]
+def _signed_faces(keys, masks, columns, dim, i, faces):
+    """The column of d-cell number i with the given face ids below it."""
+    cell = keys[dim][i]
     # label monotonicity along the face relation
+    outside = ~masks[dim][i]
     for f in faces:
-        if not cells[below[f]][1] <= cells[cell][1]:
+        if masks[dim - 1][f] & outside:
             raise ParseError(
-                f"label of face {below[f]} does not divide label of {cell}"
+                f"label of face {keys[dim - 1][f]} does not divide "
+                f"label of {cell}"
             )
     if not faces:
         raise ParseError(f"cell {cell} of dimension {dim} has no faces")
+    # rows of the faces' boundary matrix, sparse: (face position, sign);
+    # a face meets a ridge at most once, so every entry is +-1
     if dim == 1:
-        rows = [[1] * len(faces)]  # the augmentation
+        rows = [[(j, 1) for j in range(len(faces))]]  # the augmentation
     else:
-        targets = {}
-        for f in faces:
-            for g, _s in columns[dim - 1][f]:
-                targets.setdefault(g, len(targets))
-        rows = [[0] * len(faces) for _ in targets]
+        by_ridge = {}
         for j, f in enumerate(faces):
             for g, s in columns[dim - 1][f]:
-                rows[targets[g]][j] += s
-    signs = _unit_kernel(rows, len(faces))
+                by_ridge.setdefault(g, []).append((j, s))
+        rows = list(by_ridge.values())
+    signs = _propagated_signs(rows, len(faces))
     if signs is None:
-        signs = _rational_signs(cell, rows, len(faces))
+        dense = [[0] * len(faces) for _ in rows]
+        for row, entries in zip(dense, rows):
+            for j, s in entries:
+                row[j] = s
+        signs = _rational_signs(cell, dense, len(faces))
     return tuple(zip(faces, signs))
 
 
-def _unit_kernel(rows, ncols):
-    """The +-1 kernel vector of an integer matrix, found mod a prime.
+def _propagated_signs(rows, ncols):
+    """The +-1 kernel vector of a sparse +-1 matrix, by sign propagation.
 
-    Returns signs v (leading entry +1) when the kernel mod ORIENT_PRIME
-    is one-dimensional, its normalised vector has only entries +-1, and
-    their lift satisfies M v = 0 over the integers; otherwise None.
-    Then the rational kernel is exactly span(v): it contains v, and its
-    dimension is at most the mod-p nullity, 1, because reducing mod p
-    can only lower the rank.  So v is what `_rational_signs` would give.
+    A row with exactly two entries a, b (a ridge in exactly two faces)
+    forces v_b = -a b v_a on every kernel vector.  Starting from v_0 = +1,
+    walk those rows from column to column; if the walk reaches every
+    column, each kernel vector is fixed by its first entry, so the
+    kernel has dimension at most 1 over any field.  If the walked v also
+    satisfies M v = 0 over the integers (two-entry rows are checked as
+    the walk crosses them), the kernel is exactly span(v), and v is what
+    `_rational_signs` would give.  Otherwise returns None.
     """
-    p = ORIENT_PRIME
-    basis = nullspace_mod(rows, ncols, p)
-    if len(basis) != 1 or not basis[0][0]:
-        return None
-    inv = pow(basis[0][0], -1, p)
-    signs = []
-    for v in basis[0]:
-        v = v * inv % p
-        if v == 1:
-            signs.append(1)
-        elif v == p - 1:
-            signs.append(-1)
+    links = [[] for _ in range(ncols)]
+    others = []
+    for row in rows:
+        if len(row) == 2:
+            (a, s), (b, t) = row
+            links[a].append((b, -s * t))
+            links[b].append((a, -s * t))
         else:
-            return None
-    if any(sum(a * s for a, s in zip(row, signs)) for row in rows):
+            others.append(row)
+    signs = [0] * ncols
+    signs[0] = 1
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b, rel in links[a]:
+            if not signs[b]:
+                signs[b] = rel * signs[a]
+                stack.append(b)
+            elif signs[b] != rel * signs[a]:
+                return None
+    if not all(signs):
         return None
+    for row in others:
+        if sum(s * signs[j] for j, s in row):
+            return None
     return signs
 
 
@@ -230,5 +268,4 @@ def write_complex_dump_file(X, path):
 
 
 def read_complex_dump(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_complex_dump(fh.read())
+    return parse_complex_dump(read_text(path))

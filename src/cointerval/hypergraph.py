@@ -467,9 +467,17 @@ def format_hypergraph(H):
     return "\n".join(lines) + "\n"
 
 
-def read_hypergraph(path):
+def read_text(path):
+    """The UTF-8 text of a file; undecodable bytes raise ParseError."""
     with open(path, encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
+def read_hypergraph(path):
+    return parse_hypergraph(read_text(path))
 
 
 def write_hypergraph(H, path):

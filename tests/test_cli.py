@@ -8,7 +8,7 @@ import time
 import pytest
 
 import cointerval
-from cointerval import Hypergraph, parse_hypergraph
+from cointerval import Hypergraph, complexes, parse_hypergraph
 from cointerval.cli import main
 from cointerval.complexes import CELL_LIMIT
 from cointerval.hypergraph import COINTERVAL_PLACEMENT_LIMIT, VERTEX_LIMIT
@@ -127,6 +127,48 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "check", "/nonexistent/input.txt")
     assert code == 2
+
+
+def test_undecodable_hypergraph_exit_code(capsys, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"2 4\n1 2\n3 4 # caf\xe9\n")
+    for command in ("check", "resolve"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert "codec can't decode" in err
+
+
+def test_undecodable_dump_exit_code(capsys, tmp_path):
+    bad = tmp_path / "latin1.dump"
+    bad.write_bytes(pathlib.Path(TAYLOR).read_bytes() + b"# caf\xe9\n")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2 and out == ""
+    assert "codec can't decode" in err
+
+
+def test_dump_parser_cell_budget(capsys, monkeypatch):
+    # the Taylor dump has 3 cells
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 3)
+    code, _, _ = run(capsys, "verify", TAYLOR)
+    assert code == 0
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 2)
+    code, out, err = run(capsys, "verify", TAYLOR)
+    assert code == 4 and out == ""
+    assert "the dump has more than 2 cells" in err
+
+
+def test_dump_dimension_budget(capsys, tmp_path):
+    # a d-cell needs d + 1 cells, so the dimension alone is refused,
+    # before a level is laid out per dimension
+    huge = tmp_path / "huge.dump"
+    huge.write_text(f"0 | 1 | 1\n{CELL_LIMIT} | 1 2 | 1 2\n")
+    code, out, err = run(capsys, "verify", str(huge))
+    assert code == 4 and out == ""
+    assert f"dimension {CELL_LIMIT} needs more than {CELL_LIMIT} cells" in err
+    huge.write_text(f"0 | 1 | 1\n{CELL_LIMIT - 1} | 1 2 | 1 2\n")
+    code, out, err = run(capsys, "verify", str(huge))
+    assert code == 2 and out == ""
+    assert "has no faces" in err
 
 
 def test_seed_accepted_everywhere(capsys):

@@ -3,9 +3,9 @@
 `oracle_orient` is the orientation step as it was written first: every
 (dim - 1)-cell is tested against every dim-cell by `_below`, and each
 cell's signs come from the exact rational kernel.  The parser finds
-faces by holder bitsets and solves the kernel over a prime field; on
-every dump here both must give the same boundaries, or the same
-ParseError text.
+faces by holder bitsets and carries signs across ridges shared by two
+faces, falling back to the rational kernel; on every dump here both
+must give the same boundaries, or the same ParseError text.
 """
 
 import itertools
@@ -13,10 +13,16 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cointerval import (
+    GF2,
+    GF3,
+    GF32003,
+    QQ,
+    BudgetError,
     Hypergraph,
     LabeledComplex,
     ParseError,
@@ -25,8 +31,10 @@ from cointerval import (
     linear_width,
     parse_complex_dump,
     taylor_complex,
+    verify_resolution,
     write_complex_dump,
 )
+from cointerval import dumpio
 from cointerval._kernels import nullspace_rational
 from cointerval.dumpio import _read_cells
 
@@ -97,11 +105,14 @@ def oracle_orient(cells):
 
 
 def outcome(parse, text):
-    """('ok', boundaries in cell order) or ('error', message)."""
+    """('ok', boundaries in cell order), ('error', message) or
+    ('budget', message)."""
     try:
         X = parse(text)
     except ParseError as exc:
         return ("error", str(exc))
+    except BudgetError as exc:
+        return ("budget", str(exc))
     return ("ok", [(c, X.boundary(c)) for c in X.all_cells()])
 
 
@@ -274,6 +285,166 @@ def test_rejections_name_the_rational_reason():
     )
 
 
+# A projective plane: a disc of four triangles around centre 3 whose rim
+# runs twice round the 2-cycle x = (1 2 6), y = (1 2 7), declared one
+# 3-cell.  Every edge lies in two triangles, but x and y meet both of
+# theirs with the same sign, so there is no nonzero cycle.
+PROJECTIVE_PLANE = """\
+0 | 1 | 1
+0 | 2 | 2
+0 | 3 | 3
+1 | 1 2 6 | 1 2 6
+1 | 1 2 7 | 1 2 7
+1 | 1 3 8 | 1 3 8
+1 | 2 3 9 | 2 3 9
+1 | 1 3 10 | 1 3 10
+1 | 2 3 11 | 2 3 11
+2 | 1 2 3 6 8 9 | 1 2 3 6 8 9
+2 | 1 2 3 7 9 10 | 1 2 3 7 9 10
+2 | 1 2 3 6 10 11 | 1 2 3 6 10 11
+2 | 1 2 3 7 8 11 | 1 2 3 7 8 11
+3 | 1 2 3 6 7 8 9 10 11 | 1 2 3 6 7 8 9 10 11
+"""
+
+# Two projective planes, each a disc of four triangles around its own
+# centre (3 or 4) whose rim runs twice round the 2-cycle x = (1 2 6),
+# y = (1 2 7), declared one 3-cell.  Each plane's triangles are linked
+# only through their spokes, and x and y each lie in four faces, so
+# sign propagation stays inside one plane; the two planes' rims cancel
+# only against each other, so the kernel is one +-1 vector.
+TWO_PROJECTIVE_PLANES = """\
+0 | 1 | 1
+0 | 2 | 2
+0 | 3 | 3
+0 | 4 | 4
+1 | 1 2 6 | 1 2 6
+1 | 1 2 7 | 1 2 7
+1 | 1 3 8 | 1 3 8
+1 | 2 3 9 | 2 3 9
+1 | 1 3 10 | 1 3 10
+1 | 2 3 11 | 2 3 11
+1 | 1 4 12 | 1 4 12
+1 | 2 4 13 | 2 4 13
+1 | 1 4 14 | 1 4 14
+1 | 2 4 15 | 2 4 15
+2 | 1 2 3 6 8 9 | 1 2 3 6 8 9
+2 | 1 2 3 7 9 10 | 1 2 3 7 9 10
+2 | 1 2 3 6 10 11 | 1 2 3 6 10 11
+2 | 1 2 3 7 8 11 | 1 2 3 7 8 11
+2 | 1 2 4 6 12 13 | 1 2 4 6 12 13
+2 | 1 2 4 7 13 14 | 1 2 4 7 13 14
+2 | 1 2 4 6 14 15 | 1 2 4 6 14 15
+2 | 1 2 4 7 12 15 | 1 2 4 7 12 15
+3 | 1 2 3 4 6 7 8 9 10 11 12 13 14 15 | 1 2 3 4 6 7 8 9 10 11 12 13 14 15
+"""
+
+# Two triangles sharing vertex 3: vertex 3 lies in four edges, and the
+# two triangles are two independent cycles.
+BOWTIE = """\
+0 | 1 | 1
+0 | 2 | 2
+0 | 3 | 3
+0 | 4 | 4
+0 | 5 | 5
+1 | 1 2 | 1 2
+1 | 1 3 | 1 3
+1 | 2 3 | 2 3
+1 | 3 4 | 3 4
+1 | 3 5 | 3 5
+1 | 4 5 | 4 5
+2 | 1 2 3 4 5 | 1 2 3 4 5
+"""
+
+# Two disjoint triangles: every vertex lies in two edges.
+TWO_TRIANGLES = """\
+0 | 1 | 1
+0 | 2 | 2
+0 | 3 | 3
+0 | 4 | 4
+0 | 5 | 5
+0 | 6 | 6
+1 | 1 2 | 1 2
+1 | 1 3 | 1 3
+1 | 2 3 | 2 3
+1 | 4 5 | 4 5
+1 | 4 6 | 4 6
+1 | 5 6 | 5 6
+2 | 1 2 3 4 5 6 | 1 2 3 4 5 6
+"""
+
+SQUARE_TOP = ((1, 2, 3, 4),)
+
+
+@pytest.mark.parametrize("text, fallback, expected", [
+    # the walk spans the faces and M v = 0: the signs, no fallback
+    (square([(1, 2), (2, 3), (3, 4), (1, 4)]), [], "ok"),
+    # the walk spans a path, but its end vertices lie in one edge each
+    (square([(1, 2), (2, 3), (3, 4)]), [SQUARE_TOP],
+     "cell ((1, 2, 3, 4),): boundary kernel has dimension 0, "
+     "not a polyhedral cell"),
+    # the walk spans the plane, but crosses x (and y) with clashing signs
+    (PROJECTIVE_PLANE, [((1, 2, 3, *range(6, 12)),)],
+     "cell ((1, 2, 3, 6, 7, 8, 9, 10, 11),): boundary kernel has "
+     "dimension 0, not a polyhedral cell"),
+    # the walk stays in one plane; the rational kernel is +-1 and 1-dim
+    (TWO_PROJECTIVE_PLANES, [((1, 2, 3, 4, *range(6, 16)),)], "ok"),
+    # the walk stays in one triangle; the kernel has dimension 2
+    (BOWTIE, [((1, 2, 3, 4, 5),)],
+     "cell ((1, 2, 3, 4, 5),): boundary kernel has dimension 2, "
+     "not a polyhedral cell"),
+    (TWO_TRIANGLES, [((1, 2, 3, 4, 5, 6),)],
+     "cell ((1, 2, 3, 4, 5, 6),): boundary kernel has dimension 2, "
+     "not a polyhedral cell"),
+], ids=[
+    "spans-exact", "spans-inexact-end", "spans-inexact-twist",
+    "open-unit-kernel", "open-2-dim-bowtie", "open-2-dim-disjoint",
+])
+def test_every_propagation_exit_matches_oracle(
+    monkeypatch, text, fallback, expected
+):
+    fell_back = []
+    rational_signs = dumpio._rational_signs
+
+    def recorded(cell, rows, ncols):
+        fell_back.append(cell)
+        return rational_signs(cell, rows, ncols)
+
+    monkeypatch.setattr(dumpio, "_rational_signs", recorded)
+    got = outcome(parse_complex_dump, text)
+    assert got == outcome(oracle_parse, text)
+    assert (got[0] if got[0] == "ok" else got[1]) == expected
+    assert fell_back == fallback
+
+
+def borel_3graph(rng, n):
+    """Union of two principal Borel sets of 3-subsets: strongly stable."""
+    gens = [sorted(rng.sample(range(1, n + 1), 3)) for _ in range(2)]
+    edges = [
+        e for e in itertools.combinations(range(1, n + 1), 3)
+        if any(all(v <= g for v, g in zip(e, gen)) for gen in gens)
+    ]
+    return Hypergraph(3, range(1, n + 1), edges)
+
+
+def test_round_trip_verifies_like_the_built_complex():
+    rng = random.Random(31)
+    graphs = []
+    while len(graphs) < 6:
+        H = interval_complement(rng, rng.randrange(5, 8))
+        if H.edges and H.is_cointerval():
+            graphs.append(H)
+    graphs += [borel_3graph(rng, rng.randrange(4, 7)) for _ in range(4)]
+    for H in graphs:
+        assert H.is_cointerval(), H
+        X = build_complex(H)
+        Y = parse_complex_dump(write_complex_dump(X))
+        for field in (GF2, GF3, GF32003, QQ):
+            want = verify_resolution(X, fields=(field,))
+            got = verify_resolution(Y, fields=(field,))
+            assert got.summary() == want.summary(), (H, field)
+            assert got.passed
+
+
 DUMP_CHARS = st.sampled_from(list("0123 |;-#\n") + ["12", " - ", " ; "])
 
 
@@ -300,7 +471,9 @@ def dump_texts(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(dump_texts())
+@example("0 | 1 | 1\n123123 | 1 2 | 1 2")  # past the dimension budget
 def test_any_text_parses_or_raises_parse_error(text):
+    # or BudgetError, for a dimension that needs more than CELL_LIMIT cells
     got = outcome(parse_complex_dump, text)
     if got[0] == "ok":
         assert isinstance(parse_complex_dump(text), LabeledComplex)
