@@ -9,7 +9,6 @@ arithmetic is exact (prime fields and rationals); nothing is floated.
 """
 
 from .complexes import (
-    CellIndex,
     LabeledComplex,
     build_complex,
     contractibility_certificate,
@@ -97,7 +96,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiTable",
     "BudgetError",
-    "CellIndex",
     "ClassRow",
     "Cover",
     "DEFAULT_FIELDS",

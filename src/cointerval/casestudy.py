@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 from .complexes import build_complex
-from .covers import linear_width
+from .covers import LINEAR_WIDTH_EDGE_LIMIT, linear_width
 from .errors import BudgetError
 from .homology import GF2
 from .hypergraph import (
@@ -30,23 +28,6 @@ from .resolution import betti_hochster, verify_resolution
 
 CLASS_EDGE_LIMIT = 15  # 2^15 bitmasks swept; also bounded by n! marking
 LABELING_VERTEX_LIMIT = 6  # 6! = 720 labelings
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(_threads(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    # chunksize 1: the dense classes dominate, coarse chunks just serialize
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, items, chunksize=1)
 
 
 def _edge_universe(d, n):
@@ -149,8 +130,7 @@ class ClassRow:
         return self.ss_labeling is not None
 
 
-def _classify_one(args):
-    idx, H = args
+def _classify_one(idx, H):
     co = find_cointerval_labeling(H)
     ss = find_strongly_stable_labeling(H)
     fvec = build_complex(H.relabel(co)).f_vector() if co else None
@@ -161,12 +141,20 @@ def _classify_one(args):
 
 
 def classify_all(d, n):
-    """Survey every class: flags, Betti data, linear widths."""
+    """Survey every class: flags, Betti data, linear widths.
+
+    The complete d-graph is one of the classes, so the survey is refused
+    before any class is enumerated when its C(n, d) edges are more than
+    `linear_width` takes.
+    """
+    t = _guard_classes(d, n)
+    if t > LINEAR_WIDTH_EDGE_LIMIT:
+        raise BudgetError(
+            f"linear width is exhaustive; refusing the complete {d}-graph "
+            f"on {n} vertices, {t} > {LINEAR_WIDTH_EDGE_LIMIT} edges"
+        )
     classes = enumerate_classes(d, n)
-    rows = _parallel_map(
-        _classify_one, [(i + 1, H) for i, H in enumerate(classes)]
-    )
-    return rows
+    return [_classify_one(i + 1, H) for i, H in enumerate(classes)]
 
 
 def _fmt_edges(H):
@@ -207,15 +195,6 @@ class LabelingSearchReport:
         return bool(self.passing)
 
 
-def _labeling_verdict(args):
-    d, n, edges, fields = args
-    H = Hypergraph(d, range(1, n + 1), edges)
-    report = verify_resolution(
-        build_complex(H), fields=fields, fail_fast=True
-    )
-    return frozenset(edges), report.passed
-
-
 def counterexample_search(H, fields=(GF2,)):
     """Run the resolution check under every labeling of H.
 
@@ -223,6 +202,7 @@ def counterexample_search(H, fields=(GF2,)):
     edge sets are verified once (complete graphs collapse to a single
     check).  Returns which labelings pass.
     """
+    fields = tuple(fields)
     n = H.n
     if n > LABELING_VERTEX_LIMIT:
         raise BudgetError(
@@ -238,12 +218,13 @@ def counterexample_search(H, fields=(GF2,)):
         )
         labelings.append((mapping, edges))
         distinct.setdefault(edges, None)
-    verdicts = dict(
-        _parallel_map(
-            _labeling_verdict,
-            [(H.d, n, tuple(sorted(e)), tuple(fields)) for e in distinct],
-        )
-    )
+    verdicts = {
+        edges: verify_resolution(
+            build_complex(Hypergraph(H.d, range(1, n + 1), edges)),
+            fields=fields, fail_fast=True,
+        ).passed
+        for edges in distinct
+    }
     passing = [
         mapping for mapping, edges in labelings if verdicts[edges]
     ]

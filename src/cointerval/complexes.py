@@ -9,13 +9,14 @@ transversals (one vertex per block) are all edges of H; its vertices are
 the edges themselves and each cell is labeled by the union of its
 blocks.
 
-`LabeledComplex` is the one complex class.  It keeps what its index
-reads: the cells of each dimension in sort order (a cell's id is its
-position), their labels as bitmasks, and a builder's rule for the
-boundary columns.  `index()` hands these to `CellIndex` on first use,
-which checks label monotonicity and that the boundary squares to zero,
-once per complex.  A downset is the same class with an id selection,
-sharing the index of the complex it was cut from.
+`LabeledComplex` is the one complex class, and it is its own index: the
+cells of each dimension in sort order (a cell's id is its position),
+their labels as bitmasks, and a builder's rule for the boundary
+columns.  On first use of its columns or downsets the complex checks,
+once, that faces are cells with labels inside their cell's and that
+the boundary squares to zero.  A downset is the same class with an id
+selection, sharing the keys, masks and checked columns of the complex
+it was cut from.
 
 The builders differ only in how they find cells and columns.
 `build_complex` grows the cells of a d-graph by downward closure
@@ -46,6 +47,7 @@ from .hypergraph import Hypergraph
 CELL_LIMIT = 100_000
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_AUG_COLUMN = ((0, 1),)  # a vertex's augmentation: once the empty face
 
 
 def _members(bits):
@@ -72,76 +74,6 @@ def _holders(masks):
         if bits:
             out[width - 1 - j] = bits
     return out
-
-
-class CellIndex:
-    """Checked label bitmasks and sparse boundary columns of a complex.
-
-      keys[d]     the d-cells in the complex's sort order; a cell's id is
-                  its position here
-      masks[d]    the label of each d-cell as an int bitmask, bit k
-                  standing for vertices[k]
-      vertices    the label vertices, ascending
-      holders[d]  for each vertex bit k, the set of d-cells whose label
-                  has bit k, as an int bitset over ids
-      columns[d]  for d >= 1, the boundary of each d-cell as a tuple of
-                  (face id, coefficient) pairs, zero coefficients dropped
-
-    Construction checks the whole complex once and raises
-    PreconditionError unless every face is a cell one dimension down
-    whose label lies inside its cell's label, and the boundary squares
-    to zero (augmentation included).  Label monotonicity makes every
-    downset closed under faces, and the boundary of a subcomplex is the
-    restriction of the parent's, so neither check is needed again for a
-    downset.
-    """
-
-    def __init__(self, keys, masks, vertices, columns):
-        self.keys = keys
-        self.masks = masks
-        self.vertices = tuple(vertices)
-        self.holders = {}
-        for d, dim_masks in masks.items():
-            holders = _holders(dim_masks)
-            self.holders[d] = [holders.get(k, 0) for k in range(len(vertices))]
-        for d, cols in columns.items():
-            below, count = masks[d - 1], len(masks[d - 1])
-            for i, (col, mask) in enumerate(zip(cols, masks[d])):
-                for face, _coeff in col:
-                    if not 0 <= face < count:
-                        raise _not_a_cell(f"id {face}", keys[d][i], d)
-                    if below[face] & ~mask:
-                        raise PreconditionError(
-                            f"label of face {keys[d - 1][face]} is not "
-                            f"contained in the label of {keys[d][i]}"
-                        )
-        self.columns = columns
-        _assert_squares_to_zero(self)
-
-    def below(self, mask, strict):
-        """Bitsets of the cells whose label lies inside (or below) a mask.
-
-        A label lies inside the mask when it has no bit outside it; all
-        cells of a dimension are tested at once by removing the holders
-        of every vertex outside.  With strict, a label inside the mask
-        that also holds each of its bits equals it and is dropped.
-        Returns {dim: bitset} for the dimensions with such cells.
-        """
-        inside = _members(mask)
-        outside = _members((1 << len(self.vertices)) - 1 & ~mask)
-        sets = {}
-        for dim, holders in self.holders.items():
-            keep = (1 << len(self.keys[dim])) - 1
-            for k in outside:
-                keep &= ~holders[k]
-            if strict:
-                same = keep
-                for k in inside:
-                    same &= holders[k]
-                keep &= ~same
-            if keep:
-                sets[dim] = keep
-        return sets
 
 
 def _not_a_cell(face, cell, dim):
@@ -181,7 +113,7 @@ def _layout(cells):
 
 
 class LabeledComplex:
-    """Finite labeled cell complex, stored as its index reads it.
+    """Finite labeled cell complex, stored by cell id.
 
       keys[d]     the d-cells in sort order; a cell's id is its position
       masks[d]    their labels as int bitmasks, bit k for vertices[k]
@@ -190,9 +122,10 @@ class LabeledComplex:
                   d-cells, as (face id, coefficient) pairs}
 
     Cells, dimensions and labels are read off keys and masks, so the
-    columns are made only for `boundary` or `index`.  A downset is a
-    copy with an id selection ({dim: id bitset}); it shares the keys,
-    masks, columns and checked index of the complex it was cut from.
+    columns are made only for `boundary`, `columns` or a downset.  A
+    downset is a copy with an id selection ({dim: id bitset}); it shares
+    the keys, masks, checked columns and holders of the complex it was
+    cut from.
     """
 
     def __init__(self, keys, masks, vertices, columns):
@@ -370,18 +303,56 @@ class LabeledComplex:
         """All unions of vertex labels, sorted by (size, elements)."""
         return [self.label_of(m) for m in self.lattice_masks()]
 
-    # --- index and downsets -------------------------------------------
+    # --- checked columns and downsets ---------------------------------
     @functools.cached_property
     def _columns(self):
         return self._make_columns()
 
     @functools.cached_property
-    def _index(self):
-        return CellIndex(self._keys, self._masks, self._vertices, self._columns)
+    def _checked(self):
+        """The columns, with the augmentation in dimension 0, once checked.
 
-    def index(self):
-        """The complex's CellIndex, built and checked on first use."""
-        return self._whole._index
+        Raises PreconditionError unless every face is a cell one
+        dimension down whose label lies inside its cell's label, and the
+        boundary squares to zero (augmentation included).  Label
+        monotonicity makes every downset closed under faces, and the
+        boundary of a subcomplex is the restriction of the parent's, so
+        neither check is needed again for a downset.
+        """
+        keys, masks, columns = self._keys, self._masks, self._columns
+        for d, cols in columns.items():
+            below, count = masks[d - 1], len(masks[d - 1])
+            for i, (col, mask) in enumerate(zip(cols, masks[d])):
+                for face, _coeff in col:
+                    if not 0 <= face < count:
+                        raise _not_a_cell(f"id {face}", keys[d][i], d)
+                    if below[face] & ~mask:
+                        raise PreconditionError(
+                            f"label of face {keys[d - 1][face]} is not "
+                            f"contained in the label of {keys[d][i]}"
+                        )
+        _assert_squares_to_zero(keys, columns)
+        return {0: [_AUG_COLUMN] * len(keys.get(0, ())), **columns}
+
+    def columns(self, dim):
+        """Checked boundary columns of the whole complex's dim-cells, by id.
+
+        A column is a tuple of (face id, coefficient) pairs.  In
+        dimension 0 it is the augmentation: every vertex goes to row 0,
+        the empty face.
+        """
+        return self._whole._checked[dim]
+
+    @functools.cached_property
+    def _vertex_holders(self):
+        # {dim: for each vertex bit k, the id bitset of the cells whose
+        # label has bit k}
+        width = len(self._vertices)
+        out = {}
+        for d, dim_masks in self._masks.items():
+            holders = _holders(dim_masks)
+            out[d] = [holders.get(k, 0) for k in range(width)]
+        return out
 
     def downset_leq(self, alpha):
         """Subcomplex of cells whose label is contained in alpha."""
@@ -395,14 +366,35 @@ class LabeledComplex:
         return self.downset(self.mask(alpha), strict)
 
     def downset(self, mask, strict=False):
-        """Cells whose label lies inside (or strictly below) a label mask."""
-        sets = self.index().below(mask, strict)
-        if self._sets is not None:
-            sets = {d: bits & self._sets.get(d, 0) for d, bits in sets.items()}
-        view = copy.copy(self._whole)
-        view._base = self._whole
-        view._sets = {d: bits for d, bits in sets.items() if bits}
-        view._ids = {d: _members(bits) for d, bits in view._sets.items()}
+        """Cells whose label lies inside (or strictly below) a label mask.
+
+        A label lies inside the mask when it has no bit outside it; all
+        cells of a dimension are tested at once by removing the holders
+        of every vertex outside.  With strict, a label inside the mask
+        that also holds each of its bits equals it and is dropped.
+        """
+        whole = self._whole
+        whole._checked  # raises unless the whole complex checks out
+        inside = _members(mask)
+        outside = _members((1 << len(self._vertices)) - 1 & ~mask)
+        sets = {}
+        for dim, holders in whole._vertex_holders.items():
+            keep = (1 << len(self._keys[dim])) - 1
+            if self._sets is not None:
+                keep = self._sets.get(dim, 0)
+            for k in outside:
+                keep &= ~holders[k]
+            if strict:
+                same = keep
+                for k in inside:
+                    same &= holders[k]
+                keep &= ~same
+            if keep:
+                sets[dim] = keep
+        view = copy.copy(whole)
+        view._base = whole
+        view._sets = sets
+        view._ids = {d: _members(bits) for d, bits in sets.items()}
         return view
 
 
@@ -416,7 +408,7 @@ def block_boundary(blocks):
     Deleting vertex v from block i carries the sign
     (-1)^(sum of earlier block dimensions) * (-1)^(index of v in its
     block); blocks of size one cannot shrink.  Composing twice cancels,
-    which building the complex's index checks.
+    which the complex checks on first use of its columns.
     """
     out = []
     offset = 0

@@ -134,30 +134,11 @@ def glued_resolution(H, cover, fields=DEFAULT_FIELDS, family="cointerval"):
     return glued, report
 
 
-def _support_first_cert(H, edge_subset):
-    """Relabeling placing the part's support first, isolated vertices last."""
+def _part_cert(H, edge_subset, search):
+    """Relabeling placing the part's support first, as `search` labels
+    it, and H's other vertices after it; None if the search finds none."""
     support = sorted({v for e in edge_subset for v in e})
-    part = Hypergraph(H.d, support, edge_subset) if support else None
-    if part is None:
-        found = {}
-    else:
-        found = find_cointerval_labeling(part)
-        if found is None:
-            return None
-    k = len(found)
-    cert = dict(found)
-    nxt = k + 1
-    for v in H.vertices:
-        if v not in cert:
-            cert[v] = nxt
-            nxt += 1
-    return cert
-
-
-def _ss_cert(H, edge_subset):
-    support = sorted({v for e in edge_subset for v in e})
-    part = Hypergraph(H.d, support, edge_subset)
-    found = find_strongly_stable_labeling(part)
+    found = search(Hypergraph(H.d, support, edge_subset))
     if found is None:
         return None
     cert = dict(found)
@@ -198,16 +179,17 @@ def linear_width(H, family="cointerval", relabel_parts=True):
         )
     if t == 0:
         return 0, Cover((), ())
+    if family == "cointerval":
+        search = find_cointerval_labeling
+    else:
+        search = find_strongly_stable_labeling
 
     feasible = []  # (edge tuple sorted, mask, cert)
     for size in range(1, t + 1):
         for combo in itertools.combinations(range(t), size):
             subset = [edge_list[i] for i in combo]
             if relabel_parts:
-                if family == "cointerval":
-                    cert = _support_first_cert(H, subset)
-                else:
-                    cert = _ss_cert(H, subset)
+                cert = _part_cert(H, subset, search)
             else:
                 probe = Hypergraph(H.d, H.vertices, subset)
                 if family == "cointerval":

@@ -1,13 +1,14 @@
 """Exact (reduced) cellular homology over the rationals or a prime field.
 
 Boundary matrices are sparse signed columns cut from a complex's
-`CellIndex`: the full complex uses its columns as they are, a downset
-view takes the columns of the cells it selects (their faces are again
-in the view).  The index checks once per complex that consecutive
-boundaries compose to zero and raises PreconditionError if not;
-`boundary_matrices` never re-checks.  Ranks are exact: xor elimination
-over GF(2), sparse elimination over GF(p) for odd p, and fraction-free
-elimination over the integers for characteristic zero (`_kernels`).
+checked columns (`LabeledComplex.columns`): the full complex uses them
+as they are, a downset view takes the columns of the cells it selects
+(their faces are again in the view).  The complex checks once that
+consecutive boundaries compose to zero and raises PreconditionError if
+not; `boundary_matrices` never re-checks.  Ranks are exact: xor
+elimination over GF(2), sparse elimination over GF(p) for odd p, and
+fraction-free elimination over the integers for characteristic zero
+(`_kernels`).
 """
 
 from __future__ import annotations
@@ -81,20 +82,16 @@ DEFAULT_FIELDS = (GF2, QQ)
 
 
 class ChainComplex:
-    """Sparse integer boundary matrices of a labeled complex."""
+    """Sparse integer boundary matrices of a labeled complex.
 
-    def __init__(self, field, sizes, matrices, augmented):
+    `matrices[k]` holds one sparse column per k-cell, as (row,
+    coefficient) pairs over the degree-(k-1) cells; in degree 0 the
+    augmentation sends every vertex to row 0, the empty face.
+    """
+
+    def __init__(self, field, matrices):
         self.field = field
-        self.sizes = sizes  # dict degree -> number of cells
-        # degree k -> one sparse column per k-cell, as (row, coefficient)
-        # pairs over the degree-(k-1) cells (row 0 is the empty face in
-        # the augmentation, degree 0)
         self.matrices = matrices
-        self.augmented = augmented
-        self._ranks = None
-
-    def top(self):
-        return max(self.sizes) if self.sizes else -1
 
     def boundary_rank(self, k):
         mat = self.matrices.get(k)
@@ -105,50 +102,33 @@ class ChainComplex:
         return _kernels.rank_mod(mat, self.field.char)
 
     def homology_ranks(self):
-        """Reduced (if augmented) homology ranks in degrees 0..top."""
-        if self._ranks is not None:
-            return self._ranks
-        top = self.top()
-        ranks = []
-        rk = {k: self.boundary_rank(k) for k in range(0, top + 2)}
-        for i in range(0, top + 1):
-            ranks.append(self.sizes.get(i, 0) - rk[i] - rk[i + 1])
-        self._ranks = ranks
-        return ranks
+        """Reduced homology ranks in degrees 0..top."""
+        mats = self.matrices
+        rk = [self.boundary_rank(k) for k in range(len(mats) + 1)]
+        return [len(mats[k]) - rk[k] - rk[k + 1] for k in range(len(mats))]
 
 
-_AUG_COLUMN = ((0, 1),)  # a vertex's augmentation: once the empty face
+def boundary_matrices(X, field):
+    """The augmented chain complex of X over the field, as sparse columns.
 
-
-def boundary_matrices(X, field, augmented=True):
-    """The chain complex of X over the field, as sparse columns.
-
-    Columns follow the complex's sort order and rows are ids in X's
-    index (for a downset, the ids of the complex it was cut from).  With
-    augmented=True the degree-0 boundary sends every vertex to the empty
-    face, so homology ranks come out reduced.
+    Columns follow the complex's sort order and rows are ids in the
+    complex X was cut from (X itself unless X is a downset).  The
+    degree-0 boundary sends every vertex to the empty face, so homology
+    ranks come out reduced.
     """
-    if X.is_empty:
-        return ChainComplex(field, {}, {}, augmented)
-    columns = X.index().columns
-    sizes = {}
     matrices = {}
-    for dim in range(0, X.max_dim() + 1):
-        ids = X.ids(dim)
-        sizes[dim] = len(ids)
-        if dim:
-            cols = columns[dim]
-            matrices[dim] = [cols[i] for i in ids]
-    if augmented:
-        matrices[0] = [_AUG_COLUMN] * sizes[0]
-    return ChainComplex(field, sizes, matrices, augmented)
+    for dim in range(X.max_dim() + 1):
+        cols = X.columns(dim)
+        matrices[dim] = [cols[i] for i in X.ids(dim)]
+    return ChainComplex(field, matrices)
 
 
-def _assert_squares_to_zero(index):
+def _assert_squares_to_zero(keys, columns):
     """Raise PreconditionError unless every boundary composes to zero.
 
-    Takes a whole complex's CellIndex; the augmentation counts, so each
-    edge's two endpoints must cancel as well.  The error names the first
+    Takes a whole complex's keys and columns ({dim: cells in id order}
+    and {dim: columns by id}); the augmentation counts, so each edge's
+    two endpoints must cancel as well.  The error names the first
     failing cell and the nonzero coefficients of its boundary's boundary.
 
     An edge passes when its coefficients sum to zero.  Above that, when
@@ -157,7 +137,6 @@ def _assert_squares_to_zero(index):
     taken with a minus sign; that is tested by sorting.  Other
     coefficients, and the cell that fails, are summed exactly.
     """
-    columns = index.columns
     for dim in sorted(columns):
         below = columns.get(dim - 1)
         split = None if below is None else _split_by_sign(below)
@@ -168,13 +147,13 @@ def _assert_squares_to_zero(index):
             elif split is not None and _cancels(col, split):
                 continue
             bad = {
-                ("empty face" if k == _AUG else index.keys[dim - 2][k]): v
+                ("empty face" if k == _AUG else keys[dim - 2][k]): v
                 for k, v in _boundary_of_boundary(col, below).items() if v
             }
             if bad:
                 raise PreconditionError(
                     f"boundary does not square to zero at "
-                    f"{index.keys[dim][i]}: {bad}"
+                    f"{keys[dim][i]}: {bad}"
                 )
 
 
@@ -223,7 +202,7 @@ def homology_ranks(X, field):
     """Reduced homology ranks of X in degrees 0..dim(X)."""
     if X.is_empty:
         raise PreconditionError("homology of the empty complex is degree -1")
-    return boundary_matrices(X, field, augmented=True).homology_ranks()
+    return boundary_matrices(X, field).homology_ranks()
 
 
 EMPTY = "empty"

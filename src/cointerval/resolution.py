@@ -179,14 +179,18 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
     that eliminated every degree over every field.
 
     The rationals are skipped for a degree that a prime field earlier in
-    `fields` already passed, because they cannot fail there.  The index
+    `fields` already passed, because they cannot fail there.  The complex
     checked that the boundary squares to zero over the integers, and an
     integer matrix has rank over Q at least its rank over any GF(p).  So
     if size_k = rp_k + rp_{k+1} in every degree k (acyclic over GF(p)),
     then size_k <= rQ_k + rQ_{k+1} <= size_k, and the downset is acyclic
     over Q as well.  Q listed first, or alone, is still computed.
+    An empty `fields` raises ValueError: a sweep over no field would
+    pass any complex.
     """
     report = VerificationReport(fields=tuple(fields))
+    if not report.fields:
+        raise ValueError("verification needs at least one field")
     if X.is_empty:
         report.minimal = True
         return report
@@ -228,8 +232,9 @@ def _certified(X, lattice):
     proves the downset D below lattice[i] acyclic over every field at
     once:
 
-    - For a cell c of dimension >= 1, lead(c) is the largest face id in
-      its index column.
+    - For a cell c, lead(c) is the largest row of its column
+      (`X.columns`); every vertex leads on row 0, the empty face of the
+      augmentation.
     - Walk the dimensions of D from the top down.  N_d is the set of
       d-cells of D that are not cleared, and a d-cell is cleared when it
       is lead(c) for some c in N_{d+1}.
@@ -242,7 +247,7 @@ def _certified(X, lattice):
     - Each cleared column lies in the span of the lower-id columns of D.
       Since dd c = 0 and lead(c) is c's largest face, the boundary of
       lead(c) is a combination of the boundaries of c's other faces,
-      which are in D because the index checked label monotonicity.
+      which are in D because the complex checked label monotonicity.
     - So r_d = |N_d| = size_d - r_{d+1} in every degree, and D has no
       reduced homology over GF(p) for any p, nor over Q.
 
@@ -251,11 +256,10 @@ def _certified(X, lattice):
     where it is not cleared; per dimension and lead row, positions where
     two live cells meet are duplicates, and the rows' live positions
     become the cleared bits one dimension down.  A position with a
-    duplicate, a live cell whose column is empty or whose lead is not
-    +-1, or other than one live vertex is left unset; its downset goes
-    to exact elimination.
+    duplicate (two live vertices among them), a live cell whose column
+    is empty or whose lead is not +-1, or no live vertex is left unset;
+    its downset goes to exact elimination.
     """
-    ix = X.index()
     everywhere = (1 << len(lattice)) - 1
     holders = _holders(lattice)
     inside = {}  # label mask -> positions whose alpha contains the label
@@ -271,9 +275,9 @@ def _certified(X, lattice):
 
     unsettled = 0
     cleared = {}
-    for dim in range(X.max_dim(), 0, -1):
+    for dim in range(X.max_dim(), -1, -1):
         seen = {}
-        masks, columns = ix.masks[dim], ix.columns[dim]
+        masks, columns = X._masks[dim], X.columns(dim)
         for i in X.ids(dim):
             col = columns[i]
             live = live_at(masks[i], cleared.get(i, 0))
@@ -290,22 +294,16 @@ def _certified(X, lattice):
             unsettled |= hit & live
             seen[lead] = hit | live
         cleared = seen
-    once = twice = 0
-    for i in X.ids(0):
-        live = live_at(ix.masks[0][i], cleared.get(i, 0))
-        twice |= once & live
-        once |= live
-    return once & ~twice & ~unsettled
+    return cleared.get(0, 0) & ~unsettled
 
 
 def verify_minimal(X):
     """No cell may share its label with any codimension-1 face."""
-    ix = X.index()
     for dim in range(1, X.max_dim() + 1):
-        masks, below = ix.masks[dim], ix.masks[dim - 1]
+        masks, below = X._masks[dim], X._masks[dim - 1]
+        columns = X.columns(dim)
         for i in X.ids(dim):
-            col = ix.columns[dim][i]
-            if any(below[face] == masks[i] for face, _c in col):
+            if any(below[face] == masks[i] for face, _c in columns[i]):
                 return False
     return True
 

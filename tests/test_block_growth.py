@@ -1,12 +1,13 @@
 """The grown block complex against the first enumeration, kept as oracle.
 
 `build_complex` grows block tuples by downward closure and hands its
-CellIndex keys, label masks and one-vertex-deletion columns straight
-from that growth.  The oracle here is the enumeration it replaced:
+LabeledComplex keys, label masks and one-vertex-deletion columns
+straight from that growth.  The oracle here is the enumeration it replaced:
 every support subset times every composition into d blocks, kept when
-all transversals are edges, indexed by the generic route (cells, labels
+all transversals are edges, built by the generic route (cells, labels
 and `block_boundary` through `LabeledComplex.from_blocks`).  Cells must agree in the
-same order, and the two indexes entry for entry.
+same order, and the two complexes' keys, masks, holders and checked
+columns entry for entry.
 """
 
 import itertools
@@ -16,7 +17,6 @@ import pytest
 
 from cointerval import (
     BudgetError,
-    CellIndex,
     Hypergraph,
     LabeledComplex,
     PreconditionError,
@@ -123,14 +123,15 @@ def assert_same_index(H):
     assert grown.pos == oracle.pos, H
     if oracle.is_empty:
         return
-    a, b = grown.index(), oracle.index()
-    assert a.vertices == b.vertices, H
-    assert {d: list(k) for d, k in a.keys.items()} == {
-        d: list(k) for d, k in b.keys.items()
+    a, b = grown, oracle
+    assert a._vertices == b._vertices, H
+    assert {d: list(k) for d, k in a._keys.items()} == {
+        d: list(k) for d, k in b._keys.items()
     }, H
-    assert a.masks == b.masks, H
-    assert a.holders == b.holders, H
-    assert a.columns == b.columns, H
+    assert a._masks == b._masks, H
+    assert a._vertex_holders == b._vertex_holders, H
+    dims = range(oracle.max_dim() + 1)
+    assert [a.columns(d) for d in dims] == [b.columns(d) for d in dims], H
 
 
 def test_scanned_graphs_is_the_scan():
@@ -154,7 +155,7 @@ def test_builder_index_matches_generic_index(d, n):
 
 
 def test_builder_index_matches_generic_index_on_six_vertices():
-    # one 2-graph in sixteen on 6 vertices: the generic index of all
+    # one 2-graph in sixteen on 6 vertices: the generic complex of all
     # 32,768 costs about 10 s; the grown cells of all are compared above
     for H in itertools.islice(all_graphs(2, 6), 0, None, 16):
         assert_same_index(H)
@@ -177,15 +178,18 @@ def test_one_graph_cells_are_all_vertex_sets():
 # --- planted faults in the builder's columns ----------------------------
 
 def _plant(monkeypatch, change):
-    """Hand CellIndex the builder's columns after `change` edits them."""
-    real = CellIndex.__init__
+    """Wrap the builder's column rule so `change` edits its columns."""
+    real = LabeledComplex.__init__
 
     def planted(self, keys, masks, vertices, columns):
-        columns = {d: list(cols) for d, cols in columns.items()}
-        change(columns)
-        real(self, keys, masks, vertices, columns)
+        def edited():
+            out = {d: list(cols) for d, cols in columns().items()}
+            change(out)
+            return out
 
-    monkeypatch.setattr(CellIndex, "__init__", planted)
+        real(self, keys, masks, vertices, edited)
+
+    monkeypatch.setattr(LabeledComplex, "__init__", planted)
 
 
 def test_flipped_sign_in_builder_columns_raises(monkeypatch, copath5):
@@ -198,7 +202,7 @@ def test_flipped_sign_in_builder_columns_raises(monkeypatch, copath5):
     _plant(monkeypatch, flip)
     X = build_complex(copath5)
     with pytest.raises(PreconditionError) as err:
-        X.index()
+        X.columns(1)
     # the message the generic route gives for the same flip
     assert str(err.value) == (
         "boundary does not square to zero at ((1,), (2, 3, 4, 5)): "
@@ -214,7 +218,7 @@ def test_missing_face_in_builder_columns_raises(monkeypatch, copath5):
 
     _plant(monkeypatch, drop)
     with pytest.raises(PreconditionError, match="does not square to zero"):
-        build_complex(copath5).index()
+        build_complex(copath5).columns(1)
 
 
 def test_edge_with_one_endpoint_raises(monkeypatch, copath5):
@@ -223,7 +227,7 @@ def test_edge_with_one_endpoint_raises(monkeypatch, copath5):
 
     _plant(monkeypatch, drop)
     with pytest.raises(PreconditionError) as err:
-        build_complex(copath5).index()
+        build_complex(copath5).columns(1)
     assert str(err.value) == (
         "boundary does not square to zero at ((1,), (2, 3)): "
         "{'empty face': -1}"
@@ -237,7 +241,7 @@ def test_face_id_past_the_end_raises(monkeypatch, copath5):
 
     _plant(monkeypatch, past)
     with pytest.raises(PreconditionError, match="not a cell of dimension 0"):
-        build_complex(copath5).index()
+        build_complex(copath5).columns(1)
 
 
 def test_missing_cell_in_growth_raises(monkeypatch, copath5):
@@ -251,7 +255,7 @@ def test_missing_cell_in_growth_raises(monkeypatch, copath5):
     monkeypatch.setattr(complexes, "_grow", without_a_vertex)
     X = build_complex(copath5)
     with pytest.raises(PreconditionError) as err:
-        X.index()
+        X.columns(1)
     assert str(err.value) == (
         "face ((2,), (4,)) of ((1, 2), (4,)) is not a cell of dimension 0"
     )

@@ -1,9 +1,9 @@
 """Every builder's index against the generic one from the same cells.
 
-`build_complex`, `join` and `parse_complex_dump` hand `CellIndex` keys,
-label masks and columns of their own making.  Each is compared here,
-entry for entry, with the index `LabeledComplex.from_cells` builds from
-the same cells and labels and a boundary rule: `block_boundary` for
+`build_complex`, `join` and `parse_complex_dump` hand `LabeledComplex`
+keys, label masks and columns of their own making.  Each is compared
+here, entry for entry, with the complex `LabeledComplex.from_cells`
+builds from the same cells and labels and a boundary rule: `block_boundary` for
 block complexes, the complex's own `boundary` otherwise.  Joins are
 also checked against the order the former tuple-keyed join sorted its
 cells in, and against their own dumps.
@@ -73,14 +73,19 @@ def generic(X, boundary=None):
     return LabeledComplex.from_cells(cells, boundary or X.boundary)
 
 
+def checked_columns(X):
+    """The whole complex's checked columns, {dim: columns by id}."""
+    return {d: X.columns(d) for d in range(X.max_dim() + 1)}
+
+
 def assert_same_index(X, boundary=None, where=None):
-    a, b = X.index(), generic(X, boundary).index()
-    assert a.vertices == b.vertices, where
-    assert {d: list(k) for d, k in a.keys.items()} == {
-        d: list(k) for d, k in b.keys.items()
+    a, b = X, generic(X, boundary)
+    assert a._vertices == b._vertices, where
+    assert {d: list(k) for d, k in a._keys.items()} == {
+        d: list(k) for d, k in b._keys.items()
     }, where
-    assert a.masks == b.masks, where
-    assert a.columns == b.columns, where
+    assert a._masks == b._masks, where
+    assert checked_columns(a) == checked_columns(b), where
 
 
 def test_block_builders_match_generic_index():
@@ -157,10 +162,10 @@ def test_glued_joins_match_generic_index_and_their_dumps():
         )
         Y = parse_complex_dump(write_complex_dump(glued))
         assert_same_index(Y)
-        assert {d: list(k) for d, k in Y.index().keys.items()} == {
-            d: list(k) for d, k in glued.index().keys.items()
+        assert {d: list(k) for d, k in Y._keys.items()} == {
+            d: list(k) for d, k in glued._keys.items()
         }
-        assert Y.index().masks == glued.index().masks
+        assert Y._masks == glued._masks
         # a dump holds no orientation: the parser fixes each cell's first
         # face to +1, so signs agree up to reorienting cells
         assert orientation_gauge(glued, Y) is not None
@@ -181,4 +186,4 @@ def test_join_of_a_single_factor_keeps_its_keys(copath5):
     X = build_complex(copath5)
     J = join([X])
     assert list(J.all_cells()) == list(X.all_cells())
-    assert J.index().columns == X.index().columns
+    assert checked_columns(J) == checked_columns(X)

@@ -107,6 +107,11 @@ def test_ss_width_gap():
     assert not gap[0].cointerval
 
 
+def test_counterexample_search_refuses_no_fields(two_k2):
+    with pytest.raises(ValueError, match="at least one field"):
+        counterexample_search(two_k2, fields=())
+
+
 def test_guards():
     with pytest.raises(BudgetError):
         enumerate_classes(2, 7)  # 21 possible edges > budget

@@ -11,6 +11,7 @@ import cointerval
 from cointerval import Hypergraph, complexes, parse_hypergraph
 from cointerval.cli import main
 from cointerval.complexes import CELL_LIMIT
+from cointerval.covers import LINEAR_WIDTH_EDGE_LIMIT
 from cointerval.hypergraph import COINTERVAL_PLACEMENT_LIMIT, VERTEX_LIMIT
 from cointerval.resolution import HOCHSTER_VERTEX_LIMIT
 
@@ -99,6 +100,20 @@ def test_casestudy(capsys):
 def test_casestudy_guard(capsys):
     code, _, err = run(capsys, "casestudy", "--d", "2", "--n", "9")
     assert code == 4 and "refusing" in err
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_casestudy_refuses_before_the_survey(capsys, d):
+    # C(6, d) = 15 passes the class guard, but the complete d-graph has
+    # more edges than linear_width takes; the refusal comes up front
+    start = time.perf_counter()
+    code, out, err = run(capsys, "casestudy", "--d", str(d), "--n", "6")
+    assert time.perf_counter() - start < 2
+    assert code == 4 and out == ""
+    assert (
+        f"complete {d}-graph on 6 vertices, 15 > {LINEAR_WIDTH_EDGE_LIMIT} "
+        "edges" in err
+    )
 
 
 def test_verify(capsys):

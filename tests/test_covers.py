@@ -96,6 +96,12 @@ def test_linear_width_2k2(two_k2):
     assert glued.f_vector() == taylor_complex(two_k2).f_vector() == (2, 1)
 
 
+def test_glued_resolution_refuses_no_fields(two_k2):
+    _k, cover = linear_width(two_k2)
+    with pytest.raises(ValueError, match="at least one field"):
+        glued_resolution(two_k2, cover, fields=())
+
+
 def test_linear_width_fixed_labels():
     C4 = Hypergraph(2, range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)])
     assert linear_width(C4)[0] == 1  # relabels to a cointerval graph

@@ -28,8 +28,8 @@ ALL_FIELDS = (GF2, GF3, GF32003, QQ)
 def fresh(X, keep):
     """A new complex with X's boundary on the cells whose label passes `keep`.
 
-    The filter works on the frozenset labels, not on the index's masks,
-    and the new complex builds (and checks) an index of its own.
+    The filter works on the frozenset labels, not on the label masks,
+    and the new complex builds (and checks) columns of its own.
     """
     cells = {
         c: (X.dim(c), X.label(c)) for c in X.all_cells() if keep(X.label(c))
@@ -157,7 +157,7 @@ def test_complexes_are_freed_without_the_cycle_collector(copath5, two_k2):
     try:
         for build in builders:
             X = build()
-            X.index()
+            X.columns(X.max_dim())  # checks the complex
             V = X.downset_lt(X.lcm_lattice()[-1])
             V.label(next(V.all_cells()))  # fills the shared caches
             refs = [weakref.ref(X), weakref.ref(V)]

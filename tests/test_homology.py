@@ -47,7 +47,7 @@ def sparse(rows):
 
 def dense(cc, k):
     """Boundary matrix of degree k of a full complex: one row per k-cell."""
-    nrows = 1 if k == 0 else cc.sizes[k - 1]
+    nrows = 1 if k == 0 else len(cc.matrices[k - 1])
     out = []
     for col in cc.matrices[k]:
         row = [0] * nrows
@@ -168,13 +168,15 @@ def test_circle_homology(copath5):
 def test_boundary_matrices_shape(copath5):
     X = build_complex(copath5)
     cc = boundary_matrices(X, GF2)
-    assert cc.sizes == {0: 7, 1: 11, 2: 6, 3: 1}
+    assert {k: len(m) for k, m in cc.matrices.items()} == {
+        0: 7, 1: 11, 2: 6, 3: 1
+    }
     # one row per cell, columns over the basis one degree down;
     # the augmentation sends every vertex to the empty cell
     assert dense(cc, 0) == [[1]] * 7
     assert len(dense(cc, 1)) == 11 and len(dense(cc, 1)[0]) == 7
     # the sparse columns index faces in the complex's sort order
-    assert all(r in range(cc.sizes[k - 1]) for k in (1, 2, 3)
+    assert all(r in range(len(cc.matrices[k - 1])) for k in (1, 2, 3)
                for col in cc.matrices[k] for r, _v in col)
 
 
@@ -243,7 +245,7 @@ def test_flipped_sign_raises(copath5):
         "boundary does not square to zero at ((1,), (2, 3, 4, 5)): "
         "{((1,), (4, 5)): -2, ((1,), (3, 5)): 2, ((1,), (3, 4)): -2}"
     )
-    # the downset view path builds the same index and raises the same way
+    # the downset view path runs the same check and raises the same way
     Y = flipped_sign(enumerate_block_cells(copath5))
     with pytest.raises(PreconditionError):
         Y.downset_leq({1, 2, 3, 4, 5})
@@ -295,7 +297,7 @@ def test_label_not_monotone_rejected():
         ((2,),): (0, frozenset({2})),
     }, block_boundary)
     with pytest.raises(PreconditionError, match="not contained in the label"):
-        X.index()
+        X.columns(1)
     with pytest.raises(PreconditionError):
         X.downset_leq({1, 2, 3})
 

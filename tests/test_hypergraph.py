@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cointerval import (
@@ -16,7 +16,7 @@ from cointerval import (
     interval_representation,
     parse_hypergraph,
 )
-from cointerval.hypergraph import _nested_layers
+from cointerval.hypergraph import VERTEX_LIMIT, _nested_layers
 
 
 def all_graphs(d, n):
@@ -354,6 +354,48 @@ def test_parse_errors_carry_line_numbers():
         parse_hypergraph("")
     with pytest.raises(ParseError):
         parse_hypergraph("2 3\n1 2 3\n")  # arity mismatch
+
+
+HYPERGRAPH_CHUNKS = st.sampled_from(
+    list("0123 -#\n") + ["vertices:", "12", "501", " 1 2\n", "x"]
+)
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """Arbitrary text, chunk soup, or a header, a `vertices:` line and
+    edge lines with small, possibly wrong, numbers."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(max_size=60))
+    if kind == 1:
+        return "".join(draw(st.lists(HYPERGRAPH_CHUNKS, max_size=40)))
+    small = st.integers(-1, 6)
+    lines = [f"{draw(small)} {draw(st.sampled_from([0, 3, 5, 600]))}"]
+    if draw(st.booleans()):
+        labels = draw(st.lists(small, max_size=6))
+        lines.insert(draw(st.integers(0, 1)) + 1,
+                     "vertices: " + " ".join(map(str, labels)))
+    for _ in range(draw(st.integers(0, 5))):
+        lines.append(" ".join(map(str, draw(st.lists(small, max_size=4)))))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraph_texts())
+@example(f"2 {VERTEX_LIMIT + 1}\n1 2\n")  # a header past VERTEX_LIMIT
+@example("2 3\n1 2\nvertices: 1 2 3\n")  # vertices: after an edge
+@example("2 3\n1 1\n")  # an edge repeating a vertex
+def test_any_text_parses_or_raises_parse_or_budget_error(text):
+    try:
+        H = parse_hypergraph(text)
+    except ParseError:
+        return
+    except BudgetError as exc:
+        assert f"> {VERTEX_LIMIT} vertices" in str(exc)
+        return
+    assert isinstance(H, Hypergraph)
+    assert parse_hypergraph(format_hypergraph(H)) == H
 
 
 def test_relabel_requires_bijection(copath5):

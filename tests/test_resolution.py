@@ -130,6 +130,14 @@ def test_verify_empty_complex():
     assert report.alpha_status == []
 
 
+def test_verify_refuses_no_fields(two_k2):
+    # with no field nothing is checked, and 2K2's complex is no resolution
+    with pytest.raises(ValueError, match="at least one field"):
+        verify_resolution(build_complex(two_k2), fields=())
+    with pytest.raises(ValueError, match="at least one field"):
+        verify_resolution(build_complex(Hypergraph(2, [1, 2], [])), fields=())
+
+
 def test_taylor_always_resolves_but_rarely_minimal():
     K3 = Hypergraph(2, range(1, 4), itertools.combinations(range(1, 4), 2))
     T = taylor_complex(K3)
