@@ -25,9 +25,10 @@ block tuples grow one vertex at a time and a branch is cut at its first
 non-edge.  The growth meets the cells in sort order and yields their
 label masks and one-vertex-deletion columns directly; it stops with
 BudgetError past CELL_LIMIT cells.  `LabeledComplex.from_cells` takes
-cells, labels and a boundary rule (Taylor and independence complexes,
-part complexes, hand-built ones); `covers.join` and
-`dumpio.parse_complex_dump` build joins and parsed dumps.
+cells, labels and a boundary rule (Taylor complexes, part complexes,
+hand-built ones); `covers.join` and `dumpio.parse_complex_dump` build
+joins and parsed dumps, and `resolution.independence_complex` grows
+independent sets the way `_grow` grows block tuples.
 """
 
 from __future__ import annotations

@@ -10,6 +10,13 @@ strict downsets (valid for any verified resolution), and the
 independence-complex homology formula (valid for any edge ideal, no
 complex needed) -- the classical Hochster reading.
 
+Hochster's route grows the independence complex of H once, labeling
+each face by its own vertex set; the independence complex of an induced
+subgraph H[alpha] is then exactly the downset below alpha, so the whole
+sweep cuts downsets of one complex whose boundary is checked once.  It
+shares only `LabeledComplex` and the rank kernels with the other
+routes, never the block complex of H.
+
 Acyclicity is settled for every downset at once where a lead matching
 proves it (`_certified`, bit-parallel over the lattice positions);
 exact elimination runs only on the downsets that proof leaves open.
@@ -21,7 +28,13 @@ import collections
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .complexes import LabeledComplex, _holders, _members, build_complex
+from .complexes import (
+    CELL_LIMIT,
+    LabeledComplex,
+    _holders,
+    _members,
+    build_complex,
+)
 from .errors import BudgetError, PreconditionError
 from .homology import (
     ACYCLIC,
@@ -352,10 +365,11 @@ def betti_from_downset_homology(X, fld=GF2, checked=False):
     # one generator per distinct vertex label, even if several vertices
     # carry the same one (non-minimal complexes)
     entries = {(0, lab): 1 for lab in X.vertex_labels()}
-    for alpha in X.lcm_lattice():
-        strict = X.downset_lt(alpha)
+    for mask in X.lattice_masks():
+        strict = X.downset(mask, strict=True)
         if strict.is_empty:
             continue
+        alpha = X.label_of(mask)
         ranks = boundary_matrices(strict, fld).homology_ranks()
         for degree, rank in enumerate(ranks):
             if rank:
@@ -363,23 +377,60 @@ def betti_from_downset_homology(X, fld=GF2, checked=False):
     return BettiTable(entries)
 
 
-def _independent_subsets(H):
-    verts = H.vertices
-    edges = [set(e) for e in H.edges]
-    out = []
-    for size in range(1, len(verts) + 1):
-        for sub in itertools.combinations(verts, size):
-            s = set(sub)
-            if not any(e <= s for e in edges):
-                out.append(sub)
-    return out
-
-
 def independence_complex(H):
-    """Simplicial complex of edge-free vertex subsets, as 1-block cells."""
-    return LabeledComplex.from_blocks(
-        (sub,) for sub in _independent_subsets(H)
-    )
+    """Simplicial complex of the edge-free vertex subsets of H.
+
+    Grown by downward closure: a face is extended only by vertices above
+    its largest one, and the extension by v is rejected when it
+    completes an edge whose largest vertex is v (the face itself holds
+    no edge, so any edge inside the extension contains v).  The faces
+    come out in lexicographic preorder, which is the complex's sort
+    order.  Each face is keyed as a one-block cell and labeled by its
+    own vertex set (bits over `H.vertices`), so the independence complex
+    of an induced subgraph H[alpha] is exactly the downset below
+    alpha's mask.  Columns delete one vertex at a time with the simplex
+    signs of `block_boundary`.  Raises BudgetError past CELL_LIMIT
+    faces.
+    """
+    verts = H.vertices
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    rests = {v: [] for v in verts}  # edges by largest vertex, minus it
+    for e in H.edges:
+        rests[e[-1]].append(sum(bit[u] for u in e[:-1]))
+    keys, masks, ids = {}, {}, {}
+    stack = [((), 0, 0)]  # (face, mask, index of the smallest extension)
+    while stack:
+        face, mask, start = stack.pop()
+        if face:
+            dim = len(face) - 1
+            if dim not in keys:
+                keys[dim], masks[dim] = [], []
+            ids[mask] = len(keys[dim])
+            keys[dim].append((face,))
+            masks[dim].append(mask)
+            if len(ids) > CELL_LIMIT:
+                raise BudgetError(
+                    f"the independence complex has more than {CELL_LIMIT} "
+                    f"faces"
+                )
+        for k in range(len(verts) - 1, start - 1, -1):
+            v = verts[k]
+            if all(rest & ~mask for rest in rests[v]):
+                stack.append((face + (v,), mask | bit[v], k + 1))
+
+    def columns():
+        return {
+            dim: [
+                tuple(
+                    (ids[mask ^ bit[v]], -1 if j & 1 else 1)
+                    for j, v in enumerate(face)
+                )
+                for (face,), mask in zip(keys[dim], masks[dim])
+            ]
+            for dim in range(1, len(keys))
+        }
+
+    return LabeledComplex(keys, masks, verts, columns)
 
 
 def betti_hochster(H, fld=GF2):
@@ -388,28 +439,37 @@ def betti_hochster(H, fld=GF2):
     For each vertex subset alpha, beta_{i, alpha} is the reduced
     (co)homology rank of the independence complex of the induced graph
     in degree |alpha| - i - 2.  Works for any d-graph; no cell complex
-    is involved, so it serves as the independent oracle.
+    of H is involved, so it serves as the independent oracle.
+
+    The independence complex of H is grown and indexed once
+    (`independence_complex`); that of H[alpha] is its downset below
+    alpha, so every alpha is one downset cut plus exact elimination on
+    the shared columns, and label monotonicity and the boundary
+    squaring to zero are checked once per call.  An alpha that holds no
+    edge is skipped: its independence complex is a full simplex.
     """
     if H.n > HOCHSTER_VERTEX_LIMIT:
         raise BudgetError(
             f"Hochster's formula sweeps every vertex subset; refusing "
             f"{H.n} > {HOCHSTER_VERTEX_LIMIT} vertices"
         )
+    ind = independence_complex(H)
+    edge_masks = [ind.mask(e) for e in H.edges]
     entries = {}
     for size in range(H.d, H.n + 1):
         for alpha in itertools.combinations(H.vertices, size):
-            sub = H.induced(alpha)
-            if not sub.edges:
+            amask = ind.mask(alpha)
+            if all(e & ~amask for e in edge_masks):
                 continue
-            ind = independence_complex(sub)
-            if ind.is_empty:
+            sub = ind.downset(amask)
+            if sub.is_empty:
                 # no independent vertices at all: one unit of homology in
                 # degree -1 (only reachable for 1-graphs)
                 i = size - 1
                 if i >= 0:
                     entries[(i, frozenset(alpha))] = 1
                 continue
-            ranks = boundary_matrices(ind, fld).homology_ranks()
+            ranks = boundary_matrices(sub, fld).homology_ranks()
             for degree, rank in enumerate(ranks):
                 if rank:
                     i = size - degree - 2

@@ -1,0 +1,225 @@
+"""Hochster's route on one grown independence complex, against its oracles.
+
+`independence_complex` grows the edge-free vertex subsets by downward
+closure and labels each face by its own vertex set, and `betti_hochster`
+reads the independence complex of every induced subgraph H[alpha] as a
+downset of that one complex.  The oracles here are the routes they
+replaced: the 2^n scan of vertex subsets against every edge, and, per
+alpha, a new induced `Hypergraph` whose scanned independent sets become
+a complex of their own through `LabeledComplex.from_blocks`.
+"""
+
+import functools
+import itertools
+import random
+
+import pytest
+
+from cointerval import (
+    GF2,
+    GF3,
+    QQ,
+    BettiTable,
+    BudgetError,
+    Hypergraph,
+    LabeledComplex,
+    betti_hochster,
+    complexes,
+    independence_complex,
+    resolution,
+)
+from cointerval.homology import boundary_matrices
+
+FIELDS = (GF2, GF3, QQ)
+
+
+def scan_independent_sets(H):
+    """Every nonempty vertex subset holding no edge, by size then lex."""
+    edges = [set(e) for e in H.edges]
+    return [
+        sub
+        for size in range(1, H.n + 1)
+        for sub in itertools.combinations(H.vertices, size)
+        if not any(e <= set(sub) for e in edges)
+    ]
+
+
+def scanned_complex(H):
+    return LabeledComplex.from_blocks((sub,) for sub in scan_independent_sets(H))
+
+
+def hochster_by_subsets(H):
+    """{field: BettiTable} by one induced graph and complex per alpha."""
+    entries = {fld: {} for fld in FIELDS}
+    for size in range(H.d, H.n + 1):
+        for alpha in itertools.combinations(H.vertices, size):
+            sub = H.induced(alpha)
+            if not sub.edges:
+                continue
+            for fld in FIELDS:
+                for i, rank in induced_betti(sub, fld):
+                    entries[fld][(i, frozenset(alpha))] = rank
+    return {fld: BettiTable(e) for fld, e in entries.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def induced_betti(sub, fld):
+    """(i, beta_{i, V(sub)}) from the scanned independence complex of sub.
+
+    Memoised on the induced graph, which alone fixes the answer, so the
+    exhaustive sweeps below build each distinct induced complex once.
+    """
+    size = sub.n
+    ind = scanned_complex(sub)
+    if ind.is_empty:
+        return ((size - 1, 1),) if size - 1 >= 0 else ()
+    ranks = boundary_matrices(ind, fld).homology_ranks()
+    return tuple(
+        (size - degree - 2, rank)
+        for degree, rank in enumerate(ranks)
+        if rank and size - degree - 2 >= 0
+    )
+
+
+def all_graphs(d, vertices):
+    universe = list(itertools.combinations(vertices, d))
+    for mask in range(2 ** len(universe)):
+        yield Hypergraph(
+            d, vertices, [e for i, e in enumerate(universe) if mask >> i & 1]
+        )
+
+
+def interval_complement(rng, n, span=30):
+    ivs = sorted(
+        (a + rng.randrange(1, span // 3 + 2), a)
+        for a in (rng.randrange(span) for _ in range(n))
+    )
+    return Hypergraph(2, range(1, n + 1), [
+        (i + 1, j + 1)
+        for i, j in itertools.combinations(range(n), 2)
+        if ivs[i][0] < ivs[j][1] or ivs[j][0] < ivs[i][1]
+    ])
+
+
+def planted_2k2(rng, n, p):
+    a, b, c, d = rng.sample(range(1, n + 1), 4)
+    edges = {
+        e for e in itertools.combinations(range(1, n + 1), 2)
+        if rng.random() < p
+    }
+    edges |= {tuple(sorted((a, b))), tuple(sorted((c, d)))}
+    edges -= {tuple(sorted(q)) for q in ((a, c), (a, d), (b, c), (b, d))}
+    return Hypergraph(2, range(1, n + 1), edges)
+
+
+def random_graph(rng, d, n, p):
+    return Hypergraph(d, range(1, n + 1), [
+        e for e in itertools.combinations(range(1, n + 1), d)
+        if rng.random() < p
+    ])
+
+
+def assert_same_tables(H):
+    expected = hochster_by_subsets(H)
+    for fld in FIELDS:
+        assert betti_hochster(H, fld) == expected[fld], (H, fld)
+
+
+def assert_grown_like_scan(H):
+    grown, scanned = independence_complex(H), scanned_complex(H)
+    assert grown.f_vector() == scanned.f_vector(), H
+    assert grown._keys == scanned._keys, H
+    for dim in grown.dims():
+        assert [grown.label(c) for c in grown.cells(dim)] == [
+            scanned.label(c) for c in scanned.cells(dim)
+        ], H
+        assert grown.columns(dim) == scanned.columns(dim), H
+
+
+# --- the grown independence complex against the 2^n scan ---------------
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                  (1, 5), (3, 5)])
+def test_grown_complex_matches_scan_on_every_graph(d, n):
+    for H in all_graphs(d, range(1, n + 1)):
+        assert_grown_like_scan(H)
+
+
+def test_grown_complex_matches_scan_on_seeded_graphs():
+    rng = random.Random(20100406)
+    for n in (6, 7, 8):
+        for d, p in ((1, 0.3), (2, 0.2), (2, 0.5), (2, 0.8), (3, 0.3)):
+            for _ in range(4):
+                assert_grown_like_scan(random_graph(rng, d, n, p))
+
+
+def test_grown_complex_is_labeled_by_its_faces(two_k2):
+    ind = independence_complex(two_k2)
+    for cell in ind.all_cells():
+        assert ind.label(cell) == frozenset(cell[0])
+    # the induced graph's independence complex is the downset below alpha
+    alpha = (1, 2, 3)
+    below = ind.downset_leq(alpha)
+    assert set(below.all_cells()) == set(
+        independence_complex(two_k2.induced(alpha)).all_cells()
+    )
+
+
+def test_grown_complex_is_budgeted(monkeypatch):
+    edgeless = Hypergraph(2, range(1, 7), [])
+    assert len(independence_complex(edgeless)) == 2 ** 6 - 1
+    monkeypatch.setattr(resolution, "CELL_LIMIT", 2 ** 6 - 2)
+    with pytest.raises(BudgetError, match="independence complex"):
+        independence_complex(edgeless)
+
+
+# --- betti_hochster against the per-subset route ------------------------
+
+@pytest.mark.parametrize("d, sizes", [(2, (1, 2, 3, 4)), (2, (5,)), (3, (5,))])
+def test_hochster_matches_per_subset_route_on_every_graph(d, sizes):
+    for n in sizes:
+        for H in all_graphs(d, range(1, n + 1)):
+            assert_same_tables(H)
+
+
+def test_hochster_matches_per_subset_route_on_1_graphs_with_loops():
+    # every vertex of alpha a loop: the induced independence complex is
+    # empty, one unit of homology in degree -1
+    for n in range(1, 6):
+        for H in all_graphs(1, range(1, n + 1)):
+            assert_same_tables(H)
+    all_loops = Hypergraph(1, range(1, 4), [(1,), (2,), (3,)])
+    assert independence_complex(all_loops).is_empty
+    assert betti_hochster(all_loops).get(2, {1, 2, 3}) == 1
+
+
+def test_hochster_matches_per_subset_route_off_1_to_n():
+    verts = [2, 5, 11]
+    for d in (1, 2, 3):
+        for H in all_graphs(d, verts):
+            assert_same_tables(H)
+    spread = [2, 5, 11, 13, 40]
+    for H in itertools.islice(all_graphs(2, spread), 0, 1024, 7):
+        assert_same_tables(H)
+
+
+def test_hochster_matches_per_subset_route_on_seeded_graphs():
+    rng = random.Random(1004)
+    for _ in range(6):
+        assert_same_tables(interval_complement(rng, 7))
+        assert_same_tables(planted_2k2(rng, 7, 0.5))
+
+
+def test_one_boundary_check_per_hochster_call(monkeypatch, copath5):
+    calls = []
+    check = complexes._assert_squares_to_zero
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(complexes, "_assert_squares_to_zero", counted)
+    for fld in FIELDS:
+        calls.clear()
+        betti_hochster(copath5, fld)
+        assert len(calls) == 1
