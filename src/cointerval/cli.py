@@ -3,9 +3,9 @@
 Subcommands: check, resolve, betti, embed, decompose, casestudy,
 verify.  Exit codes: 0 success, 2 parse error, 3 precondition
 violation, 4 resource guard refused.  Output is assembled fully before
-being written, so bytes never depend on worker interleaving; --seed is
-accepted for harness compatibility and ignored (nothing here is
-randomized).
+being written, so nothing is printed for a command that then fails;
+--seed is accepted for harness compatibility and ignored (nothing here
+is randomized).
 """
 
 from __future__ import annotations

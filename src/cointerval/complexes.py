@@ -280,29 +280,13 @@ class LabeledComplex:
         return {self.label_of(m) for m in self.masks(0)}
 
     def lattice_masks(self):
-        """The lcm lattice as label bitmasks, in `lcm_lattice` order.
+        """The lcm lattice: every union of vertex labels, as label bitmasks.
 
-        Bit k stands for the k-th smallest vertex, so the ascending bit
-        list of a mask orders like the sorted elements of its label.
+        Bit k stands for the k-th smallest vertex, so `union_closure`
+        orders the masks by size and then like the sorted elements of
+        their labels.
         """
-        gens = set(self.masks(0))
-        closure = set(gens)
-        frontier = set(gens)
-        while frontier:
-            new = set()
-            for a in frontier:
-                for g in gens:
-                    u = a | g
-                    if u not in closure:
-                        closure.add(u)
-                        new.add(u)
-            frontier = new
-        keyed = sorted((m.bit_count(), _members(m), m) for m in closure)
-        return [m for _size, _bits, m in keyed]
-
-    def lcm_lattice(self):
-        """All unions of vertex labels, sorted by (size, elements)."""
-        return [self.label_of(m) for m in self.lattice_masks()]
+        return union_closure(self.masks(0))
 
     # --- checked columns and downsets ---------------------------------
     @functools.cached_property
@@ -355,17 +339,6 @@ class LabeledComplex:
             out[d] = [holders.get(k, 0) for k in range(width)]
         return out
 
-    def downset_leq(self, alpha):
-        """Subcomplex of cells whose label is contained in alpha."""
-        return self.downset(self.mask(alpha))
-
-    def downset_lt(self, alpha):
-        """Subcomplex of cells whose label is strictly below alpha."""
-        alpha = frozenset(alpha)
-        # no label equals an alpha holding a vertex that no label has
-        strict = all(v in self._bit for v in alpha)
-        return self.downset(self.mask(alpha), strict)
-
     def downset(self, mask, strict=False):
         """Cells whose label lies inside (or strictly below) a label mask.
 
@@ -397,6 +370,25 @@ class LabeledComplex:
         view._sets = sets
         view._ids = {d: _members(bits) for d, bits in sets.items()}
         return view
+
+
+def union_closure(masks):
+    """Every union of a nonempty set of the masks, sorted by size and
+    then by ascending bit list.
+
+    The closure grows one generator at a time: the unions that use g are
+    g itself and g joined to every union found before it.  Among masks
+    of one size, comparing ascending bit lists is comparing the masks
+    with their bits reversed, larger first.
+    """
+    out = set()
+    for g in set(masks):
+        out |= {a | g for a in out}
+        out.add(g)
+    fmt = f"0{max(out, default=0).bit_length()}b"
+    return sorted(
+        out, key=lambda m: (m.bit_count(), -int(format(m, fmt)[::-1], 2))
+    )
 
 
 def block_dim(blocks):

@@ -150,15 +150,11 @@ def _part_cert(H, edge_subset, search):
     return cert
 
 
-def _identity_cert(H):
-    return {v: v for v in H.vertices}
-
-
-def linear_width(H, family="cointerval", relabel_parts=True):
+def linear_width(H, family="cointerval"):
     """Smallest k with E(H) a union of k family-member edge subsets.
 
-    Exhaustive: every edge subset is tested for family membership (with
-    or without relabeling freedom), then a depth-first search finds the
+    Exhaustive: every edge subset is tested for family membership under
+    some relabeling of its support, then a depth-first search finds the
     least k and, among k-part covers, the lexicographically least one by
     sorted part edge lists.  Returns (k, Cover).
     """
@@ -171,12 +167,6 @@ def linear_width(H, family="cointerval", relabel_parts=True):
             f"linear width is exhaustive; refusing {t} > "
             f"{LINEAR_WIDTH_EDGE_LIMIT} edges"
         )
-    if not relabel_parts and family == "ss" and H.vertices != tuple(
-        range(1, H.n + 1)
-    ):
-        raise PreconditionError(
-            "fixed-label strong stability needs vertex labels 1..n"
-        )
     if t == 0:
         return 0, Cover((), ())
     if family == "cointerval":
@@ -188,15 +178,7 @@ def linear_width(H, family="cointerval", relabel_parts=True):
     for size in range(1, t + 1):
         for combo in itertools.combinations(range(t), size):
             subset = [edge_list[i] for i in combo]
-            if relabel_parts:
-                cert = _part_cert(H, subset, search)
-            else:
-                probe = Hypergraph(H.d, H.vertices, subset)
-                if family == "cointerval":
-                    ok = probe.is_cointerval()
-                else:
-                    ok = probe.is_strongly_stable()
-                cert = _identity_cert(H) if ok else None
+            cert = _part_cert(H, subset, search)
             if cert is not None:
                 mask = 0
                 for i in combo:

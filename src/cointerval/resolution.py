@@ -10,12 +10,14 @@ strict downsets (valid for any verified resolution), and the
 independence-complex homology formula (valid for any edge ideal, no
 complex needed) -- the classical Hochster reading.
 
-Hochster's route grows the independence complex of H once, labeling
-each face by its own vertex set; the independence complex of an induced
-subgraph H[alpha] is then exactly the downset below alpha, so the whole
-sweep cuts downsets of one complex whose boundary is checked once.  It
-shares only `LabeledComplex` and the rank kernels with the other
-routes, never the block complex of H.
+Hochster's route sweeps the unions of edges (the lcm lattice of the
+edge ideal; no other vertex subset carries a Betti number).  It grows
+the independence complex of H once, labeling each face by its own
+vertex set; the independence complex of an induced subgraph H[alpha]
+is then exactly the downset below alpha, so the whole sweep cuts
+downsets of one complex whose boundary is checked once.  It shares
+only `LabeledComplex`, `union_closure` and the rank kernels with the
+other routes, never the block complex of H.
 
 Acyclicity is settled for every downset at once where a lead matching
 proves it (`_certified`, bit-parallel over the lattice positions);
@@ -34,6 +36,7 @@ from .complexes import (
     _holders,
     _members,
     build_complex,
+    union_closure,
 )
 from .errors import BudgetError, PreconditionError
 from .homology import (
@@ -46,7 +49,7 @@ from .homology import (
     homology_ranks,
 )
 
-HOCHSTER_VERTEX_LIMIT = 12  # 2^n vertex-subset sweep guard
+HOCHSTER_VERTEX_LIMIT = 12  # up to 2^n unions of edges swept
 TAYLOR_EDGE_LIMIT = 12  # 2^|E| - 1 Taylor cells guard
 
 
@@ -146,24 +149,38 @@ class Failure(tuple):
 class VerificationReport:
     """Outcome of the label-lattice acyclicity sweep over a complex.
 
+    `lattice` holds the label masks of the lcm lattice (bit k for
+    `vertices[k]`) and `statuses` one status per position swept, in
+    lattice order; a fail-fast sweep stops short of the end.
     `eliminated` counts the degrees whose downset went to exact
     elimination because the lead matching did not settle it; it is data
     only and `summary()` does not print it.
     """
 
     fields: tuple
-    alpha_status: list = dataclass_field(default_factory=list)
+    lattice: list = dataclass_field(default_factory=list)
+    statuses: list = dataclass_field(default_factory=list)
+    vertices: tuple = ()
     failures: list = dataclass_field(default_factory=list)
     minimal: bool = False
     eliminated: int = 0
+
+    @property
+    def alpha_status(self):
+        """(alpha, status) per position swept, alpha as a frozenset."""
+        verts = self.vertices
+        return [
+            (frozenset(verts[k] for k in _members(mask)), status)
+            for mask, status in zip(self.lattice, self.statuses)
+        ]
 
     @property
     def passed(self):
         return not self.failures
 
     def summary(self):
-        checked = sum(1 for _, s in self.alpha_status if s != EMPTY)
-        skipped = len(self.alpha_status) - checked
+        skipped = self.statuses.count(EMPTY)
+        checked = len(self.statuses) - skipped
         head = "pass" if self.passed else "FAIL"
         fields = ", ".join(str(f) for f in self.fields)
         lines = [
@@ -189,7 +206,8 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
     fail_fast=True the sweep stops at the first failing degree (used
     inside exhaustive labeling searches).  A certified degree cannot
     fail, so statuses, failures and their order are those of a sweep
-    that eliminated every degree over every field.
+    that eliminated every degree over every field.  The sweep works on
+    label masks; only a failing degree is turned into a label.
 
     The rationals are skipped for a degree that a prime field earlier in
     `fields` already passed, because they cannot fail there.  The complex
@@ -207,16 +225,17 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
     if X.is_empty:
         report.minimal = True
         return report
-    lattice = X.lattice_masks()
+    report.lattice = lattice = X.lattice_masks()
+    report.vertices = X._vertices
+    statuses = report.statuses
     certified = _certified(X, lattice)
     for pos, mask in enumerate(lattice):
-        alpha = X.label_of(mask)
         if certified >> pos & 1:
-            report.alpha_status.append((alpha, ACYCLIC))
+            statuses.append(ACYCLIC)
             continue
         sub = X.downset(mask)
         if sub.is_empty:
-            report.alpha_status.append((alpha, EMPTY))
+            statuses.append(EMPTY)
             continue
         report.eliminated += 1
         status = ACYCLIC
@@ -228,10 +247,10 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
             if any(ranks):
                 status = NOT_ACYCLIC
                 nonzero = {k: r for k, r in enumerate(ranks) if r}
-                report.failures.append(Failure(alpha, fld, nonzero))
+                report.failures.append(Failure(X.label_of(mask), fld, nonzero))
                 break
             prime_passed = prime_passed or fld.char != 0
-        report.alpha_status.append((alpha, status))
+        statuses.append(status)
         if fail_fast and report.failures:
             break
     report.minimal = verify_minimal(X)
@@ -348,24 +367,23 @@ def betti_from_faces(H):
     return betti_from_cells(build_complex(H))
 
 
-def betti_from_downset_homology(X, fld=GF2, checked=False):
+def betti_from_downset_homology(X, fld=GF2):
     """Betti numbers from reduced homology of strict downsets of X.
 
-    X must support a resolution (verified here unless checked=True);
-    minimality is not required.  beta_{0, alpha} counts the generators,
-    and for i >= 1, beta_{i, alpha} is the reduced rank of the strict
-    downset below alpha in degree i - 1.
+    X must support a resolution, which is verified here; minimality is
+    not required.  beta_{0, alpha} counts the generators, and for
+    i >= 1, beta_{i, alpha} is the reduced rank of the strict downset
+    below alpha in degree i - 1.
     """
-    if not checked:
-        report = verify_resolution(X, fields=(fld,))
-        if not report.passed:
-            raise PreconditionError(
-                "complex does not support a resolution over " + str(fld)
-            )
+    report = verify_resolution(X, fields=(fld,))
+    if not report.passed:
+        raise PreconditionError(
+            "complex does not support a resolution over " + str(fld)
+        )
     # one generator per distinct vertex label, even if several vertices
     # carry the same one (non-minimal complexes)
     entries = {(0, lab): 1 for lab in X.vertex_labels()}
-    for mask in X.lattice_masks():
+    for mask in report.lattice:
         strict = X.downset(mask, strict=True)
         if strict.is_empty:
             continue
@@ -436,45 +454,43 @@ def independence_complex(H):
 def betti_hochster(H, fld=GF2):
     """Betti numbers via independence-complex homology.
 
-    For each vertex subset alpha, beta_{i, alpha} is the reduced
+    For a vertex subset alpha, beta_{i, alpha} is the reduced
     (co)homology rank of the independence complex of the induced graph
     in degree |alpha| - i - 2.  Works for any d-graph; no cell complex
     of H is involved, so it serves as the independent oracle.
 
-    The independence complex of H is grown and indexed once
+    Only unions of edges are swept (`union_closure` of the edge masks):
+    if a vertex v of alpha lies in no edge of H[alpha], every
+    independent set of H[alpha] stays independent with v added, so its
+    independence complex is a cone over v and has no homology.  The
+    independence complex of H is grown and indexed once
     (`independence_complex`); that of H[alpha] is its downset below
     alpha, so every alpha is one downset cut plus exact elimination on
     the shared columns, and label monotonicity and the boundary
-    squaring to zero are checked once per call.  An alpha that holds no
-    edge is skipped: its independence complex is a full simplex.
+    squaring to zero are checked once per call.
     """
     if H.n > HOCHSTER_VERTEX_LIMIT:
         raise BudgetError(
-            f"Hochster's formula sweeps every vertex subset; refusing "
+            f"Hochster's formula sweeps up to 2^n vertex subsets; refusing "
             f"{H.n} > {HOCHSTER_VERTEX_LIMIT} vertices"
         )
     ind = independence_complex(H)
-    edge_masks = [ind.mask(e) for e in H.edges]
     entries = {}
-    for size in range(H.d, H.n + 1):
-        for alpha in itertools.combinations(H.vertices, size):
-            amask = ind.mask(alpha)
-            if all(e & ~amask for e in edge_masks):
-                continue
-            sub = ind.downset(amask)
-            if sub.is_empty:
-                # no independent vertices at all: one unit of homology in
-                # degree -1 (only reachable for 1-graphs)
-                i = size - 1
+    for amask in union_closure(ind.mask(e) for e in H.edges):
+        size = amask.bit_count()
+        alpha = ind.label_of(amask)
+        sub = ind.downset(amask)
+        if sub.is_empty:
+            # no independent vertices at all: one unit of homology in
+            # degree -1 (only reachable for 1-graphs)
+            entries[(size - 1, alpha)] = 1
+            continue
+        ranks = boundary_matrices(sub, fld).homology_ranks()
+        for degree, rank in enumerate(ranks):
+            if rank:
+                i = size - degree - 2
                 if i >= 0:
-                    entries[(i, frozenset(alpha))] = 1
-                continue
-            ranks = boundary_matrices(sub, fld).homology_ranks()
-            for degree, rank in enumerate(ranks):
-                if rank:
-                    i = size - degree - 2
-                    if i >= 0:
-                        entries[(i, frozenset(alpha))] = rank
+                    entries[(i, alpha)] = rank
     return BettiTable(entries)
 
 

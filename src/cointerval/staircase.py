@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import CELL_LIMIT
+from .complexes import CELL_LIMIT, block_dim
 from .errors import BudgetError, PreconditionError
 
 
@@ -102,14 +102,6 @@ def _nonempty_subsets(points, lo):
     pool = [p for p in points if p >= lo]
     for size in range(1, len(pool) + 1):
         yield from itertools.combinations(pool, size)
-
-
-def _tuple_dim(taus):
-    return sum(len(t) - 1 for t in taus)
-
-
-def _transversals(taus):
-    return itertools.product(*taus)
 
 
 @dataclass
@@ -274,7 +266,7 @@ def _format_blocks(taus):
 
 
 def _face_vertex_ids(ids_map, taus):
-    return sorted({ids_map[tv] for tv in _transversals(taus)})
+    return sorted({ids_map[tv] for tv in itertools.product(*taus)})
 
 
 def export_geometry(geom):
@@ -294,7 +286,7 @@ def export_geometry(geom):
             f"{' '.join(map(str, multiset))} | {' '.join(map(str, label))}"
         )
     lines.append("cells:")
-    for taus in sorted(geom.maximal, key=lambda t: (_tuple_dim(t), t)):
+    for taus in sorted(geom.maximal, key=lambda t: (block_dim(t), t)):
         bseq = window_bseq(taus, geom.m)
         head = " ".join(map(str, bseq)) if bseq else "-"
         ids = " ".join(map(str, _face_vertex_ids(ids_map, taus)))

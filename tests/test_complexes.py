@@ -68,7 +68,7 @@ def test_boundary_squares_to_zero(copath5, k4_3):
 
 def test_lcm_lattice_union_closed(copath5):
     X = build_complex(copath5)
-    lattice = X.lcm_lattice()
+    lattice = [X.label_of(m) for m in X.lattice_masks()]
     assert len(lattice) == 21
     as_set = set(lattice)
     for a, b in itertools.combinations(lattice, 2):
@@ -78,8 +78,8 @@ def test_lcm_lattice_union_closed(copath5):
 def test_downsets(copath5):
     X = build_complex(copath5)
     alpha = frozenset({1, 2, 4})
-    le = X.downset_leq(alpha)
-    lt = X.downset_lt(alpha)
+    le = X.downset(X.mask(alpha))
+    lt = X.downset(X.mask(alpha), strict=True)
     assert set(le.all_cells()) - set(lt.all_cells()) == {
         c for c in le.all_cells() if le.label(c) == alpha
     }

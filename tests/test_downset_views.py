@@ -20,6 +20,7 @@ from cointerval import (
     join,
     read_complex_dump,
 )
+from cointerval.complexes import _members, union_closure
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
@@ -64,10 +65,11 @@ def corpus(copath5, k4_3):
 def test_views_match_fresh_complexes(corpus):
     compared = 0
     for name, X in corpus:
-        for alpha in X.lcm_lattice():
+        for mask in X.lattice_masks():
+            alpha = X.label_of(mask)
             for view, keep in (
-                (X.downset_leq(alpha), lambda lab: lab <= alpha),
-                (X.downset_lt(alpha), lambda lab: lab < alpha),
+                (X.downset(mask), lambda lab: lab <= alpha),
+                (X.downset(mask, strict=True), lambda lab: lab < alpha),
             ):
                 new = fresh(X, keep)
                 where = (name, sorted(alpha))
@@ -87,14 +89,14 @@ def test_views_match_fresh_complexes(corpus):
 def test_nested_views_and_membership(copath5):
     X = build_complex(copath5)
     alpha = frozenset({1, 2, 4, 5})
-    V = X.downset_leq(alpha)
-    for beta in X.lcm_lattice():
-        inner = beta & alpha
-        assert list(V.downset_leq(beta).all_cells()) == list(
-            X.downset_leq(inner).all_cells()
+    V = X.downset(X.mask(alpha))
+    for beta in X.lattice_masks():
+        inner = X.label_of(beta) & alpha
+        assert list(V.downset(beta).all_cells()) == list(
+            X.downset(X.mask(inner)).all_cells()
         )
-    assert list(V.downset_lt(alpha).all_cells()) == list(
-        X.downset_lt(alpha).all_cells()
+    assert list(V.downset(X.mask(alpha), strict=True).all_cells()) == list(
+        X.downset(X.mask(alpha), strict=True).all_cells()
     )
     outside = [c for c in X.all_cells() if not X.label(c) <= alpha]
     assert outside
@@ -102,9 +104,10 @@ def test_nested_views_and_membership(copath5):
         assert (cell in V) == (X.label(cell) <= alpha)
     with pytest.raises(KeyError):
         V.label(outside[0])
-    # a label vertex outside every label leaves nothing strictly equal
+    # a vertex outside every label has no bit, so it widens no downset
     wide = alpha | {99}
-    assert list(X.downset_lt(wide).all_cells()) == list(V.all_cells())
+    assert X.mask(wide) == X.mask(alpha)
+    assert list(X.downset(X.mask(wide)).all_cells()) == list(V.all_cells())
 
 
 def frozenset_lcm_lattice(X):
@@ -134,13 +137,42 @@ def test_lcm_lattice_matches_frozenset_closure(corpus):
     far = Hypergraph(2, (3, 10, 40, 77), [(3, 40), (10, 77), (3, 10)])
     more.append(("far", build_complex(far)))
     for name, X in corpus + more:
-        lattice = X.lcm_lattice()
+        lattice = [X.label_of(m) for m in X.lattice_masks()]
         assert lattice == frozenset_lcm_lattice(X), name
         assert all(isinstance(a, frozenset) for a in lattice)
         # a view's lattice is closed over its own vertex labels only
         for alpha in lattice[:: max(1, len(lattice) // 5)]:
-            V = X.downset_leq(alpha)
-            assert V.lcm_lattice() == frozenset_lcm_lattice(V), (name, alpha)
+            V = X.downset(X.mask(alpha))
+            assert [V.label_of(m) for m in V.lattice_masks()] == (
+                frozenset_lcm_lattice(V)
+            ), (name, alpha)
+
+
+def frontier_closure(gens):
+    """The union closure by frontiers, sorted by size and then by the
+    ascending bit list built per mask (the former `lattice_masks`)."""
+    gens = set(gens)
+    closure = set(gens)
+    frontier = set(gens)
+    while frontier:
+        frontier = {a | g for a in frontier for g in gens} - closure
+        closure |= frontier
+    return sorted(closure, key=lambda m: (m.bit_count(), _members(m)))
+
+
+def test_union_closure_matches_the_frontier_loop():
+    rng = random.Random(5914)
+    for width in (5, 9, 14):
+        for count in (1, 2, 4, 8, 14):
+            for _ in range(6):
+                gens = [rng.getrandbits(width) | 1 << rng.randrange(width)
+                        for _ in range(count)]
+                assert union_closure(gens) == frontier_closure(gens), gens
+    # every mask of a width at once: the order alone is under test
+    for width in (5, 9, 14):
+        everything = [1 << k for k in range(width)]
+        assert union_closure(everything) == frontier_closure(everything)
+    assert union_closure([]) == []
 
 
 def test_complexes_are_freed_without_the_cycle_collector(copath5, two_k2):
@@ -158,7 +190,7 @@ def test_complexes_are_freed_without_the_cycle_collector(copath5, two_k2):
         for build in builders:
             X = build()
             X.columns(X.max_dim())  # checks the complex
-            V = X.downset_lt(X.lcm_lattice()[-1])
+            V = X.downset(X.lattice_masks()[-1], strict=True)
             V.label(next(V.all_cells()))  # fills the shared caches
             refs = [weakref.ref(X), weakref.ref(V)]
             del X, V

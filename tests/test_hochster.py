@@ -119,6 +119,29 @@ def random_graph(rng, d, n, p):
     ])
 
 
+def hochster_by_subset_sweep(H, fld):
+    """The 2^n sweep `betti_hochster` ran before it swept unions of edges:
+    every vertex subset holding an edge, cut from one grown complex."""
+    ind = independence_complex(H)
+    edge_masks = [ind.mask(e) for e in H.edges]
+    entries = {}
+    for size in range(H.d, H.n + 1):
+        for alpha in itertools.combinations(H.vertices, size):
+            amask = ind.mask(alpha)
+            if all(e & ~amask for e in edge_masks):
+                continue
+            sub = ind.downset(amask)
+            if sub.is_empty:
+                if size - 1 >= 0:
+                    entries[(size - 1, frozenset(alpha))] = 1
+                continue
+            ranks = boundary_matrices(sub, fld).homology_ranks()
+            for degree, rank in enumerate(ranks):
+                if rank and size - degree - 2 >= 0:
+                    entries[(size - degree - 2, frozenset(alpha))] = rank
+    return BettiTable(entries)
+
+
 def assert_same_tables(H):
     expected = hochster_by_subsets(H)
     for fld in FIELDS:
@@ -159,7 +182,7 @@ def test_grown_complex_is_labeled_by_its_faces(two_k2):
         assert ind.label(cell) == frozenset(cell[0])
     # the induced graph's independence complex is the downset below alpha
     alpha = (1, 2, 3)
-    below = ind.downset_leq(alpha)
+    below = ind.downset(ind.mask(alpha))
     assert set(below.all_cells()) == set(
         independence_complex(two_k2.induced(alpha)).all_cells()
     )
@@ -223,3 +246,58 @@ def test_one_boundary_check_per_hochster_call(monkeypatch, copath5):
         calls.clear()
         betti_hochster(copath5, fld)
         assert len(calls) == 1
+
+
+# --- the sweep over unions of edges against the 2^n subset sweep -------
+
+def assert_like_subset_sweep(H):
+    for fld in FIELDS:
+        assert betti_hochster(H, fld) == hochster_by_subset_sweep(H, fld), (
+            H, fld,
+        )
+
+
+@pytest.mark.parametrize("d, sizes", [(1, (1, 2, 3, 4, 5)),
+                                      (2, (1, 2, 3, 4, 5)), (3, (5,))])
+def test_union_sweep_matches_subset_sweep_on_every_graph(d, sizes):
+    # the 1-graphs reach the empty-complex branch (alpha all loops), and
+    # mask 0 of every family is the edgeless graph
+    for n in sizes:
+        for H in all_graphs(d, range(1, n + 1)):
+            assert_like_subset_sweep(H)
+
+
+def test_union_sweep_matches_subset_sweep_on_seeded_graphs():
+    rng = random.Random(20101018)
+    for _ in range(4):
+        assert_like_subset_sweep(interval_complement(rng, 8))
+        assert_like_subset_sweep(planted_2k2(rng, 8, 0.5))
+    for d, n, p in ((1, 7, 0.4), (2, 7, 0.3), (2, 8, 0.6), (3, 7, 0.3),
+                    (3, 8, 0.15)):
+        for _ in range(3):
+            assert_like_subset_sweep(random_graph(rng, d, n, p))
+    for verts in ([2, 5, 11], [2, 5, 11, 13, 40]):
+        for d in (1, 2, 3):
+            assert_like_subset_sweep(
+                Hypergraph(d, verts, itertools.combinations(verts[:4], d))
+            )
+    for n in (1, 6, 9):
+        edgeless = Hypergraph(2, range(1, n + 1), [])
+        assert betti_hochster(edgeless) == hochster_by_subset_sweep(
+            edgeless, GF2
+        ) == BettiTable()
+
+
+def test_union_sweep_cuts_one_downset_per_union(monkeypatch):
+    cuts = []
+    real = LabeledComplex.downset
+
+    def counted(self, mask, strict=False):
+        cuts.append(mask)
+        return real(self, mask, strict)
+
+    monkeypatch.setattr(LabeledComplex, "downset", counted)
+    # {1, 2}, {11, 12} and their union, of 4,096 vertex subsets
+    two_edges = Hypergraph(2, range(1, 13), [(1, 2), (11, 12)])
+    assert betti_hochster(two_edges).totals() == (2, 1)
+    assert sorted(cuts) == [0b11, 0b1100_0000_0000, 0b1100_0000_0011]

@@ -159,7 +159,7 @@ def test_single_point_acyclic():
 def test_circle_homology(copath5):
     # strict downset below the full label of a square-ish region gives a circle
     X = build_complex(copath5)
-    Y = X.downset_lt(frozenset({1, 2, 3, 4, 5}))
+    Y = X.downset(X.mask({1, 2, 3, 4, 5}), strict=True)
     for fld in ALL_FIELDS:
         ranks = homology_ranks(Y, fld)
         assert ranks == [0, 0, 1]  # the 2-sphere-less shell of the removed 3-cell
@@ -183,14 +183,14 @@ def test_boundary_matrices_shape(copath5):
 def test_characteristic_independence_on_downsets(copath5, k4_3):
     for H in (copath5, k4_3):
         X = build_complex(H)
-        for alpha in X.lcm_lattice():
+        for mask in X.lattice_masks():
             per_field = {
-                fld: homology_ranks(X.downset_leq(alpha), fld)
+                fld: homology_ranks(X.downset(mask), fld)
                 for fld in ALL_FIELDS
             }
             assert len(set(map(tuple, per_field.values()))) == 1, (
                 H,
-                alpha,
+                X.label_of(mask),
                 per_field,
             )
 
@@ -248,7 +248,7 @@ def test_flipped_sign_raises(copath5):
     # the downset view path runs the same check and raises the same way
     Y = flipped_sign(enumerate_block_cells(copath5))
     with pytest.raises(PreconditionError):
-        Y.downset_leq({1, 2, 3, 4, 5})
+        Y.downset(Y.mask({1, 2, 3, 4, 5}))
 
 
 def test_flipped_sign_raises_under_optimize():
@@ -299,7 +299,7 @@ def test_label_not_monotone_rejected():
     with pytest.raises(PreconditionError, match="not contained in the label"):
         X.columns(1)
     with pytest.raises(PreconditionError):
-        X.downset_leq({1, 2, 3})
+        X.downset(X.mask({1, 2, 3}))
 
 
 def test_missing_face_rejected():

@@ -147,7 +147,7 @@ def test_taylor_always_resolves_but_rarely_minimal():
     assert not report.minimal  # all four top-dimensional labels coincide
     assert not verify_minimal(T)
     # yet the Betti numbers it reports are the true (minimal) ones
-    assert betti_from_downset_homology(T, checked=True) == betti_from_faces(K3)
+    assert betti_from_downset_homology(T) == betti_from_faces(K3)
 
 
 def test_taylor_of_2k2_is_minimal(two_k2):
@@ -155,7 +155,7 @@ def test_taylor_of_2k2_is_minimal(two_k2):
     assert T.f_vector() == (2, 1)
     report = verify_resolution(T)
     assert report.passed and report.minimal
-    assert betti_from_downset_homology(T, checked=True) == betti_hochster(two_k2)
+    assert betti_from_downset_homology(T) == betti_hochster(two_k2)
 
 
 def test_downset_betti_rejects_non_resolution(two_k2):
@@ -214,19 +214,21 @@ def test_exhaustive_routes_are_budgeted():
 
 def verify_every_field(X, fields):
     """The sweep that runs every field on every degree (no Q skipped)."""
-    report = VerificationReport(fields=tuple(fields))
-    for alpha in X.lcm_lattice():
-        sub = X.downset_leq(alpha)
+    report = VerificationReport(
+        fields=tuple(fields), lattice=X.lattice_masks(), vertices=X._vertices
+    )
+    for mask in report.lattice:
+        sub = X.downset(mask)
         if sub.is_empty:
-            report.alpha_status.append((alpha, EMPTY))
+            report.statuses.append(EMPTY)
             continue
         status = ACYCLIC
         for fld in fields:
             status = acyclicity_status(sub, fld)
             if status != ACYCLIC:
-                report.failures.append((alpha, fld))
+                report.failures.append((X.label_of(mask), fld))
                 break
-        report.alpha_status.append((alpha, status))
+        report.statuses.append(status)
     report.minimal = verify_minimal(X)
     return report
 
@@ -368,17 +370,18 @@ def eliminate_everything(X, fields, fail_fast=False):
     if X.is_empty:
         report.minimal = True
         return report
-    for alpha in X.lcm_lattice():
-        sub = X.downset_leq(alpha)
+    report.lattice, report.vertices = X.lattice_masks(), X._vertices
+    for mask in report.lattice:
+        sub = X.downset(mask)
         if sub.is_empty:
-            report.alpha_status.append((alpha, EMPTY))
+            report.statuses.append(EMPTY)
             continue
         ranks = {fld: homology_ranks(sub, fld) for fld in fields}
         bad = [fld for fld in fields if any(ranks[fld])]
         if bad:
             nonzero = {k: r for k, r in enumerate(ranks[bad[0]]) if r}
-            report.failures.append(Failure(alpha, bad[0], nonzero))
-        report.alpha_status.append((alpha, NOT_ACYCLIC if bad else ACYCLIC))
+            report.failures.append(Failure(X.label_of(mask), bad[0], nonzero))
+        report.statuses.append(NOT_ACYCLIC if bad else ACYCLIC)
         if fail_fast and report.failures:
             break
     report.minimal = verify_minimal(X)
@@ -502,9 +505,11 @@ def proof_corpus(copath5, k4_3, two_k2, scrambled):
     planted = Hypergraph(2, range(1, 8), list(copath5.edges) + [(6, 7)])
     k3 = Hypergraph(2, range(1, 4), itertools.combinations(range(1, 4), 2))
     resolved = build_complex(copath5)
+    two_disks = disk_on_a_triangle()
     out = [
         ("copath5", resolved),
-        ("copath5_strict", resolved.downset_lt(frozenset(range(1, 6)))),
+        ("copath5_strict",
+         resolved.downset(resolved.mask(range(1, 6)), strict=True)),
         ("k4_3", build_complex(k4_3)),
         ("2k2", build_complex(two_k2)),
         ("planted", build_complex(planted)),
@@ -512,9 +517,9 @@ def proof_corpus(copath5, k4_3, two_k2, scrambled):
         ("rp2", rp2_like()),
         ("loop", loop_on_a_segment(filled=False)),
         ("disk", loop_on_a_segment(filled=True)),
-        ("two_disks", disk_on_a_triangle()),
+        ("two_disks", two_disks),
         ("two_disks_strict",
-         disk_on_a_triangle().downset_lt(frozenset({1, 2, 3}))),
+         two_disks.downset(two_disks.mask({1, 2, 3}), strict=True)),
     ]
     out += [(f"taylor{i}", taylor_complex(H))
             for i, H in enumerate((k3, two_k2, copath5, copath(5)))]
@@ -557,7 +562,7 @@ def test_certified_degrees_are_acyclic_over_every_field(proof_corpus):
         bits = _certified(X, [X.mask(alpha) for alpha in alphas])
         for pos, alpha in enumerate(alphas):
             if bits >> pos & 1:
-                sub = X.downset_leq(alpha)
+                sub = X.downset(X.mask(alpha))
                 assert not sub.is_empty, (name, alpha)
                 for fld in (GF2, GF3, QQ):
                     assert not any(homology_ranks(sub, fld)), (name, alpha)
@@ -592,3 +597,50 @@ def test_cointerval_complexes_need_no_elimination(copath5):
         assert report.passed and report.eliminated == 0, H
     report = verify_resolution(build_complex(planted), (GF2, QQ))
     assert not report.passed and report.eliminated > 0
+
+
+def test_lattice_order_is_size_then_sorted_members(proof_corpus):
+    for name, X in proof_corpus:
+        lattice = X.lattice_masks()
+        labels = [X.label_of(m) for m in lattice]
+        old_order = sorted(labels, key=lambda s: (len(s), sorted(s)))
+        assert labels == old_order, name
+        closed = set(lattice)
+        assert all(a | b in closed for a in lattice for b in lattice), name
+        assert set(X.masks(0)) <= closed, name
+
+
+@pytest.fixture
+def labels_made(monkeypatch):
+    made = []
+    real = LabeledComplex.label_of
+
+    def counted(self, mask):
+        made.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(LabeledComplex, "label_of", counted)
+    return made
+
+
+def test_labels_are_made_only_for_failures(copath5, two_k2, labels_made):
+    report = verify_resolution(build_complex(copath(10)), (GF2, QQ))
+    assert report.passed and len(report.statuses) > 900
+    assert labels_made == []
+    planted = Hypergraph(2, range(1, 8), list(copath5.edges) + [(6, 7)])
+    faulty = [build_complex(planted), build_complex(two_k2), rp2_like(),
+              loop_on_a_segment(filled=False)]
+    for X in faulty:
+        failed = 0
+        for fields in ((GF2, GF3, QQ), (QQ,), (GF32003, QQ)):
+            labels_made.clear()
+            report = verify_resolution(X, fields)
+            assert labels_made == [X.mask(a) for a, _fld in report.failures]
+            failed += len(report.failures)
+        assert failed, X
+    # the statuses read back as labels on demand, outside the sweep
+    report = verify_resolution(build_complex(copath5), (GF2,))
+    assert [alpha for alpha, _s in report.alpha_status][-1] == frozenset(
+        range(1, 6)
+    )
+    assert all(s == ACYCLIC for _a, s in report.alpha_status)
