@@ -18,17 +18,19 @@ the boundary squares to zero.  A downset is the same class with an id
 selection, sharing the keys, masks and checked columns of the complex
 it was cut from.
 
-The builders differ only in how they find cells and columns.
-`build_complex` grows the cells of a d-graph by downward closure
-(`_grow`): "every transversal is an edge" survives shrinking blocks, so
-block tuples grow one vertex at a time and a branch is cut at its first
-non-edge.  The growth meets the cells in sort order and yields their
-label masks and one-vertex-deletion columns directly; it stops with
-BudgetError past CELL_LIMIT cells.  `LabeledComplex.from_cells` takes
-cells, labels and a boundary rule (Taylor complexes, part complexes,
-hand-built ones); `covers.join` and `dumpio.parse_complex_dump` build
-joins and parsed dumps, and `resolution.independence_complex` grows
-independent sets the way `_grow` grows block tuples.
+The builders differ only in how they find cells and columns.  A
+complex of products of simplices is met in sort order and filed by
+`_filed`, which ids the cells and derives the columns by one-vertex
+deletion.  `build_complex` grows the cells of a d-graph by downward
+closure (`_grow`): "every transversal is an edge" survives shrinking
+blocks, so block tuples grow one vertex at a time and a branch is cut
+at its first non-edge; it stops with BudgetError past CELL_LIMIT cells.
+`resolution.independence_complex` grows independent sets as one-block
+cells with `_lex_subsets`, the growth of a last block, cut at each
+completed edge, and `resolution.taylor_complex` takes every set of edge
+indices.  `LabeledComplex.from_cells` takes cells, labels and a
+boundary rule (part complexes, hand-built ones); `covers.join` and
+`dumpio.parse_complex_dump` build joins and parsed dumps.
 """
 
 from __future__ import annotations
@@ -158,15 +160,6 @@ class LabeledComplex:
             return out
 
         return cls(keys, masks, verts, columns)
-
-    @classmethod
-    def from_blocks(cls, blocks_iter, label_fn=None):
-        """Block cells under `block_boundary`, labeled by label_fn(blocks)
-        (by default the union of the blocks)."""
-        if label_fn is None:
-            label_fn = itertools.chain.from_iterable
-        cells = {b: (block_dim(b), frozenset(label_fn(b))) for b in blocks_iter}
-        return cls.from_cells(cells, block_boundary)
 
     def remapped(self, mapping):
         """Push block contents *and* labels through a vertex bijection.
@@ -316,8 +309,9 @@ class LabeledComplex:
                             f"label of face {keys[d - 1][face]} is not "
                             f"contained in the label of {keys[d][i]}"
                         )
-        _assert_squares_to_zero(keys, columns)
-        return {0: [_AUG_COLUMN] * len(keys.get(0, ())), **columns}
+        checked = {0: [_AUG_COLUMN] * len(keys.get(0, ())), **columns}
+        _assert_squares_to_zero(keys, checked)
+        return checked
 
     def columns(self, dim):
         """Checked boundary columns of the whole complex's dim-cells, by id.
@@ -379,12 +373,18 @@ def union_closure(masks):
     The closure grows one generator at a time: the unions that use g are
     g itself and g joined to every union found before it.  Among masks
     of one size, comparing ascending bit lists is comparing the masks
-    with their bits reversed, larger first.
+    with their bits reversed, larger first.  Raises BudgetError as soon
+    as the closure holds more than CELL_LIMIT masks: k generators with
+    disjoint masks have 2^k - 1 unions.
     """
     out = set()
     for g in set(masks):
         out |= {a | g for a in out}
         out.add(g)
+        if len(out) > CELL_LIMIT:
+            raise BudgetError(
+                f"the lcm lattice has more than {CELL_LIMIT} elements"
+            )
     fmt = f"0{max(out, default=0).bit_length()}b"
     return sorted(
         out, key=lambda m: (m.bit_count(), -int(format(m, fmt)[::-1], 2))
@@ -462,7 +462,7 @@ def _grow(H, bit, stride):
             )
         subs = subsets.get(verts)
         if subs is None:
-            subs = subsets[verts] = _lex_subsets(verts, bit)
+            subs = subsets[verts] = list(_lex_subsets(verts, bit))
         return subs
 
     if d == 1:
@@ -494,42 +494,38 @@ def _grow(H, bit, stride):
                    pcode | mask << shift)
 
 
-def _lex_subsets(verts, bit):
+def _lex_subsets(verts, bit, rests=None):
     """(subset, mask, size - 1) for the nonempty subsets of sorted verts,
-    in lexicographic order."""
-    out = []
-    stack = [((v,), bit[v], at) for at, v in enumerate(verts)][::-1]
-    while stack:
-        block, mask, at = stack.pop()
-        out.append((block, mask, len(block) - 1))
-        for nxt in range(len(verts) - 1, at, -1):
-            v = verts[nxt]
-            stack.append((block + (v,), mask | bit[v], nxt))
-    return out
+    in lexicographic order, yielded as they grow.
 
-
-def enumerate_block_cells(H):
-    """Block tuples of H (every transversal an edge), grown in preorder."""
-    verts = H.support()
-    bit = {v: 1 << k for k, v in enumerate(verts)}
-    return [cell for cell, *_ in _grow(H, bit, len(verts))]
-
-
-def build_complex(H):
-    """The labeled complex of a d-graph.
-
-    Cells are block tuples whose transversals are all edges; the label
-    is the union of blocks.  The cells are grown by downward closure
-    (`_grow`), already in sort order, and filed per dimension with their
-    label masks and codes; the columns come from the codes by
-    one-vertex deletion.  Shrinking blocks only removes transversals,
-    so the result is closed under faces.
+    A subset grows one vertex at a time, only by vertices above its
+    largest one.  With `rests` ({v: masks}), growing by v is cut when
+    the subset's mask holds one of rests[v]: passing each edge minus its
+    largest vertex v under v yields the edge-free (independent) sets.
     """
-    verts = H.support()
-    stride = len(verts)
-    bit = {v: 1 << k for k, v in enumerate(verts)}
+    stack = [((), 0, 0)]
+    while stack:
+        block, mask, start = stack.pop()
+        if block:
+            yield block, mask, len(block) - 1
+        for nxt in range(len(verts) - 1, start - 1, -1):
+            v = verts[nxt]
+            if rests is None or all(r & ~mask for r in rests[v]):
+                stack.append((block + (v,), mask | bit[v], nxt + 1))
+
+
+def _filed(cells, vertices, bit, stride):
+    """The complex of products of simplices met in sort order.
+
+    `cells` yields (cell, dim, label mask, code) per cell, cells of a
+    dimension in sort order; `code` packs block i's vertices (`bit`) at
+    offset i * stride.  The cells are filed per dimension, a cell's id
+    being its position, and the columns delete one vertex at a time:
+    the face without v in block i has code `code ^ bit[v] << i * stride`
+    and the sign of `block_boundary`.
+    """
     keys, masks, codes, ids = {}, {}, {}, {}
-    for cell, dim, mask, code in _grow(H, bit, stride):
+    for cell, dim, mask, code in cells:
         dim_keys = keys.get(dim)
         if dim_keys is None:
             dim_keys = keys[dim] = []
@@ -563,7 +559,28 @@ def build_complex(H):
                 cols.append(tuple(col))
         return out
 
-    return LabeledComplex(keys, masks, verts, columns)
+    return LabeledComplex(keys, masks, vertices, columns)
+
+
+def enumerate_block_cells(H):
+    """Block tuples of H (every transversal an edge), in lexicographic
+    order."""
+    return sorted(build_complex(H).all_cells())
+
+
+def build_complex(H):
+    """The labeled complex of a d-graph.
+
+    Cells are block tuples whose transversals are all edges; the label
+    is the union of blocks.  The cells are grown by downward closure
+    (`_grow`), already in sort order, and filed with their label masks
+    and codes (`_filed`).  Shrinking blocks only removes transversals,
+    so the result is closed under faces.
+    """
+    verts = H.support()
+    stride = len(verts)
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    return _filed(_grow(H, bit, stride), verts, bit, stride)
 
 
 def fold(H, i, j):

@@ -28,6 +28,26 @@ from .resolution import verify_resolution
 
 LINEAR_WIDTH_EDGE_LIMIT = 12  # 2^|E| membership sweep guard
 
+# family name -> (labeling search, membership test of a labeled graph);
+# each looks its function up when called, so a wrapper put on the module
+# name or the method sees every call
+_FAMILIES = {
+    "cointerval": (
+        lambda G: find_cointerval_labeling(G), lambda G: G.is_cointerval()
+    ),
+    "ss": (
+        lambda G: find_strongly_stable_labeling(G),
+        lambda G: G.is_strongly_stable(),
+    ),
+}
+
+
+def _family(name):
+    """(search, test) of a family; ValueError for an unknown name."""
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return _FAMILIES[name]
+
 
 def join(factors):
     """Join of the given complexes (empty factors are dropped).
@@ -93,6 +113,7 @@ class Cover:
     labelings: tuple
 
     def validate(self, H, family="cointerval"):
+        _search, is_member = _family(family)
         covered = set()
         for part, cert in zip(self.parts, self.labelings):
             if part.d != H.d or part.vertices != H.vertices:
@@ -102,12 +123,7 @@ class Cover:
             if not part.edges <= H.edges:
                 raise PreconditionError("cover part has foreign edges")
             covered |= part.edges
-            relabeled = part.relabel(cert)
-            if family == "cointerval":
-                ok = relabeled.is_cointerval()
-            else:
-                ok = relabeled.is_strongly_stable()
-            if not ok:
+            if not is_member(part.relabel(cert)):
                 raise PreconditionError(
                     f"part certificate fails the {family} check"
                 )
@@ -158,8 +174,7 @@ def linear_width(H, family="cointerval"):
     least k and, among k-part covers, the lexicographically least one by
     sorted part edge lists.  Returns (k, Cover).
     """
-    if family not in ("cointerval", "ss"):
-        raise ValueError(f"unknown family {family!r}")
+    search, _is_member = _family(family)
     edge_list = H.edge_list()
     t = len(edge_list)
     if t > LINEAR_WIDTH_EDGE_LIMIT:
@@ -169,11 +184,6 @@ def linear_width(H, family="cointerval"):
         )
     if t == 0:
         return 0, Cover((), ())
-    if family == "cointerval":
-        search = find_cointerval_labeling
-    else:
-        search = find_strongly_stable_labeling
-
     feasible = []  # (edge tuple sorted, mask, cert)
     for size in range(1, t + 1):
         for combo in itertools.combinations(range(t), size):

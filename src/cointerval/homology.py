@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import PreconditionError
 
-_AUG = ("",)  # basis marker for the empty face in augmented complexes
-
 
 # No composite below MR_EXACT_BELOW is a strong pseudoprime to all of
 # the first 13 primes (Sorenson-Webster 2017), so Miller-Rabin with
@@ -126,28 +124,25 @@ def boundary_matrices(X, field):
 def _assert_squares_to_zero(keys, columns):
     """Raise PreconditionError unless every boundary composes to zero.
 
-    Takes a whole complex's keys and columns ({dim: cells in id order}
-    and {dim: columns by id}); the augmentation counts, so each edge's
-    two endpoints must cancel as well.  The error names the first
-    failing cell and the nonzero coefficients of its boundary's boundary.
+    Takes a whole complex's keys and augmented columns ({dim: cells in
+    id order} and {dim: columns by id}, with every vertex on row 0, the
+    empty face, in dimension 0), so each edge's two endpoints must
+    cancel as well.  The error names the first failing cell and the
+    nonzero coefficients of its boundary's boundary.
 
-    An edge passes when its coefficients sum to zero.  Above that, when
-    every coefficient involved is +-1, a cell passes iff the faces of
-    its faces, taken with a plus sign, are the same multiset as those
+    When every coefficient involved is +-1, a cell passes iff the faces
+    of its faces, taken with a plus sign, are the same multiset as those
     taken with a minus sign; that is tested by sorting.  Other
     coefficients, and the cell that fails, are summed exactly.
     """
-    for dim in sorted(columns):
-        below = columns.get(dim - 1)
-        split = None if below is None else _split_by_sign(below)
+    for dim in range(1, len(columns)):
+        below = columns[dim - 1]
+        split = _split_by_sign(below)
         for i, col in enumerate(columns[dim]):
-            if below is None:
-                if not sum(sign for _face, sign in col):
-                    continue
-            elif split is not None and _cancels(col, split):
+            if split is not None and _cancels(col, split):
                 continue
             bad = {
-                ("empty face" if k == _AUG else keys[dim - 2][k]): v
+                (keys[dim - 2][k] if dim > 1 else "empty face"): v
                 for k, v in _boundary_of_boundary(col, below).items() if v
             }
             if bad:
@@ -190,9 +185,6 @@ def _cancels(col, split):
 def _boundary_of_boundary(col, below):
     acc = {}
     for face, sign in col:
-        if below is None:
-            acc[_AUG] = acc.get(_AUG, 0) + sign
-            continue
         for sub, subsign in below[face]:
             acc[sub] = acc.get(sub, 0) + sign * subsign
     return acc

@@ -12,12 +12,12 @@ complex needed) -- the classical Hochster reading.
 
 Hochster's route sweeps the unions of edges (the lcm lattice of the
 edge ideal; no other vertex subset carries a Betti number).  It grows
-the independence complex of H once, labeling each face by its own
-vertex set; the independence complex of an induced subgraph H[alpha]
-is then exactly the downset below alpha, so the whole sweep cuts
-downsets of one complex whose boundary is checked once.  It shares
-only `LabeledComplex`, `union_closure` and the rank kernels with the
-other routes, never the block complex of H.
+the independence complex of H once, as a one-block complex filed like
+the others, labeling each face by its own vertex set; the independence
+complex of an induced subgraph H[alpha] is then exactly the downset
+below alpha, so the whole sweep cuts downsets of one complex whose
+boundary is checked once.  It shares the filer, `union_closure` and the
+rank kernels with the other routes, never the block complex of H.
 
 Acyclicity is settled for every downset at once where a lead matching
 proves it (`_certified`, bit-parallel over the lattice positions);
@@ -30,10 +30,11 @@ import collections
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
+from . import complexes
 from .complexes import (
-    CELL_LIMIT,
-    LabeledComplex,
+    _filed,
     _holders,
+    _lex_subsets,
     _members,
     build_complex,
     union_closure,
@@ -398,57 +399,31 @@ def betti_from_downset_homology(X, fld=GF2):
 def independence_complex(H):
     """Simplicial complex of the edge-free vertex subsets of H.
 
-    Grown by downward closure: a face is extended only by vertices above
-    its largest one, and the extension by v is rejected when it
-    completes an edge whose largest vertex is v (the face itself holds
-    no edge, so any edge inside the extension contains v).  The faces
-    come out in lexicographic preorder, which is the complex's sort
-    order.  Each face is keyed as a one-block cell and labeled by its
-    own vertex set (bits over `H.vertices`), so the independence complex
-    of an induced subgraph H[alpha] is exactly the downset below
-    alpha's mask.  Columns delete one vertex at a time with the simplex
-    signs of `block_boundary`.  Raises BudgetError past CELL_LIMIT
-    faces.
+    Grown by downward closure (`_lex_subsets` with each edge filed under
+    its largest vertex): a face is extended only by vertices above its
+    largest one, and the extension by v is cut when it completes an
+    edge whose largest vertex is v (the face itself holds no edge, so
+    any edge inside the extension contains v).  The faces come out in
+    lexicographic order, which is the complex's sort order.  Each face
+    is a one-block cell labeled by its own vertex set (bits over
+    `H.vertices`), so the independence complex of an induced subgraph
+    H[alpha] is exactly the downset below alpha's mask.  Raises
+    BudgetError past `complexes.CELL_LIMIT` faces.
     """
     verts = H.vertices
     bit = {v: 1 << k for k, v in enumerate(verts)}
     rests = {v: [] for v in verts}  # edges by largest vertex, minus it
     for e in H.edges:
         rests[e[-1]].append(sum(bit[u] for u in e[:-1]))
-    keys, masks, ids = {}, {}, {}
-    stack = [((), 0, 0)]  # (face, mask, index of the smallest extension)
-    while stack:
-        face, mask, start = stack.pop()
-        if face:
-            dim = len(face) - 1
-            if dim not in keys:
-                keys[dim], masks[dim] = [], []
-            ids[mask] = len(keys[dim])
-            keys[dim].append((face,))
-            masks[dim].append(mask)
-            if len(ids) > CELL_LIMIT:
-                raise BudgetError(
-                    f"the independence complex has more than {CELL_LIMIT} "
-                    f"faces"
-                )
-        for k in range(len(verts) - 1, start - 1, -1):
-            v = verts[k]
-            if all(rest & ~mask for rest in rests[v]):
-                stack.append((face + (v,), mask | bit[v], k + 1))
-
-    def columns():
-        return {
-            dim: [
-                tuple(
-                    (ids[mask ^ bit[v]], -1 if j & 1 else 1)
-                    for j, v in enumerate(face)
-                )
-                for (face,), mask in zip(keys[dim], masks[dim])
-            ]
-            for dim in range(1, len(keys))
-        }
-
-    return LabeledComplex(keys, masks, verts, columns)
+    limit = complexes.CELL_LIMIT
+    faces = list(itertools.islice(_lex_subsets(verts, bit, rests), limit + 1))
+    if len(faces) > limit:
+        raise BudgetError(
+            f"the independence complex has more than {limit} faces"
+        )
+    return _filed(
+        (((face,), dim, mask, mask) for face, mask, dim in faces), verts, bit, 0
+    )
 
 
 def betti_hochster(H, fld=GF2):
@@ -519,8 +494,9 @@ def cube_betti(H, V=None):
 def taylor_complex(H):
     """Full simplex on the generators, labeled by unions of edges.
 
-    Cells are nonempty subsets of the edge list (kept as index blocks so
-    the simplex face rule applies); always a resolution, rarely minimal.
+    Cells are nonempty subsets of the edge list, kept as one block of
+    edge indices (1-based) so the simplex face rule applies; always a
+    resolution, rarely minimal.
     """
     edge_list = H.edge_list()
     if len(edge_list) > TAYLOR_EDGE_LIMIT:
@@ -528,16 +504,15 @@ def taylor_complex(H):
             f"the Taylor complex has 2^|E| - 1 cells; refusing "
             f"{len(edge_list)} > {TAYLOR_EDGE_LIMIT} edges"
         )
-    idx = {i + 1: set(e) for i, e in enumerate(edge_list)}
-
-    def label_fn(blocks):
-        out = set()
-        for i in blocks[0]:
-            out |= idx[i]
-        return out
-
-    subsets = []
-    for size in range(1, len(edge_list) + 1):
-        for sub in itertools.combinations(range(1, len(edge_list) + 1), size):
-            subsets.append((sub,))
-    return LabeledComplex.from_blocks(subsets, label_fn)
+    verts = H.support()
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    edge_masks = [sum(bit[v] for v in e) for e in edge_list]
+    indices = range(1, len(edge_list) + 1)
+    index_bit = {i: 1 << i for i in indices}
+    cells = []
+    for sub, code, dim in _lex_subsets(indices, index_bit):
+        label = 0
+        for i in sub:
+            label |= edge_masks[i - 1]
+        cells.append(((sub,), dim, label, code))
+    return _filed(cells, verts, index_bit, 0)

@@ -5,9 +5,9 @@ LabeledComplex keys, label masks and one-vertex-deletion columns
 straight from that growth.  The oracle here is the enumeration it replaced:
 every support subset times every composition into d blocks, kept when
 all transversals are edges, built by the generic route (cells, labels
-and `block_boundary` through `LabeledComplex.from_blocks`).  Cells must agree in the
-same order, and the two complexes' keys, masks, holders and checked
-columns entry for entry.
+and `block_boundary` through `LabeledComplex.from_cells`).  Cells must
+agree in the same order, and the two complexes' keys, masks, holders
+and checked columns entry for entry.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from cointerval import (
     complexes,
     enumerate_block_cells,
 )
+from cointerval.complexes import block_boundary, block_dim
 
 
 def scan_block_cells(H):
@@ -112,7 +113,10 @@ EDGE_CASES = [
 
 def assert_same_index(H):
     grown = build_complex(H)
-    oracle = LabeledComplex.from_blocks(scan_block_cells(H))
+    oracle = LabeledComplex.from_cells({
+        b: (block_dim(b), frozenset(itertools.chain(*b)))
+        for b in scan_block_cells(H)
+    }, block_boundary)
     assert len(grown) == len(oracle), H
     assert grown.dims() == oracle.dims(), H
     for d in oracle.dims():

@@ -186,6 +186,19 @@ def test_dump_dimension_budget(capsys, tmp_path):
     assert "has no faces" in err
 
 
+@pytest.mark.parametrize("k", [17, 30])
+def test_lcm_lattice_budget(capsys, tmp_path, k):
+    # k one-vertex cells with disjoint labels close to 2^k - 1 unions;
+    # the closure stops once it holds more than CELL_LIMIT = 100,000
+    dump = tmp_path / "points.dump"
+    dump.write_text("".join(f"0 | {v} | {v}\n" for v in range(1, k + 1)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(dump))
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert f"the lcm lattice has more than {CELL_LIMIT} elements" in err
+
+
 def test_seed_accepted_everywhere(capsys):
     code1, out1, _ = run(capsys, "--seed", "7", "check", COPATH5)
     code2, out2, _ = run(capsys, "check", COPATH5, "--seed", "99")

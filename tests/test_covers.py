@@ -114,6 +114,15 @@ def test_linear_width_ss_family(two_k2):
     assert report.passed
 
 
+def test_unknown_family_is_refused(two_k2):
+    # a misspelled family is an error, not strong stability
+    _k, cover = linear_width(two_k2)
+    with pytest.raises(ValueError, match="unknown family 'cointervl'"):
+        cover.validate(two_k2, family="cointervl")
+    with pytest.raises(ValueError, match="unknown family 'cointervl'"):
+        linear_width(two_k2, family="cointervl")
+
+
 def test_linear_width_net_complement():
     H = net_complement()
     k, cover = linear_width(H)

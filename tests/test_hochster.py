@@ -6,7 +6,7 @@ reads the independence complex of every induced subgraph H[alpha] as a
 downset of that one complex.  The oracles here are the routes they
 replaced: the 2^n scan of vertex subsets against every edge, and, per
 alpha, a new induced `Hypergraph` whose scanned independent sets become
-a complex of their own through `LabeledComplex.from_blocks`.
+a complex of their own through `LabeledComplex.from_cells`.
 """
 
 import functools
@@ -26,8 +26,8 @@ from cointerval import (
     betti_hochster,
     complexes,
     independence_complex,
-    resolution,
 )
+from cointerval.complexes import block_boundary
 from cointerval.homology import boundary_matrices
 
 FIELDS = (GF2, GF3, QQ)
@@ -45,7 +45,10 @@ def scan_independent_sets(H):
 
 
 def scanned_complex(H):
-    return LabeledComplex.from_blocks((sub,) for sub in scan_independent_sets(H))
+    return LabeledComplex.from_cells({
+        (sub,): (len(sub) - 1, frozenset(sub))
+        for sub in scan_independent_sets(H)
+    }, block_boundary)
 
 
 def hochster_by_subsets(H):
@@ -191,7 +194,7 @@ def test_grown_complex_is_labeled_by_its_faces(two_k2):
 def test_grown_complex_is_budgeted(monkeypatch):
     edgeless = Hypergraph(2, range(1, 7), [])
     assert len(independence_complex(edgeless)) == 2 ** 6 - 1
-    monkeypatch.setattr(resolution, "CELL_LIMIT", 2 ** 6 - 2)
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 2 ** 6 - 2)
     with pytest.raises(BudgetError, match="independence complex"):
         independence_complex(edgeless)
 

@@ -355,8 +355,10 @@ def test_failure_records_degree_and_ranks(two_k2):
     for twin in (pickle.loads(pickle.dumps(failure)), copy.deepcopy(failure)):
         assert twin == failure and twin.ranks == {0: 1} and twin.degree == 0
     # a hollow triangle fails in degree 1
-    hollow = LabeledComplex.from_blocks([((1,),), ((2,),), ((3,),),
-                                         ((1, 2),), ((1, 3),), ((2, 3),)])
+    hollow = LabeledComplex.from_cells({
+        (b,): (len(b) - 1, frozenset(b))
+        for b in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
+    }, block_boundary)
     (failure,) = verify_resolution(hollow, (QQ,)).failures
     assert failure.degree == 1 and failure.ranks == {1: 1}
 
