@@ -420,78 +420,61 @@ def _grow(H, bit, stride):
     """Block cells of H grown by downward closure, in preorder.
 
     Yields (cell, dim, label mask, code) for every block tuple whose
-    transversals are all edges.  The first block grows one vertex at a
-    time; the blocks after it form a cell of the (d-1)-graph L(B) =
-    intersection over x in B of {e[1:] : e in H, e[0] = x}, whose
-    tuples all lie above max B.  A branch is cut as soon as L(B) is
-    empty, and that graph's cells are grown the same way, down to a
-    last block that may be any nonempty set of vertices of a 1-graph.
-    Visiting a block's continuations before its one-vertex extensions
-    meets the tuples in lexicographic order, which is the complex's
-    sort order within every dimension.
+    transversals are all edges.  A cell is a first block B followed by
+    a cell of the (d-1)-graph L(B) = intersection over x in B of
+    {e[1:] : e in H, e[0] = x}, whose tuples all lie above max B, so
+    `cells` recurses once per block: it grows B one vertex at a time,
+    cuts a branch as soon as L(B) is empty and yields from the cells of
+    L(B) with B appended to the prefix.  A 1-graph's cell is any
+    nonempty set of its vertices (`_lex_subsets`, made once per vertex
+    set and counted against the budget before it is made).  Visiting a
+    block's continuations before its one-vertex extensions meets the
+    tuples in lexicographic order, which is the complex's sort order
+    within every dimension.
 
     `code` packs block i's vertex mask at bit offset i * stride, so
     deleting vertex v from block i is `code ^ bit[v] << i * stride`.
     Raises BudgetError once more than CELL_LIMIT cells are grown.
     """
-    d = H.d
     count = 0
     subsets = {}  # vertices of a last block -> _lex_subsets of them
-    stack = []
 
-    def open_block(prefix, pmask, pcode, pdim, tuples):
-        # push the one-vertex starts of the next block, smallest on top
+    def cells(tuples, prefix, pmask, pcode, pdim):
+        # the cells of the graph of `tuples`, each after the blocks of prefix
+        nonlocal count
+        offset = len(prefix) * stride
+        if len(prefix) == H.d - 1:
+            verts = tuple(sorted(t[0] for t in tuples))
+            count += (1 << len(verts)) - 1
+            if count > CELL_LIMIT:
+                raise BudgetError(
+                    f"the block complex has more than {CELL_LIMIT} cells"
+                )
+            subs = subsets.get(verts)
+            if subs is None:
+                subs = subsets[verts] = list(_lex_subsets(verts, bit))
+            for last, mask, dim in subs:
+                yield (prefix + (last,), pdim + dim, pmask | mask,
+                       pcode | mask << offset)
+            return
         links = {}
         for t in tuples:
             links.setdefault(t[0], set()).add(t[1:])
         starts = sorted(links)
-        for at in range(len(starts) - 1, -1, -1):
-            x = starts[at]
-            stack.append((
-                prefix, pmask, pcode, pdim, (x,), bit[x], starts, at, links,
-                links[x],
-            ))
+        stack = [((), 0, -1, None)]  # (block, mask, its last start, L(block))
+        while stack:
+            block, bmask, at, rest = stack.pop()
+            for nxt in range(len(starts) - 1, at, -1):
+                y = starts[nxt]
+                grown = links[y] if rest is None else rest & links[y]
+                if grown:
+                    stack.append((block + (y,), bmask | bit[y], nxt, grown))
+            if block:
+                yield from cells(rest, prefix + (block,), pmask | bmask,
+                                 pcode | bmask << offset,
+                                 pdim + len(block) - 1)
 
-    def last_blocks(tuples):
-        nonlocal count
-        verts = tuple(sorted(t[0] for t in tuples))
-        count += (1 << len(verts)) - 1
-        if count > CELL_LIMIT:
-            raise BudgetError(
-                f"the block complex has more than {CELL_LIMIT} cells"
-            )
-        subs = subsets.get(verts)
-        if subs is None:
-            subs = subsets[verts] = list(_lex_subsets(verts, bit))
-        return subs
-
-    if d == 1:
-        for block, mask, dim in last_blocks(H.edges):
-            yield (block,), dim, mask, mask
-        return
-    open_block((), 0, 0, 0, H.edges)
-    shift = (d - 1) * stride
-    while stack:
-        (prefix, pmask, pcode, pdim, block, bmask, starts, at, links,
-         rest) = stack.pop()
-        for nxt in range(len(starts) - 1, at, -1):
-            y = starts[nxt]
-            grown = rest & links[y]
-            if grown:
-                stack.append((
-                    prefix, pmask, pcode, pdim, block + (y,),
-                    bmask | bit[y], starts, nxt, links, grown,
-                ))
-        prefix += (block,)
-        pmask |= bmask
-        pcode |= bmask << (len(prefix) - 1) * stride
-        pdim += len(block) - 1
-        if len(prefix) < d - 1:
-            open_block(prefix, pmask, pcode, pdim, rest)
-            continue
-        for last, mask, dim in last_blocks(rest):
-            yield (prefix + (last,), pdim + dim, pmask | mask,
-                   pcode | mask << shift)
+    return cells(H.edges, (), 0, 0, 0)
 
 
 def _lex_subsets(verts, bit, rests=None):

@@ -22,9 +22,10 @@ from .errors import BudgetError, ParseError, PreconditionError
 
 CANONICAL_VERTEX_LIMIT = 9  # exhaustive relabeling guard: 9! permutations
 COINTERVAL_PLACEMENT_LIMIT = 50_000  # labeling search guard: DFS placements
-# parser guard: the labeling search recurses once per vertex (Python's
-# default limit is 1,000 frames) and `check` prints n!, which str()
-# refuses past 4,300 digits (n > ~1,550)
+# parser guard: the labeling search recurses once per vertex and block
+# growth once per block, at most d <= n frames each (Python's default
+# limit is 1,000), and `check` prints n!, which str() refuses past 4,300
+# digits (n > ~1,550)
 VERTEX_LIMIT = 500
 
 
@@ -219,72 +220,61 @@ class Hypergraph:
 def _nested_layers(edges):
     """`Hypergraph.is_cointerval` on a set of sorted edge tuples.
 
-    Groups the edges by their first vertex, walks the support in order
-    requiring each layer to lie inside the previous one (nesting is
-    transitive, so consecutive layers suffice; a support vertex that
-    starts no edge has an empty layer and still counts), then recurses
-    on each layer's tuples.  Edges of length 1 (and no edges) nest
-    trivially.
+    Works through a list of layer edge sets, starting from `edges`.  For
+    each, groups the tuples by their first vertex and walks the support
+    in order, requiring each layer to lie inside the previous one
+    (nesting is transitive, so consecutive layers suffice; a support
+    vertex that starts no edge has an empty layer and still counts),
+    then queues every layer.  Tuples of length 1 (and no tuples) nest
+    trivially.  A list rather than recursion, so the depth of d does not
+    reach Python's frame limit.
     """
-    layers = {}
-    support = set()
-    for e in edges:
-        if len(e) == 1:
-            return True
-        layers.setdefault(e[0], set()).add(e[1:])
-        support.update(e)
     empty = frozenset()
-    prev = None
-    for v in sorted(support):
-        lay = layers.get(v, empty)
-        if prev is not None and not lay <= prev:
-            return False
-        prev = lay
-    return all(_nested_layers(lay) for lay in layers.values())
+    work = [edges]
+    while work:
+        layers = {}
+        support = set()
+        for e in work.pop():
+            if len(e) == 1:
+                break
+            layers.setdefault(e[0], set()).add(e[1:])
+            support.update(e)
+        prev = None
+        for v in sorted(support):
+            lay = layers.get(v, empty)
+            if prev is not None and not lay <= prev:
+                return False
+            prev = lay
+        work.extend(layers.values())
+    return True
 
 
 def find_cointerval_labeling(H):
     """Search for a relabeling making H cointerval.
 
     Depth-first over assignments of new labels 1, 2, ... to original
-    vertices in increasing original order, pruning as soon as the layer
-    edge sets determined so far stop nesting.  Returns the first success
-    as a dict (original -> new label), or None.  Raises BudgetError once
-    the search has tried more than COINTERVAL_PLACEMENT_LIMIT
-    placements.
+    vertices in increasing original order.  A vertex placed at the next
+    label has as layer the rest of each of its edges that holds no
+    placed vertex; that layer must lie inside the layer of the last
+    support vertex placed, which lies inside every earlier one (nesting
+    is transitive, as in `_nested_layers`), else the branch is cut.
+    Returns the first success as a dict (original -> new label), or
+    None.  Raises BudgetError once the search has tried more than
+    COINTERVAL_PLACEMENT_LIMIT placements.
     """
     verts = H.vertices
     n = len(verts)
     if H.d == 1 or not H.edges:
         return {v: i for i, v in enumerate(verts, start=1)}
-    edges_at = {v: [e for e in H.edges if v in e] for v in verts}
-    edgeless = {v for v in verts if not edges_at[v]}
+    rests = {v: [frozenset(e).difference((v,)) for e in H.edges if v in e]
+             for v in verts}
 
     order = []  # order[p-1] = original vertex with new label p
     chosen = set()
-    layers = []  # layer edge sets (families of frozensets), per position
     placements = itertools.count(1)
 
-    def place(v):
-        if next(placements) > COINTERVAL_PLACEMENT_LIMIT:
-            raise BudgetError(
-                f"the cointerval labeling search is exhaustive; refusing "
-                f"more than {COINTERVAL_PLACEMENT_LIMIT} placements"
-            )
-        members = set()
-        for e in edges_at[v]:
-            others = [u for u in e if u != v]
-            if all(u not in chosen for u in others):
-                members.add(frozenset(others))
-        # nesting against every earlier constrained position
-        for q, lay in enumerate(layers):
-            if order[q] in edgeless:
-                continue
-            if not members <= lay:
-                return None
-        return members
-
-    def dfs():
+    def dfs(above):
+        # above: the layer of the last support vertex placed, if any
         if len(order) == n:
             mapping = {v: p for p, v in enumerate(order, start=1)}
             relabeled = [
@@ -294,21 +284,24 @@ def find_cointerval_labeling(H):
         for v in verts:
             if v in chosen:
                 continue
-            members = place(v)
-            if members is None:
+            if next(placements) > COINTERVAL_PLACEMENT_LIMIT:
+                raise BudgetError(
+                    f"the cointerval labeling search is exhaustive; refusing "
+                    f"more than {COINTERVAL_PLACEMENT_LIMIT} placements"
+                )
+            layer = {r for r in rests[v] if chosen.isdisjoint(r)}
+            if above is not None and not layer <= above:
                 continue
             chosen.add(v)
             order.append(v)
-            layers.append(members)
-            found = dfs()
+            found = dfs(layer if rests[v] else above)
             if found:
                 return found
-            layers.pop()
             order.pop()
             chosen.discard(v)
         return None
 
-    return dfs()
+    return dfs(None)
 
 
 def find_strongly_stable_labeling(H):

@@ -20,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import CELL_LIMIT, block_dim
+from . import complexes
+from .complexes import block_dim
 from .errors import BudgetError, PreconditionError
 
 
@@ -167,7 +168,7 @@ def restrict_to_graph(d, n, H):
     the dilated simplex with m = n - d.  A face survives exactly when
     every transversal polarizes to an edge, so the result's polarized
     block cells coincide with the labeled complex of H.  Raises
-    BudgetError once more than CELL_LIMIT faces survive.
+    BudgetError once more than `complexes.CELL_LIMIT` faces survive.
 
     Survival is closed under shrinking blocks, so the faces are grown
     from the surviving vertices (the depolarized edges) one point at a
@@ -198,15 +199,15 @@ def restrict_to_graph(d, n, H):
     kept = {}
     maximal = []
     count = 0
+    limit = complexes.CELL_LIMIT
     while faces:
         kept[len(kept)] = [face[0] for face in faces]
         count += len(faces)
         grown = []
         for face in faces:
-            if count + len(grown) > CELL_LIMIT:
+            if count + len(grown) > limit:
                 raise BudgetError(
-                    f"the staircase restriction has more than {CELL_LIMIT} "
-                    f"faces"
+                    f"the staircase restriction has more than {limit} faces"
                 )
             if not _extend(*face, m, links, grown):
                 maximal.append(face[0])

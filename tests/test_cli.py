@@ -8,7 +8,13 @@ import time
 import pytest
 
 import cointerval
-from cointerval import Hypergraph, complexes, parse_hypergraph
+from cointerval import (
+    BudgetError,
+    Hypergraph,
+    complexes,
+    parse_hypergraph,
+    restrict_to_graph,
+)
 from cointerval.cli import main
 from cointerval.complexes import CELL_LIMIT
 from cointerval.covers import LINEAR_WIDTH_EDGE_LIMIT
@@ -87,6 +93,19 @@ def test_embed_out_summary(capsys, tmp_path):
     assert code == 0
     assert "f-vector: 7 11 6 1" in out
     assert out_file.read_text() == (GOLDEN / "embed_copath5.txt").read_text()
+
+
+def test_embed_reads_the_cell_budget_at_call_time(capsys, monkeypatch):
+    # copath(5) keeps 7 + 11 + 6 + 1 = 25 faces
+    H = parse_hypergraph(pathlib.Path(COPATH5).read_text())
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 24)
+    with pytest.raises(BudgetError, match="more than 24 faces"):
+        restrict_to_graph(2, 5, H)
+    code, out, err = run(capsys, "embed", COPATH5)
+    assert code == 4 and out == ""
+    assert "more than 24 faces" in err
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 25)
+    assert restrict_to_graph(2, 5, H).f_vector() == (7, 11, 6, 1)
 
 
 def test_decompose(capsys):
@@ -363,3 +382,26 @@ def test_block_complex_cell_budget(tmp_path):
     code, out, err = _fresh_run("embed", path, timeout=5)
     assert code == 4 and out == ""
     assert f"more than {CELL_LIMIT} faces" in err
+
+
+def test_deep_uniformity_runs_without_recursion_error(tmp_path):
+    # layer nesting, block growth and the labeling search each go d
+    # layers deep; at d = 500 recursion once ended in a RecursionError
+    # traceback (from about d = 340)
+    one = tmp_path / "one_edge500.txt"
+    one.write_text("500 500\n" + " ".join(map(str, range(1, 501))) + "\n")
+    two = tmp_path / "two_edges499.txt"
+    two.write_text("499 500\n" + "".join(
+        " ".join(map(str, range(lo, lo + 499))) + "\n" for lo in (1, 2)
+    ))
+    runs = [
+        (0, "resolve", one), (0, "check", one),
+        (0, "betti", one, "--method", "faces"), (0, "decompose", one),
+        (0, "check", two, "--find-labeling"), (0, "decompose", two),
+        (3, "resolve", two),
+    ]
+    for want, *argv in runs:
+        code, out, err = _fresh_run(*argv)
+        assert "Traceback" not in err, (argv, err)
+        assert code == want, (argv, err)
+        assert out or code, argv

@@ -13,6 +13,7 @@ from cointerval import (
     find_cointerval_labeling,
     find_strongly_stable_labeling,
     format_hypergraph,
+    hypergraph,
     interval_representation,
     parse_hypergraph,
 )
@@ -178,6 +179,93 @@ def test_labeling_search_agrees_with_brute_force():
             for p in itertools.permutations(range(1, 5))
         )
         assert (find_cointerval_labeling(H) is not None) == brute
+
+
+def _labeling_oracle(H):
+    """(witness or None, placements tried): the search that tests each
+    new layer against the layer of every earlier support vertex."""
+    verts = H.vertices
+    if H.d == 1 or not H.edges:
+        return {v: i for i, v in enumerate(verts, start=1)}, 0
+    edges_at = {v: [e for e in H.edges if v in e] for v in verts}
+    edgeless = {v for v in verts if not edges_at[v]}
+    order, chosen, layers = [], set(), []
+    placements = 0
+
+    def place(v):
+        nonlocal placements
+        placements += 1
+        members = {
+            frozenset(u for u in e if u != v) for e in edges_at[v]
+            if all(u not in chosen for u in e if u != v)
+        }
+        for q, lay in enumerate(layers):
+            if order[q] not in edgeless and not members <= lay:
+                return None
+        return members
+
+    def dfs():
+        if len(order) == len(verts):
+            mapping = {v: p for p, v in enumerate(order, start=1)}
+            return mapping if _layer_oracle(H.relabel(mapping)) else None
+        for v in verts:
+            if v in chosen:
+                continue
+            members = place(v)
+            if members is None:
+                continue
+            chosen.add(v)
+            order.append(v)
+            layers.append(members)
+            found = dfs()
+            if found:
+                return found
+            layers.pop()
+            order.pop()
+            chosen.discard(v)
+        return None
+
+    return dfs(), placements
+
+
+def _labeling_corpus():
+    yield from (H for n in range(1, 6) for H in all_graphs(2, n))
+    yield from all_graphs(3, 5)
+    rng = random.Random(20261019)
+    for _ in range(80):
+        d = rng.choice((2, 3))
+        n = rng.randint(6, 8)
+        yield random_graph(rng, d, range(1, n + 1), rng.uniform(0.2, 0.9))
+    for n, gens in [
+        (6, [(2, 4, 6)]), (7, [(2, 5, 7), (1, 6, 7)]), (7, [(3, 4, 7)]),
+        (8, [(2, 6, 8), (4, 5, 7)]), (8, [(1, 2, 8), (3, 5, 6)]),
+    ]:
+        yield shuffled(rng, borel_closure(n, gens))
+    # the shuffled Borel 3-graph of tests/test_cli.py
+    H = borel_closure(12, [(3, 7, 12), (5, 9, 11)])
+    perm = list(range(1, 13))
+    random.Random(7).shuffle(perm)
+    yield H.relabel(dict(zip(range(1, 13), perm)))
+
+
+def test_labeling_search_matches_every_layer_oracle(monkeypatch):
+    # same witness and same placement count: the search passes with the
+    # budget at the oracle's count and refuses one placement earlier
+    seen = found = 0
+    for H in _labeling_corpus():
+        want, count = _labeling_oracle(H)
+        monkeypatch.setattr(hypergraph, "COINTERVAL_PLACEMENT_LIMIT", count)
+        assert find_cointerval_labeling(H) == want, H
+        if count:
+            monkeypatch.setattr(
+                hypergraph, "COINTERVAL_PLACEMENT_LIMIT", count - 1
+            )
+            with pytest.raises(BudgetError):
+                find_cointerval_labeling(H)
+        seen += 1
+        found += want is not None
+    assert 0 < found < seen
+    assert count == 4513  # the 12-vertex Borel graph comes last
 
 
 def test_strongly_stable(copath5, k4_3):

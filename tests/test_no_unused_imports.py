@@ -1,4 +1,6 @@
-"""Every name the package imports is used: deletions leave no dead imports."""
+"""Every name the package imports is used, and every module-level private
+name is read somewhere in the package: deletions leave no dead imports and
+no orphaned helpers."""
 
 import ast
 from pathlib import Path
@@ -32,17 +34,68 @@ def unused_imports(tree):
                   if name not in used)
 
 
-def test_package_has_no_unused_imports():
+def unread_privates(trees):
+    """(module, line, name) of each private name (`_x`, not dunder) that a
+    module binds at top level and no module reads.
+
+    A read is a loaded name, a loaded attribute or a name imported from a
+    module, so `complexes._grow` and `from .homology import _x` count.
+    """
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, ast.Assign):
+                bound = [
+                    n.id for t in node.targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)
+                ]
+            else:
+                continue
+            found += [
+                (module, node.lineno, name) for name in bound
+                if name.startswith("_") and not name.startswith("__")
+                and name not in read
+            ]
+    return sorted(found)
+
+
+def _package_trees():
     files = sorted(PACKAGE.glob("*.py"))
     assert files, PACKAGE
-    found = [
-        f"{path.name}:{line} {name}"
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in files
-        for line, name in unused_imports(
-            ast.parse(path.read_text(encoding="utf-8"))
-        )
+    }
+
+
+def test_package_has_no_unused_imports():
+    found = [
+        f"{name}:{line} {unused}"
+        for name, tree in _package_trees().items()
+        for line, unused in unused_imports(tree)
     ]
     assert found == [], f"imported but never used: {found}"
+
+
+def test_package_reads_every_private_name():
+    found = [
+        f"{module}:{line} {name}"
+        for module, line, name in unread_privates(_package_trees())
+    ]
+    assert found == [], f"private names no module reads: {found}"
 
 
 def test_the_scan_sees_an_unused_import():
@@ -52,3 +105,20 @@ def test_the_scan_sees_an_unused_import():
         "__all__ = ['c']\nprint(system.argv)\n"
     )
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
+
+
+def test_the_scan_sees_an_unread_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n_orphan = 4\n__all__ = []\n"
+            "def _helper():\n    return _LIMIT\n"
+            "class _Unused:\n    _field = 1\n"
+        ),
+        "b.py": ast.parse(
+            "import a\nfrom a import _helper\n"
+            "a._orphan = 5\nprint(_helper(), a._Kept)\n"
+        ),
+    }
+    assert unread_privates(trees) == [
+        ("a.py", 2, "_orphan"), ("a.py", 6, "_Unused"),
+    ]
