@@ -1,34 +1,53 @@
-"""Exact linear algebra kernels, one per field family.
+"""Exact linear algebra kernels: xor for GF(2), one reduction for the rest.
 
-The rank kernels take a matrix as a sequence of sparse columns, each a
+The kernels take a matrix as a sequence of sparse columns, each a
 sequence of (row, value) pairs with Python-int values; rows may be any
 non-negative ints (a downset's boundary columns keep the row ids of the
 complex they were cut from), and rank does not depend on which rows are
 empty.  Everything is exact:
 
   GF(2)  each column packed into one int bitmask, xor elimination;
-  GF(p)  sparse column reduction with dict columns, any prime p (Python
-         ints, so no overflow);
-  Q      densified, then fraction-free (Bareiss) elimination.
+  GF(p)  sparse column reduction with dict columns, each pivot scaled
+         to lead 1 (Python ints, so no overflow for any prime p);
+  Q      the same reduction over the integers (p = 0): a column is
+         scaled by the pivot's lead, the pivot subtracted, and the
+         result divided by the gcd of its entries.
 
-`nullspace_rational` is dense Fraction Gauss-Jordan.  Dump parsing
+`nullspace_rational` runs the integer reduction on columns tagged with
+their own index, on rows below every real row: a reduced column that
+leads on a tag row has lost all its real rows, and its tags are a kernel
+vector.  Dump parsing
 orients cells by sign propagation and calls it only for a cell that
 propagation leaves open, in practice on the way to rejecting a
-malformed dump; the dump oracle in the tests uses it for every cell.
+malformed dump.
 """
 
-from fractions import Fraction
+from math import gcd
 
 
 def rank_mod(cols, p):
-    """Rank over GF(p) of a matrix given by sparse integer columns."""
+    """Rank over GF(p), or over Q for p == 0, of sparse integer columns."""
     if p == 2:
         return _rank_gf2(cols)
-    pivots = {}  # leading row -> reduced column with leading entry 1
+    return len(_reduce(cols, p))
+
+
+def nullspace_rational(cols):
+    """Integer basis of the rational kernel of a matrix given by sparse
+    columns: one list of coefficients per basis vector, one per column."""
+    tagged = [tuple(col) + ((-1 - j, 1),) for j, col in enumerate(cols)]
+    kernel = [vec for lead, vec in _reduce(tagged, 0).items() if lead < 0]
+    return [[vec.get(-1 - j, 0) for j in range(len(cols))] for vec in kernel]
+
+
+def _reduce(cols, p):
+    """Column reduction over GF(p) for odd p, or over the integers for
+    p == 0: every nonzero reduced column, by its leading (largest) row."""
+    pivots = {}
     for col in cols:
         vec = {}
         for r, v in col:
-            v = (vec.get(r, 0) + v) % p
+            v = (vec.get(r, 0) + v) % p if p else vec.get(r, 0) + v
             if v:
                 vec[r] = v
             else:
@@ -37,17 +56,36 @@ def rank_mod(cols, p):
             lead = max(vec)
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(vec[lead], -1, p)
-                pivots[lead] = {r: v * inv % p for r, v in vec.items()}
+                if p:
+                    inv = pow(vec[lead], -1, p)
+                    vec = {r: v * inv % p for r, v in vec.items()}
+                else:
+                    vec = _primitive(vec)
+                pivots[lead] = vec
                 break
             f = vec[lead]
+            if not p:
+                c = piv[lead]
+                g = gcd(c, f)
+                c //= g
+                f //= g
+                if c != 1:
+                    vec = {r: v * c for r, v in vec.items()}
             for r, v in piv.items():
-                v = (vec.get(r, 0) - f * v) % p
+                v = (vec.get(r, 0) - f * v) % p if p else vec.get(r, 0) - f * v
                 if v:
                     vec[r] = v
                 else:
                     del vec[r]
-    return len(pivots)
+            if not p and vec:
+                vec = _primitive(vec)
+    return pivots
+
+
+def _primitive(vec):
+    """The integer column divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return {r: v // g for r, v in vec.items()} if g != 1 else vec
 
 
 def _rank_gf2(cols):
@@ -66,86 +104,3 @@ def _rank_gf2(cols):
                 break
             mask ^= other
     return len(pivots)
-
-
-def rank_bareiss(cols):
-    """Rank over the rationals via fraction-free (Bareiss) elimination.
-
-    The sparse columns become the rows of a dense matrix over the rows
-    they touch.  Entries stay integral throughout; intermediate values
-    are minors of the input, so Python's big ints absorb the growth.
-    """
-    touched = sorted({r for col in cols for r, _v in col})
-    if not touched:
-        return 0
-    where = {r: j for j, r in enumerate(touched)}
-    n = len(touched)
-    a = []
-    for col in cols:
-        row = [0] * n
-        for r, v in col:
-            row[where[r]] += v
-        a.append(row)
-    m = len(a)
-    rank = 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        arc = a[r][c]
-        row_r = a[r]
-        for i in range(r + 1, m):
-            row_i = a[i]
-            aic = row_i[c]
-            for j in range(c + 1, n):
-                row_i[j] = (arc * row_i[j] - aic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = arc
-        r += 1
-        rank += 1
-        if r == m:
-            break
-    return rank
-
-
-def nullspace_rational(rows, ncols):
-    """Basis of the rational nullspace of the matrix, as Fraction lists."""
-    m = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -a[i][fc]
-        basis.append(vec)
-    return basis

@@ -14,8 +14,10 @@ so a join and its dump share keys and sort order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
+from . import complexes
 from .complexes import LabeledComplex, build_complex
 from .errors import BudgetError, PreconditionError
 from .homology import DEFAULT_FIELDS
@@ -59,13 +61,20 @@ def join(factors):
     picks nothing from, which is the block tuple its dump line holds.
     The boundary follows the product rule over the factors, with a
     picked vertex allowed to vanish (its augmentation term).  A factor
-    with empty blocks is a join itself and is refused.
+    with empty blocks is a join itself and is refused.  The factors with
+    c_1, ..., c_m cells have (c_1 + 1) ... (c_m + 1) - 1 join cells;
+    more than `complexes.CELL_LIMIT` raise BudgetError before any is made.
     """
     factors = tuple(X for X in factors if not X.is_empty)
     picks = [list(X.all_cells()) for X in factors]
     if any(not block for cells in picks for cell in cells for block in cell):
         raise ValueError(
             "nested joins are not supported; join every factor in one call"
+        )
+    size = math.prod(len(cells) + 1 for cells in picks) - 1
+    if size > complexes.CELL_LIMIT:
+        raise BudgetError(
+            f"the join has {size} > {complexes.CELL_LIMIT} cells"
         )
     vanished = [((),) * len(cells[0]) for cells in picks]
     # factor i's blocks sit at key[starts[i]:starts[i + 1]]
@@ -196,14 +205,14 @@ def linear_width(H, family="cointerval"):
                 feasible.append((tuple(subset), mask, cert))
     feasible.sort(key=lambda item: item[0])
     full = (1 << t) - 1
-    suffix_union = [0] * (len(feasible) + 1)
-    for i in range(len(feasible) - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | feasible[i][1]
+    # (union, parts left) -> least start it failed from; a later start
+    # offers fewer parts, so it fails from there too
+    dead = {}
 
     def dfs(start, k_left, union, chosen):
         if union == full:
             return chosen if k_left == 0 else None
-        if k_left == 0 or union | suffix_union[start] != full:
+        if k_left == 0 or start >= dead.get((union, k_left), len(feasible)):
             return None
         for i in range(start, len(feasible)):
             _, mask, _ = feasible[i]
@@ -212,6 +221,7 @@ def linear_width(H, family="cointerval"):
             got = dfs(i + 1, k_left - 1, union | mask, chosen + (i,))
             if got is not None:
                 return got
+        dead[(union, k_left)] = start
         return None
 
     for k in range(1, t + 1):

@@ -13,20 +13,19 @@ verification machinery as internally built complexes.
 Faces are found with one holder bitset per (block slot, value) pair
 and dimension, not by testing every pair of cells.  Signs are carried
 from face to face across ridges that lie in exactly two faces, as in
-any polytope, and checked over the integers (`_propagated_signs`);
-Fraction arithmetic runs only for a cell they leave open, to find its
-signs or name the rejection.  More than `complexes.CELL_LIMIT` cells,
+any polytope, and checked over the integers (`_propagated_signs`).
+Only a cell they leave open goes to the exact rational kernel
+(`_kernels.nullspace_rational`, integer elimination on the faces' own
+sparse columns), to find its signs or name the rejection.  More than `complexes.CELL_LIMIT` cells,
 or a dimension that needs that many, raise BudgetError while the lines
 are read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import complexes
 from ._kernels import nullspace_rational
-from .complexes import LabeledComplex, _holders, _layout
+from .complexes import _AUG_COLUMN, LabeledComplex, _holders, _layout, _members
 from .errors import BudgetError, ParseError
 from .hypergraph import read_text
 
@@ -129,19 +128,6 @@ def _pair_bits(keys, bits):
     return masks
 
 
-def _set_bits(bits):
-    """Positions of the set bits of a non-negative int, ascending.
-
-    One step per set bit, so a wide bitset with few members is cheap.
-    """
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
 def _orient(cells):
     """Derive signed boundaries from the face poset, degree by degree.
 
@@ -161,10 +147,10 @@ def _orient(cells):
             columns[dim] = cols = []
             for i, mask in enumerate(pairs):
                 drop = 0
-                for k in _set_bits(present & ~mask):
+                for k in _members(present & ~mask):
                     drop |= holders[k]
                 cols.append(_signed_faces(
-                    keys, masks, columns, dim, i, _set_bits(every & ~drop)
+                    keys, masks, columns, dim, i, _members(every & ~drop)
                 ))
         # holders are only needed for the next dimension up
         holders = _holders(pairs) if dim + 1 in keys else {}
@@ -184,41 +170,39 @@ def _signed_faces(keys, masks, columns, dim, i, faces):
             )
     if not faces:
         raise ParseError(f"cell {cell} of dimension {dim} has no faces")
-    # rows of the faces' boundary matrix, sparse: (face position, sign);
-    # a face meets a ridge at most once, so every entry is +-1
+    # the faces' own columns; a face meets a ridge at most once, so every
+    # entry is +-1
     if dim == 1:
-        rows = [[(j, 1) for j in range(len(faces))]]  # the augmentation
+        cols = [_AUG_COLUMN] * len(faces)
     else:
-        by_ridge = {}
-        for j, f in enumerate(faces):
-            for g, s in columns[dim - 1][f]:
-                by_ridge.setdefault(g, []).append((j, s))
-        rows = list(by_ridge.values())
-    signs = _propagated_signs(rows, len(faces))
+        cols = [columns[dim - 1][f] for f in faces]
+    signs = _propagated_signs(cols)
     if signs is None:
-        dense = [[0] * len(faces) for _ in rows]
-        for row, entries in zip(dense, rows):
-            for j, s in entries:
-                row[j] = s
-        signs = _rational_signs(cell, dense, len(faces))
+        signs = _rational_signs(cell, cols)
     return tuple(zip(faces, signs))
 
 
-def _propagated_signs(rows, ncols):
-    """The +-1 kernel vector of a sparse +-1 matrix, by sign propagation.
+def _propagated_signs(cols):
+    """The +-1 kernel vector of sparse +-1 columns, by sign propagation.
 
-    A row with exactly two entries a, b (a ridge in exactly two faces)
-    forces v_b = -a b v_a on every kernel vector.  Starting from v_0 = +1,
-    walk those rows from column to column; if the walk reaches every
+    The columns' rows, one per ridge, are gathered first.  A row with
+    exactly two entries a, b (a ridge in exactly two faces) forces
+    v_b = -a b v_a on every kernel vector.  Starting from v_0 = +1, walk
+    those rows from column to column; if the walk reaches every
     column, each kernel vector is fixed by its first entry, so the
     kernel has dimension at most 1 over any field.  If the walked v also
     satisfies M v = 0 over the integers (two-entry rows are checked as
     the walk crosses them), the kernel is exactly span(v), and v is what
     `_rational_signs` would give.  Otherwise returns None.
     """
+    ncols = len(cols)
+    by_ridge = {}
+    for j, col in enumerate(cols):
+        for g, s in col:
+            by_ridge.setdefault(g, []).append((j, s))
     links = [[] for _ in range(ncols)]
     others = []
-    for row in rows:
+    for row in by_ridge.values():
         if len(row) == 2:
             (a, s), (b, t) = row
             links[a].append((b, -s * t))
@@ -244,22 +228,19 @@ def _propagated_signs(rows, ncols):
     return signs
 
 
-def _rational_signs(cell, rows, ncols):
+def _rational_signs(cell, cols):
     """Signs from the exact rational kernel, or a ParseError saying why not."""
-    basis = nullspace_rational(rows, ncols)
+    basis = nullspace_rational(cols)
     if len(basis) != 1:
         raise ParseError(
             f"cell {cell}: boundary kernel has dimension "
             f"{len(basis)}, not a polyhedral cell"
         )
     vec = basis[0]
-    lead = next((v for v in vec if v), None)
-    if lead is None:
-        raise ParseError(f"cell {cell}: degenerate boundary")
-    vec = [v / lead for v in vec]
-    if any(v not in (Fraction(1), Fraction(-1)) for v in vec):
+    lead = vec[0]
+    if any(v != lead and v != -lead for v in vec):
         raise ParseError(f"cell {cell}: boundary coefficients are not units")
-    return [1 if v > 0 else -1 for v in vec]
+    return [1 if v == lead else -1 for v in vec]
 
 
 def write_complex_dump_file(X, path):

@@ -6,9 +6,9 @@ as they are, a downset view takes the columns of the cells it selects
 (their faces are again in the view).  The complex checks once that
 consecutive boundaries compose to zero and raises PreconditionError if
 not; `boundary_matrices` never re-checks.  Ranks are exact: xor
-elimination over GF(2), sparse elimination over GF(p) for odd p, and
-fraction-free elimination over the integers for characteristic zero
-(`_kernels`).
+elimination over GF(2), and one sparse column reduction for every other
+field, mod p for odd p and over the integers for characteristic zero
+(`_kernels.rank_mod`).
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ class ChainComplex:
         mat = self.matrices.get(k)
         if not mat:
             return 0
-        if self.field.char == 0:
-            return _kernels.rank_bareiss(mat)
         return _kernels.rank_mod(mat, self.field.char)
 
     def homology_ranks(self):

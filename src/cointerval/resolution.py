@@ -208,7 +208,9 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
     inside exhaustive labeling searches).  A certified degree cannot
     fail, so statuses, failures and their order are those of a sweep
     that eliminated every degree over every field.  The sweep works on
-    label masks; only a failing degree is turned into a label.
+    label masks; only a failing degree is turned into a label.  No
+    downset is empty: a lattice element is a union of vertex labels, so
+    its downset holds those vertices.
 
     The rationals are skipped for a degree that a prime field earlier in
     `fields` already passed, because they cannot fail there.  The complex
@@ -235,9 +237,6 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
             statuses.append(ACYCLIC)
             continue
         sub = X.downset(mask)
-        if sub.is_empty:
-            statuses.append(EMPTY)
-            continue
         report.eliminated += 1
         status = ACYCLIC
         prime_passed = False

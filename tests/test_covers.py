@@ -1,4 +1,8 @@
 import itertools
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,11 @@ from cointerval import (
     taylor_complex,
     verify_resolution,
 )
+from cointerval import cli, complexes
 from cointerval.casestudy import net_complement
+from cointerval.complexes import LabeledComplex
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def zero_sphere(a, b):
@@ -136,6 +144,79 @@ def test_linear_width_budget():
     K6 = Hypergraph(2, range(1, 7), itertools.combinations(range(1, 7), 2))
     with pytest.raises(BudgetError):
         linear_width(K6)  # 15 edges > the exhaustive sweep budget
+
+
+def test_join_budget_refuses_before_any_cell(monkeypatch):
+    factors = [zero_sphere(1, 2), zero_sphere(3, 4)]  # 3 * 3 - 1 join cells
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 8)
+    assert len(join(factors)) == 8
+    made = []
+    monkeypatch.setattr(LabeledComplex, "label",
+                        lambda self, cell: made.append(cell))
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 7)
+    with pytest.raises(BudgetError, match="the join has 8 > 7 cells"):
+        join(factors)
+    assert made == []
+
+
+def test_decompose_exits_4_on_a_join_past_the_budget(monkeypatch, capsys):
+    # two one-cell parts join into three cells
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 2)
+    two_k2 = str(ROOT / "tests" / "golden" / "input_2k2.txt")
+    assert cli.main(["decompose", two_k2]) == 4
+    assert "the join has 3 > 2 cells" in capsys.readouterr().err
+
+
+# the nine maximal cointerval parts of a 12-edge 3-graph on 1..8
+MAXIMAL_PARTS = (
+    "125 135 137 138 156 157 158 167 367",
+    "125 135 137 138 156 157 158 167 458",
+    "125 135 137 138 156 167 256",
+    "125 135 137 138 157 158 256",
+    "125 135 137 156 157 158 167 256",
+    "125 135 138 156 157 256",
+    "125 137 138 156 157 158 167 256",
+    "135 137 138 156 157 158 167 256",
+    "278",
+)
+
+
+def test_linear_width_prunes_dead_states():
+    # The family accepts exactly the nonempty subsets of the maximal
+    # parts, 1,007 parts; a cover search that retries a failed (union,
+    # parts left) state from later starts takes minutes on it.
+    code = textwrap.dedent(
+        f"""
+        from cointerval import Hypergraph, covers
+
+        parts = [{{tuple(map(int, e)) for e in line.split()}}
+                 for line in {MAXIMAL_PARTS!r}]
+        H = Hypergraph(3, range(1, 9), set().union(*parts))
+
+        def search(G):
+            if any(G.edges <= part for part in parts):
+                return {{v: v for v in G.vertices}}
+            return None
+
+        covers.find_strongly_stable_labeling = search
+        width, cover = covers.linear_width(H, family="ss")
+        print(width)
+        for part in cover.parts:
+            print(" ".join("".join(map(str, e)) for e in part.edge_list()))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(ROOT / "src")}, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "4",
+        "125 135 137 138 156 157 158 167 367",
+        "125 135 137 138 156 157 158 167 458",
+        "125 135 137 138 156 167 256",
+        "278",
+    ]
 
 
 def test_cover_validation(two_k2):

@@ -2,10 +2,11 @@
 
 `oracle_orient` is the orientation step as it was written first: every
 (dim - 1)-cell is tested against every dim-cell by `_below`, and each
-cell's signs come from the exact rational kernel.  The parser finds
-faces by holder bitsets and carries signs across ridges shared by two
-faces, falling back to the rational kernel; on every dump here both
-must give the same boundaries, or the same ParseError text.
+cell's signs come from a dense Fraction nullspace (`fraction_nullspace`).
+The parser finds faces by holder bitsets and carries signs across ridges
+shared by two faces, falling back to the integer-elimination rational
+kernel; on every dump here both must give the same boundaries, or the
+same ParseError text.
 """
 
 import itertools
@@ -35,10 +36,46 @@ from cointerval import (
     write_complex_dump,
 )
 from cointerval import dumpio
-from cointerval._kernels import nullspace_rational
 from cointerval.dumpio import _read_cells
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def fraction_nullspace(rows, ncols):
+    """Basis of the rational nullspace of dense rows, by Fraction
+    Gauss-Jordan: the kernel the parser first oriented cells with."""
+    m = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, m):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = -a[i][fc]
+        basis.append(vec)
+    return basis
 
 
 def _below(small, big):
@@ -83,7 +120,7 @@ def oracle_orient(cells):
                 else:
                     for g, s in boundaries[f]:
                         rows[target_index[g]][j] += s
-            basis = nullspace_rational(rows, len(faces))
+            basis = fraction_nullspace(rows, len(faces))
             if len(basis) != 1:
                 raise ParseError(
                     f"cell {cell}: boundary kernel has dimension "
@@ -405,9 +442,9 @@ def test_every_propagation_exit_matches_oracle(
     fell_back = []
     rational_signs = dumpio._rational_signs
 
-    def recorded(cell, rows, ncols):
+    def recorded(cell, cols):
         fell_back.append(cell)
-        return rational_signs(cell, rows, ncols)
+        return rational_signs(cell, cols)
 
     monkeypatch.setattr(dumpio, "_rational_signs", recorded)
     got = outcome(parse_complex_dump, text)

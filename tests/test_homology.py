@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import GF as sympy_GF
+from sympy import QQ as sympy_QQ
 from sympy import Matrix
 from sympy.polys.matrices import DomainMatrix
 
@@ -28,11 +29,7 @@ from cointerval import (
     homology_ranks,
     is_acyclic,
 )
-from cointerval._kernels import (
-    nullspace_rational,
-    rank_bareiss,
-    rank_mod,
-)
+from cointerval._kernels import nullspace_rational, rank_mod
 from cointerval.complexes import block_boundary, block_dim
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC
 
@@ -97,11 +94,12 @@ matrices = st.integers(1, 5).flatmap(
 def test_rank_kernels_against_sympy(rows):
     ncols = len(rows[0])
     cols = sparse(rows)
-    assert rank_bareiss(cols) == Matrix(rows).rank()
+    assert rank_mod(cols, 0) == Matrix(rows).rank()
     for p in (2, 3, 32003):
         dom = DomainMatrix.from_list(rows, sympy_GF(p))
         assert rank_mod(cols, p) == dom.rank(), (rows, p)
-    null = nullspace_rational(rows, ncols)
+    # the kernel of the matrix with these rows: its columns, sparse
+    null = nullspace_rational(sparse(list(zip(*rows))))
     assert len(null) == ncols - Matrix(rows).rank()
     for vec in null:
         for row in rows:
@@ -112,7 +110,7 @@ def test_rank_mod_catches_characteristic():
     cols = [((0, 2),)]
     assert rank_mod(cols, 2) == 0
     assert rank_mod(cols, 3) == 1
-    assert rank_bareiss(cols) == 1
+    assert rank_mod(cols, 0) == 1
 
 
 def test_rank_mod_huge_prime():
@@ -125,7 +123,61 @@ def test_rank_mod_huge_prime():
         assert rank_mod(sparse(rows), p) == dom.rank()
     # a rank drop only visible modulo p
     assert rank_mod(sparse([[1, 1], [1, 1 + p]]), p) == 1
-    assert rank_bareiss(sparse([[1, 1], [1, 1 + p]])) == 2
+    assert rank_mod(sparse([[1, 1], [1, 1 + p]]), 0) == 2
+
+
+def low_rank(rng, n, rank):
+    """A dense n x n integer matrix of the given rank (for a generic
+    draw), as a product of n x rank and rank x n factors; entries stay
+    within +-rank * 200^2."""
+    a = [[rng.randint(-200, 200) for _ in range(rank)] for _ in range(n)]
+    b = [[rng.randint(-200, 200) for _ in range(n)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def test_q_rank_on_dense_matrices_against_sympy():
+    rng = random.Random(11)
+    bound = 10**6
+    cases = [
+        [[rng.randint(-bound, bound) for _ in range(25)] for _ in range(25)]
+        for _ in range(3)
+    ]
+    cases += [low_rank(rng, 25, r) for r in (1, 7, 24)]
+    # a row that is minus another, and a zero column
+    rows = [[rng.randint(-bound, bound) for _ in range(25)] for _ in range(25)]
+    rows[3] = [-v for v in rows[0]]
+    for row in rows:
+        row[5] = 0
+    cases.append(rows)
+    for rows in cases:
+        want = DomainMatrix.from_list(rows, sympy_QQ).rank()
+        assert rank_mod(sparse(rows), 0) == want
+        assert rank_mod(sparse(list(zip(*rows))), 0) == want
+    assert [DomainMatrix.from_list(r, sympy_QQ).rank() for r in cases] == [
+        25, 25, 25, 1, 7, 24, 24
+    ]
+
+
+def test_nullspace_rational_against_sympy():
+    rng = random.Random(5)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-50, 50)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        null = nullspace_rational(sparse(list(zip(*rows))))
+        assert len(null) == ncols - Matrix(rows).rank()
+        if null:
+            assert Matrix(null).rank() == len(null)
+        for vec in null:
+            assert len(vec) == ncols and any(vec)
+            for row in rows:
+                assert sum(a * x for a, x in zip(row, vec)) == 0
+    # sparse rows need not start at 0, and a zero column is a kernel
+    # vector of its own
+    assert nullspace_rational([((7, 2),), ((7, -1), (3, 0)), ()]) == [
+        [1, 2, 0], [0, 0, 1]
+    ]
 
 
 def test_two_points_not_acyclic(two_k2):
@@ -200,7 +252,7 @@ def test_complex_boundary_ranks_match_sympy(copath5):
     cc = boundary_matrices(X, QQ)
     assert sorted(cc.matrices) == [0, 1, 2, 3]
     for k, mat in cc.matrices.items():
-        assert rank_bareiss(mat) == Matrix(dense(cc, k)).rank()
+        assert rank_mod(mat, 0) == Matrix(dense(cc, k)).rank()
 
 
 def test_random_complex_ranks_match_sympy():

@@ -234,19 +234,21 @@ def verify_every_field(X, fields):
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
+def q_rank_calls(monkeypatch):
+    """Column counts of the rank calls over Q (`rank_mod` with p == 0)."""
     calls = []
-    real = _kernels.rank_bareiss
+    real = _kernels.rank_mod
 
-    def counted(cols):
-        calls.append(len(cols))
-        return real(cols)
+    def counted(cols, p):
+        if p == 0:
+            calls.append(len(cols))
+        return real(cols, p)
 
-    monkeypatch.setattr(_kernels, "rank_bareiss", counted)
+    monkeypatch.setattr(_kernels, "rank_mod", counted)
     return calls
 
 
-def test_q_after_a_passing_prime_is_skipped(copath5, bareiss_calls):
+def test_q_after_a_passing_prime_is_skipped(copath5, q_rank_calls):
     X = build_complex(copath5)
     Y = read_complex_dump(GOLDEN / "input_taylor_2k2.dump")
     expected = {
@@ -258,12 +260,12 @@ def test_q_after_a_passing_prime_is_skipped(copath5, bareiss_calls):
     for name, C in (("copath5", X), ("taylor", Y)):
         report = verify_resolution(C, (GF32003, QQ))
         assert report.summary() == expected[name]
-        assert bareiss_calls == [], name
+        assert q_rank_calls == [], name
         oracle = verify_every_field(C, (GF32003, QQ))
-        assert bareiss_calls, name  # the oracle did run Bareiss
+        assert q_rank_calls, name  # the oracle did eliminate over Q
         assert report.summary() == oracle.summary()
         assert report.alpha_status == oracle.alpha_status
-        bareiss_calls.clear()
+        q_rank_calls.clear()
 
 
 def scrambled_complex(cells, seed):
@@ -300,17 +302,17 @@ def scrambled():
     return scrambled_complex(cells, seed=0)
 
 
-def test_q_first_or_alone_still_runs_bareiss(copath5, scrambled,
-                                             bareiss_calls):
+def test_q_first_or_alone_still_eliminates(copath5, scrambled,
+                                           q_rank_calls):
     # on degrees the lead matching leaves open
     for fields in ((QQ,), (QQ, GF2)):
         report = verify_resolution(scrambled, fields)
         assert report.passed
         assert report.eliminated >= 21, fields
-        assert len(bareiss_calls) > 21, fields  # several ranks per degree
-        bareiss_calls.clear()
+        assert len(q_rank_calls) > 21, fields  # several ranks per degree
+        q_rank_calls.clear()
     betti_from_downset_homology(build_complex(copath5), QQ)
-    assert bareiss_calls
+    assert q_rank_calls
 
 
 def test_a_second_prime_field_still_runs(scrambled, monkeypatch):
@@ -327,7 +329,7 @@ def test_a_second_prime_field_still_runs(scrambled, monkeypatch):
     assert seen.count(3) >= 21 and seen.count(2) >= 21
 
 
-def test_planted_2k2_failures_unchanged(copath5, bareiss_calls):
+def test_planted_2k2_failures_unchanged(copath5, q_rank_calls):
     # copath5 with a disjoint edge: {6, 7} and (1, 2) span an induced 2K2
     planted = Hypergraph(2, range(1, 8), list(copath5.edges) + [(6, 7)])
     X = build_complex(planted)
