@@ -1,11 +1,14 @@
 """Exhaustive surveys over small isomorphism classes.
 
-Classes of d-graphs on [n] are enumerated by orbit-marking bitmask
-sweeps (each edge subset is a bit pattern over the sorted list of
-possible edges); a Burnside cycle count double-checks the class count.
-`classify_all` decorates every class with its recognition flags, Betti
-data and linear widths, and `counterexample_search` runs the full
-resolution check over every labeling of a single graph.
+Classes of d-graphs on [n] are enumerated by one orbit-marking bitmask
+sweep (each edge subset is a bit pattern over the sorted list of
+possible edges), which also gives every class its canonical form and
+every mask its class; a Burnside cycle count double-checks the class
+count.  `classify_all` decorates every class with its recognition
+flags, Betti data and linear widths, running each family's labeling
+search once per class rather than once per part, and
+`counterexample_search` runs the full resolution check over every
+labeling of a single graph.
 """
 
 from __future__ import annotations
@@ -14,9 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import build_complex
-from .covers import LINEAR_WIDTH_EDGE_LIMIT, linear_width
-from .errors import BudgetError
+from .complexes import _members, build_complex
+from .covers import (
+    LINEAR_WIDTH_EDGE_LIMIT,
+    _family,
+    _least_cover,
+    _part_cert,
+)
+from .errors import BudgetError, PreconditionError
 from .homology import GF2
 from .hypergraph import (
     CANONICAL_VERTEX_LIMIT,
@@ -35,6 +43,10 @@ def _edge_universe(d, n):
 
 
 def _guard_classes(d, n):
+    if d < 1:
+        raise PreconditionError(f"uniformity must be >= 1, got {d}")
+    if n < 0:
+        raise PreconditionError(f"vertex count must be >= 0, got {n}")
     t = math.comb(n, d)
     if t > CLASS_EDGE_LIMIT or n > CANONICAL_VERTEX_LIMIT:
         raise BudgetError(
@@ -44,11 +56,15 @@ def _guard_classes(d, n):
     return t
 
 
-def enumerate_classes(d, n):
-    """Canonical representatives of all d-graph classes on [n].
+def _orbit_sweep(d, n):
+    """(universe, classes, class_of) for the d-graphs on [n].
 
-    Sorted by (edge count, canonical edge list).  Exhaustive over all
-    2^C(n,d) edge subsets, so guarded.
+    Every edge mask over the sorted `universe` not yet marked starts a
+    class, and its n! images under the relabelings of [n] are marked
+    with that class.  A class's representative is its image with the
+    least sorted edge-index list, which is its `canonical_form()` since
+    the universe is sorted.  `classes` are in `enumerate_classes` order
+    and `class_of[mask]` is the position of the mask's class there.
     """
     t = _guard_classes(d, n)
     universe = _edge_universe(d, n)
@@ -62,23 +78,45 @@ def enumerate_classes(d, n):
                 for e in universe
             ]
         )
-    seen = bytearray(1 << t)
-    reps = []
+    class_of = [-1] * (1 << t)
+    least = []
     for mask in range(1 << t):
-        if seen[mask]:
+        if class_of[mask] >= 0:
             continue
-        bits = [i for i in range(t) if mask >> i & 1]
+        bits = _members(mask)
+        best = mask
         for table in tables:
             image = 0
             for i in bits:
                 image |= 1 << table[i]
-            seen[image] = 1
-        reps.append(mask)
-    classes = []
-    for mask in reps:
-        edges = [universe[i] for i in range(t) if mask >> i & 1]
-        classes.append(Hypergraph(d, range(1, n + 1), edges).canonical_form())
-    classes.sort(key=lambda h: (len(h.edges), h.edge_list()))
+            class_of[image] = len(least)
+            # of two equal-sized index sets, the one holding the least
+            # index they do not share has the smaller sorted list
+            diff = image ^ best
+            if image & diff & -diff:
+                best = image
+        least.append(best)
+    classes = [
+        Hypergraph(d, range(1, n + 1), [universe[i] for i in _members(m)])
+        for m in least
+    ]
+    order = sorted(
+        range(len(classes)),
+        key=lambda c: (len(classes[c].edges), classes[c].edge_list()),
+    )
+    rank = {c: r for r, c in enumerate(order)}
+    return universe, [classes[c] for c in order], [rank[c] for c in class_of]
+
+
+def enumerate_classes(d, n):
+    """Canonical representatives of all d-graph classes on [n].
+
+    Sorted by (edge count, canonical edge list).  Exhaustive over all
+    2^C(n,d) edge subsets and n! relabelings, so guarded; each
+    representative is the least image its class meets in that one
+    sweep, so no class is canonicalized again.
+    """
+    _universe, classes, _class_of = _orbit_sweep(d, n)
     return classes
 
 
@@ -130,13 +168,13 @@ class ClassRow:
         return self.ss_labeling is not None
 
 
-def _classify_one(idx, H):
+def _classify_one(idx, H, part_feasible):
     co = find_cointerval_labeling(H)
     ss = find_strongly_stable_labeling(H)
     fvec = build_complex(H.relabel(co)).f_vector() if co else None
     coarse = betti_hochster(H, GF2).coarse()
-    wc, cover_c = linear_width(H, "cointerval")
-    ws, cover_s = linear_width(H, "ss")
+    wc, cover_c = _least_cover(H, "cointerval", part_feasible["cointerval"])
+    ws, cover_s = _least_cover(H, "ss", part_feasible["ss"])
     return ClassRow(idx, H, co, ss, fvec, coarse, wc, ws, cover_c, cover_s)
 
 
@@ -145,7 +183,10 @@ def classify_all(d, n):
 
     The complete d-graph is one of the classes, so the survey is refused
     before any class is enumerated when its C(n, d) edges are more than
-    `linear_width` takes.
+    `linear_width` takes.  Whether a part has a family labeling depends
+    only on its isomorphism class, so each family's search runs once per
+    class, on the class representative; the cover search reads a part's
+    answer from the class the orbit sweep gave its edge mask.
     """
     t = _guard_classes(d, n)
     if t > LINEAR_WIDTH_EDGE_LIMIT:
@@ -153,8 +194,23 @@ def classify_all(d, n):
             f"linear width is exhaustive; refusing the complete {d}-graph "
             f"on {n} vertices, {t} > {LINEAR_WIDTH_EDGE_LIMIT} edges"
         )
-    classes = enumerate_classes(d, n)
-    return [_classify_one(i + 1, H) for i, H in enumerate(classes)]
+    universe, classes, class_of = _orbit_sweep(d, n)
+    index = {e: i for i, e in enumerate(universe)}
+
+    def class_flags(family):
+        search, _is_member = _family(family)
+        flags = [
+            bool(H.edges) and _part_cert(H, H.edge_list(), search) is not None
+            for H in classes
+        ]
+        return lambda part: flags[class_of[sum(1 << index[e] for e in part)]]
+
+    part_feasible = {
+        family: class_flags(family) for family in ("cointerval", "ss")
+    }
+    return [
+        _classify_one(i + 1, H, part_feasible) for i, H in enumerate(classes)
+    ]
 
 
 def _fmt_edges(H):

@@ -178,10 +178,25 @@ def _part_cert(H, edge_subset, search):
 def linear_width(H, family="cointerval"):
     """Smallest k with E(H) a union of k family-member edge subsets.
 
-    Exhaustive: every edge subset is tested for family membership under
-    some relabeling of its support, then a depth-first search finds the
-    least k and, among k-part covers, the lexicographically least one by
-    sorted part edge lists.  Returns (k, Cover).
+    Exhaustive: every nonempty edge subset is searched for a family
+    labeling of its support, then `_least_cover` finds the least k and,
+    among k-part covers, the lexicographically least one by sorted part
+    edge lists.  Returns (k, Cover).
+    """
+    search, _is_member = _family(family)
+    return _least_cover(
+        H, family, lambda part: _part_cert(H, part, search) is not None
+    )
+
+
+def _least_cover(H, family, feasible):
+    """(k, Cover) of the least k-part cover whose parts pass `feasible`.
+
+    `feasible` takes a nonempty sorted list of H's edges and says whether
+    it has a family labeling.  A depth-first search over the passing
+    edge masks, in the order of their sorted edge lists, finds the least
+    k and the lexicographically least k-part cover; the family search
+    then labels only the k picked parts.
     """
     search, _is_member = _family(family)
     edge_list = H.edge_list()
@@ -193,17 +208,16 @@ def linear_width(H, family="cointerval"):
         )
     if t == 0:
         return 0, Cover((), ())
-    feasible = []  # (edge tuple sorted, mask, cert)
-    for size in range(1, t + 1):
-        for combo in itertools.combinations(range(t), size):
-            subset = [edge_list[i] for i in combo]
-            cert = _part_cert(H, subset, search)
-            if cert is not None:
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                feasible.append((tuple(subset), mask, cert))
-    feasible.sort(key=lambda item: item[0])
+    subsets = sorted(
+        combo
+        for size in range(1, t + 1)
+        for combo in itertools.combinations(range(t), size)
+    )
+    masks = [
+        sum(1 << i for i in combo)
+        for combo in subsets
+        if feasible([edge_list[i] for i in combo])
+    ]
     full = (1 << t) - 1
     # (union, parts left) -> least start it failed from; a later start
     # offers fewer parts, so it fails from there too
@@ -212,13 +226,13 @@ def linear_width(H, family="cointerval"):
     def dfs(start, k_left, union, chosen):
         if union == full:
             return chosen if k_left == 0 else None
-        if k_left == 0 or start >= dead.get((union, k_left), len(feasible)):
+        if k_left == 0 or start >= dead.get((union, k_left), len(masks)):
             return None
-        for i in range(start, len(feasible)):
-            _, mask, _ = feasible[i]
+        for i in range(start, len(masks)):
+            mask = masks[i]
             if mask | union == union:
                 continue  # adds nothing; minimal covers always add edges
-            got = dfs(i + 1, k_left - 1, union | mask, chosen + (i,))
+            got = dfs(i + 1, k_left - 1, union | mask, chosen + (mask,))
             if got is not None:
                 return got
         dead[(union, k_left)] = start
@@ -227,9 +241,16 @@ def linear_width(H, family="cointerval"):
     for k in range(1, t + 1):
         picked = dfs(0, k, 0, ())
         if picked is not None:
-            parts = tuple(
-                Hypergraph(H.d, H.vertices, feasible[i][0]) for i in picked
-            )
-            certs = tuple(feasible[i][2] for i in picked)
-            return k, Cover(parts, certs)
+            parts = [
+                [edge_list[i] for i in complexes._members(mask)]
+                for mask in picked
+            ]
+            certs = tuple(_part_cert(H, part, search) for part in parts)
+            if None in certs:
+                raise RuntimeError(
+                    f"a part passed as {family} but its search found no "
+                    "labeling"
+                )
+            cover = tuple(Hypergraph(H.d, H.vertices, part) for part in parts)
+            return k, Cover(cover, certs)
     raise RuntimeError("single edges are always feasible; unreachable")

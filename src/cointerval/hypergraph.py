@@ -20,7 +20,7 @@ from collections import Counter
 
 from .errors import BudgetError, ParseError, PreconditionError
 
-CANONICAL_VERTEX_LIMIT = 9  # exhaustive relabeling guard: 9! permutations
+CANONICAL_VERTEX_LIMIT = 8  # exhaustive relabeling guard: 8! permutations
 COINTERVAL_PLACEMENT_LIMIT = 50_000  # labeling search guard: DFS placements
 # parser guard: the labeling search recurses once per vertex and block
 # growth once per block, at most d <= n frames each (Python's default

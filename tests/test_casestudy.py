@@ -1,8 +1,16 @@
+import collections
+import itertools
+
 import pytest
 
 from cointerval import (
+    GF2,
     BudgetError,
+    Cover,
     Hypergraph,
+    PreconditionError,
+    betti_hochster,
+    build_complex,
     burnside_count,
     classification_table,
     classify_all,
@@ -12,6 +20,14 @@ from cointerval import (
     net_graph,
     ss_width_gap_search,
 )
+from cointerval import casestudy, covers
+from cointerval.casestudy import ClassRow
+from cointerval.hypergraph import (
+    find_cointerval_labeling,
+    find_strongly_stable_labeling,
+)
+
+DIFFERENTIAL_SIZES = [(1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
 
 
 def test_class_counts_match_burnside():
@@ -118,3 +134,123 @@ def test_guards():
     big = Hypergraph(2, range(1, 8), [(1, 2)])
     with pytest.raises(BudgetError):
         counterexample_search(big)  # 7! labelings > budget
+
+
+@pytest.mark.parametrize(
+    "d, n, message",
+    [
+        (-1, 4, "uniformity must be >= 1, got -1"),
+        (0, 4, "uniformity must be >= 1, got 0"),
+        (2, -2, "vertex count must be >= 0, got -2"),
+    ],
+)
+def test_bad_sizes_are_refused_before_any_count(d, n, message):
+    for survey in (enumerate_classes, burnside_count, classify_all):
+        with pytest.raises(PreconditionError) as info:
+            survey(d, n)
+        assert str(info.value) == message
+
+
+def oracle_linear_width(H, family):
+    """`linear_width` as a per-part loop: one family search per nonempty
+    edge subset, certificates kept from those searches, then the
+    depth-first search for the least cover."""
+    search, _is_member = covers._family(family)
+    edge_list = H.edge_list()
+    t = len(edge_list)
+    if t == 0:
+        return 0, Cover((), ())
+    feasible = []
+    for size in range(1, t + 1):
+        for combo in itertools.combinations(range(t), size):
+            subset = [edge_list[i] for i in combo]
+            cert = covers._part_cert(H, subset, search)
+            if cert is not None:
+                mask = sum(1 << i for i in combo)
+                feasible.append((tuple(subset), mask, cert))
+    feasible.sort(key=lambda item: item[0])
+    full = (1 << t) - 1
+    dead = {}
+
+    def dfs(start, k_left, union, chosen):
+        if union == full:
+            return chosen if k_left == 0 else None
+        if k_left == 0 or start >= dead.get((union, k_left), len(feasible)):
+            return None
+        for i in range(start, len(feasible)):
+            mask = feasible[i][1]
+            if mask | union == union:
+                continue
+            got = dfs(i + 1, k_left - 1, union | mask, chosen + (i,))
+            if got is not None:
+                return got
+        dead[(union, k_left)] = start
+        return None
+
+    for k in range(1, t + 1):
+        picked = dfs(0, k, 0, ())
+        if picked is not None:
+            parts = tuple(
+                Hypergraph(H.d, H.vertices, feasible[i][0]) for i in picked
+            )
+            return k, Cover(parts, tuple(feasible[i][2] for i in picked))
+    raise AssertionError("single edges are always feasible")
+
+
+def oracle_row(idx, H):
+    co = find_cointerval_labeling(H)
+    fvec = build_complex(H.relabel(co)).f_vector() if co else None
+    wc, cover_c = oracle_linear_width(H, "cointerval")
+    ws, cover_s = oracle_linear_width(H, "ss")
+    return ClassRow(
+        idx, H, co, find_strongly_stable_labeling(H), fvec,
+        betti_hochster(H, GF2).coarse(), wc, ws, cover_c, cover_s,
+    )
+
+
+@pytest.mark.parametrize("d, n", DIFFERENTIAL_SIZES)
+def test_classify_all_matches_the_per_part_oracle(d, n):
+    rows = classify_all(d, n)
+    assert [row.H for row in rows] == enumerate_classes(d, n)
+    for row in rows:
+        expect = oracle_row(row.index, row.H)
+        for name in ClassRow.__dataclass_fields__:
+            assert getattr(row, name) == getattr(expect, name), (row.H, name)
+
+
+@pytest.mark.parametrize("d, n", DIFFERENTIAL_SIZES)
+def test_orbit_sweep_classes_and_canonical_forms(d, n):
+    universe, classes, class_of = casestudy._orbit_sweep(d, n)
+    assert classes == enumerate_classes(d, n)
+    assert len(classes) == burnside_count(d, n)
+    assert len(class_of) == 1 << len(universe)
+    for H in classes:
+        assert H.canonical_form() == H
+    for mask, c in enumerate(class_of):
+        G = Hypergraph(
+            d, range(1, n + 1),
+            [e for i, e in enumerate(universe) if mask >> i & 1],
+        )
+        assert G.canonical_form() == classes[c], (mask, c)
+
+
+def test_classify_all_searches_once_per_class(monkeypatch):
+    # the per-part loop ran 3,275 searches per family on (3, 5)
+    calls = collections.Counter()
+    names = ("find_cointerval_labeling", "find_strongly_stable_labeling")
+    for module in (covers, casestudy):
+        for name in names:
+            def counted(G, key=(module, name), search=getattr(module, name)):
+                calls[key] += 1
+                return search(G)
+
+            monkeypatch.setattr(module, name, counted)
+    rows = classify_all(3, 5)
+    assert len(rows) == 34
+    picked = [
+        sum(len(row.cover_cointerval.parts) for row in rows),
+        sum(len(row.cover_ss.parts) for row in rows),
+    ]
+    for name, parts in zip(names, picked):
+        assert calls[covers, name] <= 34 + parts
+        assert calls[casestudy, name] == 34  # `_classify_one`'s own search

@@ -121,6 +121,29 @@ def test_casestudy_guard(capsys):
     assert code == 4 and "refusing" in err
 
 
+def test_casestudy_refuses_nine_vertices_at_once(capsys):
+    # C(9, 1) = 9 edges pass the class guard, but 9! relabelings do not
+    start = time.perf_counter()
+    code, out, err = run(capsys, "casestudy", "--d", "1", "--n", "9")
+    assert time.perf_counter() - start < 2
+    assert code == 4 and out == ""
+    assert "over 9! labelings; refusing (d=1, n=9)" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--d", "-1", "uniformity must be >= 1, got -1"),
+        ("--d", "0", "uniformity must be >= 1, got 0"),
+        ("--n", "-2", "vertex count must be >= 0, got -2"),
+    ],
+)
+def test_casestudy_refuses_bad_sizes(capsys, flag, value, message):
+    code, out, err = run(capsys, "casestudy", flag, value)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_casestudy_refuses_before_the_survey(capsys, d):
     # C(6, d) = 15 passes the class guard, but the complete d-graph has
