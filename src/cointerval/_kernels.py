@@ -6,7 +6,8 @@ non-negative ints (a downset's boundary columns keep the row ids of the
 complex they were cut from), and rank does not depend on which rows are
 empty.  Everything is exact:
 
-  GF(2)  each column packed into one int bitmask, xor elimination;
+  GF(2)  each column packed into one int bitmask (`pack_gf2`), xor
+         elimination on the packed columns (`rank_packed`);
   GF(p)  sparse column reduction with dict columns, each pivot scaled
          to lead 1 (Python ints, so no overflow for any prime p);
   Q      the same reduction over the integers (p = 0): a column is
@@ -20,15 +21,52 @@ vector.  Dump parsing
 orients cells by sign propagation and calls it only for a cell that
 propagation leaves open, in practice on the way to rejecting a
 malformed dump.
+
+`_members` and `_picked` read an id bitset: the positions of its set
+bits, or the items of a sequence at them.
 """
 
+import itertools
 from math import gcd
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(bits):
+    # one byte per bit position of bits, lowest first: 1 if set, else 0
+    return bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+
+
+def _members(bits):
+    """Positions of the set bits of a non-negative int, ascending.
+
+    A sparse mask (fewer than one set bit in 16) is walked one set bit
+    at a time, `rfind` skipping the zeros between them, so a wide bitset
+    with few members is cheap; a denser one has its ones picked out of
+    `_flags` all at once.
+    """
+    if bits.bit_count() * 16 < bits.bit_length():
+        digits = bin(bits)
+        top = len(digits) - 1
+        out = []
+        i = digits.rfind("1")
+        while i > 1:
+            out.append(top - i)
+            i = digits.rfind("1", 2, i)
+        return out
+    flags = _flags(bits)
+    return list(itertools.compress(range(len(flags)), flags))
+
+
+def _picked(seq, bits):
+    """The items of seq at the set bits of an id bitset, in order."""
+    return list(itertools.compress(seq, _flags(bits)))
 
 
 def rank_mod(cols, p):
     """Rank over GF(p), or over Q for p == 0, of sparse integer columns."""
     if p == 2:
-        return _rank_gf2(cols)
+        return rank_packed(pack_gf2(cols))
     return len(_reduce(cols, p))
 
 
@@ -88,14 +126,24 @@ def _primitive(vec):
     return {r: v // g for r, v in vec.items()} if g != 1 else vec
 
 
-def _rank_gf2(cols):
-    # Columns packed into single ints; elimination is then just xor.
-    pivots = {}
+def pack_gf2(cols):
+    """Sparse integer columns mod 2, each as one int: bit r set for an
+    odd entry on row r."""
+    out = []
     for col in cols:
         mask = 0
         for r, v in col:
             if v & 1:
                 mask ^= 1 << r
+        out.append(mask)
+    return out
+
+
+def rank_packed(masks):
+    """Rank over GF(2) of columns packed by `pack_gf2`; elimination is
+    then just xor."""
+    pivots = {}
+    for mask in masks:
         while mask:
             lead = mask.bit_length() - 1
             other = pivots.get(lead)

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from .complexes import _members, build_complex
+from ._kernels import _members
+from .complexes import build_complex
 from .covers import (
     LINEAR_WIDTH_EDGE_LIMIT,
     _family,
@@ -56,6 +58,23 @@ def _guard_classes(d, n):
     return t
 
 
+def _relabelings(universe, n):
+    """For each relabeling of [n], in `itertools.permutations` order, the
+    position in `universe` of every edge's image.
+
+    Edges are looked up by vertex mask, so an image needs no sort: a
+    relabeling is a tuple of vertex bits, `bits[v]` the bit of v's new
+    label, and an edge's image mask is the sum of its vertices' bits.
+    Position 0 of `bits` is 0 and every getter also reads it, so each
+    getter returns a tuple, even for 1-graphs.
+    """
+    at = {sum(1 << v for v in e): i for i, e in enumerate(universe)}
+    getters = [operator.itemgetter(0, *e) for e in universe]
+    for perm in itertools.permutations([1 << v for v in range(1, n + 1)]):
+        bits = (0,) + perm
+        yield [at[sum(get(bits))] for get in getters]
+
+
 def _orbit_sweep(d, n):
     """(universe, classes, class_of) for the d-graphs on [n].
 
@@ -68,16 +87,7 @@ def _orbit_sweep(d, n):
     """
     t = _guard_classes(d, n)
     universe = _edge_universe(d, n)
-    index = {e: i for i, e in enumerate(universe)}
-    tables = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        relabel = dict(zip(range(1, n + 1), perm))
-        tables.append(
-            [
-                index[tuple(sorted(relabel[v] for v in e))]
-                for e in universe
-            ]
-        )
+    tables = list(_relabelings(universe, n))
     class_of = [-1] * (1 << t)
     least = []
     for mask in range(1 << t):
@@ -124,13 +134,8 @@ def burnside_count(d, n):
     """Number of classes by the orbit-counting lemma (independent check)."""
     _guard_classes(d, n)
     universe = _edge_universe(d, n)
-    index = {e: i for i, e in enumerate(universe)}
     total = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        relabel = dict(zip(range(1, n + 1), perm))
-        succ = [
-            index[tuple(sorted(relabel[v] for v in e))] for e in universe
-        ]
+    for succ in _relabelings(universe, n):
         cycles = 0
         seen = [False] * len(universe)
         for i in range(len(universe)):

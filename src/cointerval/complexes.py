@@ -14,9 +14,12 @@ cells of each dimension in sort order (a cell's id is its position),
 their labels as bitmasks, and a builder's rule for the boundary
 columns.  On first use of its columns or downsets the complex checks,
 once, that faces are cells with labels inside their cell's and that
-the boundary squares to zero.  A downset is the same class with an id
-selection, sharing the keys, masks and checked columns of the complex
-it was cut from.
+the boundary squares to zero; over GF(2) the checked columns are also
+packed, once, into one int each.  A downset is an id selection
+({dim: id bitset}, `_select`): the lattice sweeps read ranks straight
+off it and the whole complex's columns, and `downset` wraps it in a
+view, the same class sharing the keys, masks and columns of the
+complex it was cut from.
 
 The builders differ only in how they find cells and columns.  A
 complex of products of simplices is met in sort order and filed by
@@ -37,8 +40,8 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 
+from ._kernels import _members, _picked, pack_gf2
 from .errors import BudgetError, PreconditionError
 from .homology import _assert_squares_to_zero
 from .hypergraph import Hypergraph
@@ -46,17 +49,10 @@ from .hypergraph import Hypergraph
 
 # cells grown before build_complex refuses (also faces kept by
 # staircase.restrict_to_graph); `resolve` on copath(15), 98,305
-# cells, takes about 5 s and 340 MB (2 vCPUs, Python 3.11)
+# cells, takes about 3.5 s and 285 MB (2 vCPUs, Python 3.11)
 CELL_LIMIT = 100_000
 
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 _AUG_COLUMN = ((0, 1),)  # a vertex's augmentation: once the empty face
-
-
-def _members(bits):
-    """Positions of the set bits of a non-negative int, ascending."""
-    flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
-    return list(itertools.compress(range(len(flags)), flags))
 
 
 def _holders(masks):
@@ -125,10 +121,11 @@ class LabeledComplex:
                   d-cells, as (face id, coefficient) pairs}
 
     Cells, dimensions and labels are read off keys and masks, so the
-    columns are made only for `boundary`, `columns` or a downset.  A
-    downset is a copy with an id selection ({dim: id bitset}); it shares
-    the keys, masks, checked columns and holders of the complex it was
-    cut from.
+    columns are made only for `boundary`, `columns` or a downset.  An
+    id selection ({dim: id bitset}, `_select`) picks the cells of a
+    downset; the lattice sweeps read ranks straight off it, and a
+    downset view is a copy holding one, sharing the keys, masks, checked
+    and packed columns and holders of the complex it was cut from.
     """
 
     def __init__(self, keys, masks, vertices, columns):
@@ -139,8 +136,9 @@ class LabeledComplex:
         self._make_columns = columns
         self._labels = {}  # one frozenset per distinct label mask
         self._base = None  # a downset's: the complex it was cut from
-        self._sets = None  # a downset's selection
         self._ids = {d: range(len(cells)) for d, cells in keys.items() if cells}
+        # the id selection of the cells present: all of a whole complex's
+        self._sets = {d: (1 << len(ids)) - 1 for d, ids in self._ids.items()}
 
     @classmethod
     def from_cells(cls, cells, boundary):
@@ -196,13 +194,13 @@ class LabeledComplex:
 
     def __contains__(self, cell):
         where = self.pos.get(cell)
-        if where is None or self._sets is None:
+        if where is None or self._base is None:
             return where is not None
         return self._sets.get(where[0], 0) >> where[1] & 1 == 1
 
     def _where(self, cell):
         dim, i = where = self.pos[cell]
-        if self._sets is not None and not self._sets.get(dim, 0) >> i & 1:
+        if self._base is not None and not self._sets.get(dim, 0) >> i & 1:
             raise KeyError(cell)
         return where
 
@@ -225,7 +223,7 @@ class LabeledComplex:
         label = self._labels.get(mask)
         if label is None:
             label = self._labels[mask] = frozenset(
-                self._vertices[k] for k in _members(mask)
+                _picked(self._vertices, mask)
             )
         return label
 
@@ -323,6 +321,18 @@ class LabeledComplex:
         return self._whole._checked[dim]
 
     @functools.cached_property
+    def _packed(self):
+        return {d: pack_gf2(cols) for d, cols in self._checked.items()}
+
+    def packed_columns(self, dim):
+        """The checked columns of the whole complex's dim-cells mod 2, by
+        id: one int each, bit r set for an odd coefficient on row r.
+
+        Packed once per complex, when a rank over GF(2) first needs them.
+        """
+        return self._whole._packed[dim]
+
+    @functools.cached_property
     def _vertex_holders(self):
         # {dim: for each vertex bit k, the id bitset of the cells whose
         # label has bit k}
@@ -333,23 +343,25 @@ class LabeledComplex:
             out[d] = [holders.get(k, 0) for k in range(width)]
         return out
 
-    def downset(self, mask, strict=False):
-        """Cells whose label lies inside (or strictly below) a label mask.
+    def _select(self, mask, strict=False):
+        """The id selection ({dim: id bitset} over the whole complex) of
+        this complex's cells whose label lies inside (or strictly below)
+        a label mask.
 
         A label lies inside the mask when it has no bit outside it; all
         cells of a dimension are tested at once by removing the holders
         of every vertex outside.  With strict, a label inside the mask
         that also holds each of its bits equals it and is dropped.
+        Dimensions left without a cell are left out, so an empty
+        selection is an empty dict.
         """
         whole = self._whole
         whole._checked  # raises unless the whole complex checks out
-        inside = _members(mask)
+        inside = _members(mask) if strict else ()
         outside = _members((1 << len(self._vertices)) - 1 & ~mask)
         sets = {}
         for dim, holders in whole._vertex_holders.items():
-            keep = (1 << len(self._keys[dim])) - 1
-            if self._sets is not None:
-                keep = self._sets.get(dim, 0)
+            keep = self._sets.get(dim, 0)
             for k in outside:
                 keep &= ~holders[k]
             if strict:
@@ -359,6 +371,16 @@ class LabeledComplex:
                 keep &= ~same
             if keep:
                 sets[dim] = keep
+        return sets
+
+    def downset(self, mask, strict=False):
+        """Cells whose label lies inside (or strictly below) a label mask.
+
+        The view of `_select(mask, strict)`: a copy of the whole complex
+        that keeps only the selected ids.
+        """
+        whole = self._whole
+        sets = self._select(mask, strict)
         view = copy.copy(whole)
         view._base = whole
         view._sets = sets

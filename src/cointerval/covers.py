@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import complexes
+from ._kernels import _members
 from .complexes import LabeledComplex, build_complex
 from .errors import BudgetError, PreconditionError
 from .homology import DEFAULT_FIELDS
@@ -242,7 +243,7 @@ def _least_cover(H, family, feasible):
         picked = dfs(0, k, 0, ())
         if picked is not None:
             parts = [
-                [edge_list[i] for i in complexes._members(mask)]
+                [edge_list[i] for i in _members(mask)]
                 for mask in picked
             ]
             certs = tuple(_part_cert(H, part, search) for part in parts)

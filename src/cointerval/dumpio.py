@@ -24,8 +24,8 @@ are read.
 from __future__ import annotations
 
 from . import complexes
-from ._kernels import nullspace_rational
-from .complexes import _AUG_COLUMN, LabeledComplex, _holders, _layout, _members
+from ._kernels import _members, nullspace_rational
+from .complexes import _AUG_COLUMN, LabeledComplex, _holders, _layout
 from .errors import BudgetError, ParseError
 from .hypergraph import read_text
 

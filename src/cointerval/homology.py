@@ -1,21 +1,25 @@
 """Exact (reduced) cellular homology over the rationals or a prime field.
 
-Boundary matrices are sparse signed columns cut from a complex's
-checked columns (`LabeledComplex.columns`): the full complex uses them
-as they are, a downset view takes the columns of the cells it selects
-(their faces are again in the view).  The complex checks once that
-consecutive boundaries compose to zero and raises PreconditionError if
-not; `boundary_matrices` never re-checks.  Ranks are exact: xor
-elimination over GF(2), and one sparse column reduction for every other
-field, mod p for odd p and over the integers for characteristic zero
-(`_kernels.rank_mod`).
+A chain complex is an id selection of a labeled complex ({dim: id
+bitset}: all its cells, a downset view's, or a downset cut by
+`LabeledComplex._select`) over the whole complex's checked columns
+(`LabeledComplex.columns`); the faces of selected cells are selected
+again, so the selected columns are its boundary matrices.  The complex
+checks once that consecutive boundaries compose to zero and raises
+PreconditionError if not; `boundary_matrices` never re-checks.  Ranks
+are exact: xor elimination over GF(2) on the columns the complex packed
+once (`LabeledComplex.packed_columns`, `_kernels.rank_packed`), and one
+sparse column reduction for every other field, mod p for odd p and
+over the integers for characteristic zero (`_kernels.rank_mod`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import _kernels
+from ._kernels import _picked
 from .errors import PreconditionError
 
 
@@ -80,43 +84,63 @@ DEFAULT_FIELDS = (GF2, QQ)
 
 
 class ChainComplex:
-    """Sparse integer boundary matrices of a labeled complex.
+    """The augmented chain complex of a selection of a labeled complex's
+    cells, over a field.
 
-    `matrices[k]` holds one sparse column per k-cell, as (row,
-    coefficient) pairs over the degree-(k-1) cells; in degree 0 the
-    augmentation sends every vertex to row 0, the empty face.
+    `sets` is the id selection ({dim: id bitset}) in the whole complex
+    X.  `matrices[k]` holds the sparse columns of the selected k-cells,
+    as (row, coefficient) pairs over the degree-(k-1) cells; in degree 0
+    the augmentation sends every vertex to row 0, the empty face, so its
+    rank is 1 over every field.  The other ranks read X's checked
+    columns, over GF(2) packed once per complex (`packed_columns`).
     """
 
-    def __init__(self, field, matrices):
+    def __init__(self, field, X, sets):
         self.field = field
-        self.matrices = matrices
+        self._X = X
+        self._sets = sets
+        self._top = max(sets, default=-1)
+
+    @functools.cached_property
+    def matrices(self):
+        out = {}
+        for k in range(self._top + 1):
+            bits = self._sets.get(k, 0)
+            out[k] = _picked(self._X.columns(k), bits) if bits else []
+        return out
 
     def boundary_rank(self, k):
-        mat = self.matrices.get(k)
-        if not mat:
+        bits = self._sets.get(k)
+        if not bits:
             return 0
-        return _kernels.rank_mod(mat, self.field.char)
+        if not k:
+            return 1
+        p, X = self.field.char, self._X
+        if p == 2:
+            return _kernels.rank_packed(_picked(X.packed_columns(k), bits))
+        return _kernels.rank_mod(_picked(X.columns(k), bits), p)
 
     def homology_ranks(self):
         """Reduced homology ranks in degrees 0..top."""
-        mats = self.matrices
-        rk = [self.boundary_rank(k) for k in range(len(mats) + 1)]
-        return [len(mats[k]) - rk[k] - rk[k + 1] for k in range(len(mats))]
+        sets = self._sets
+        rk = [self.boundary_rank(k) for k in range(self._top + 2)]
+        return [
+            sets.get(k, 0).bit_count() - rk[k] - rk[k + 1]
+            for k in range(self._top + 1)
+        ]
 
 
-def boundary_matrices(X, field):
+def boundary_matrices(X, field, sets=None):
     """The augmented chain complex of X over the field, as sparse columns.
 
-    Columns follow the complex's sort order and rows are ids in the
-    complex X was cut from (X itself unless X is a downset).  The
-    degree-0 boundary sends every vertex to the empty face, so homology
-    ranks come out reduced.
+    With `sets`, an id selection of X ({dim: id bitset} over the complex
+    X was cut from, as `LabeledComplex._select` gives), the chain
+    complex of the selected cells instead.  Columns follow the complex's
+    sort order and rows are ids in the complex X was cut from (X itself
+    unless X is a downset).  The degree-0 boundary sends every vertex to
+    the empty face, so homology ranks come out reduced.
     """
-    matrices = {}
-    for dim in range(X.max_dim() + 1):
-        cols = X.columns(dim)
-        matrices[dim] = [cols[i] for i in X.ids(dim)]
-    return ChainComplex(field, matrices)
+    return ChainComplex(field, X._whole, X._sets if sets is None else sets)
 
 
 def _assert_squares_to_zero(keys, columns):

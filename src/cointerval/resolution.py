@@ -15,13 +15,18 @@ edge ideal; no other vertex subset carries a Betti number).  It grows
 the independence complex of H once, as a one-block complex filed like
 the others, labeling each face by its own vertex set; the independence
 complex of an induced subgraph H[alpha] is then exactly the downset
-below alpha, so the whole sweep cuts downsets of one complex whose
-boundary is checked once.  It shares the filer, `union_closure` and the
-rank kernels with the other routes, never the block complex of H.
+below alpha, so the whole sweep cuts id selections of one complex whose
+boundary is checked (and, over GF(2), packed) once.  It shares the
+filer, `union_closure` and the rank kernels with the other routes,
+never the block complex of H.
 
 Acyclicity is settled for every downset at once where a lead matching
 proves it (`_certified`, bit-parallel over the lattice positions);
 exact elimination runs only on the downsets that proof leaves open.
+Every sweep cuts a downset as an id selection (`LabeledComplex._select`)
+and ranks it through `boundary_matrices` on the whole complex's
+columns; no downset view is made, and a label is made only for a
+failing degree or a nonzero Betti number.
 """
 
 from __future__ import annotations
@@ -31,11 +36,11 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from . import complexes
+from ._kernels import _members
 from .complexes import (
     _filed,
     _holders,
     _lex_subsets,
-    _members,
     build_complex,
     union_closure,
 )
@@ -47,7 +52,6 @@ from .homology import (
     GF2,
     NOT_ACYCLIC,
     boundary_matrices,
-    homology_ranks,
 )
 
 HOCHSTER_VERTEX_LIMIT = 12  # up to 2^n unions of edges swept
@@ -201,16 +205,16 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
     """Check that every downset of X in its label lattice is acyclic.
 
     Degrees whose downset a lead matching proves acyclic over every field
-    (`_certified`) are marked acyclic without building the downset.  The
-    rest go to exact elimination: fields are tried in order per degree;
-    the first is the cheap screen and the rest confirm.  With
-    fail_fast=True the sweep stops at the first failing degree (used
-    inside exhaustive labeling searches).  A certified degree cannot
-    fail, so statuses, failures and their order are those of a sweep
-    that eliminated every degree over every field.  The sweep works on
-    label masks; only a failing degree is turned into a label.  No
-    downset is empty: a lattice element is a union of vertex labels, so
-    its downset holds those vertices.
+    (`_certified`) are marked acyclic without cutting the downset.  The
+    rest are cut as id selections and go to exact elimination: fields
+    are tried in order per degree; the first is the cheap screen and
+    the rest confirm.  With fail_fast=True the sweep stops at the first
+    failing degree (used inside exhaustive labeling searches).  A
+    certified degree cannot fail, so statuses, failures and their order
+    are those of a sweep that eliminated every degree over every field.
+    The sweep works on label masks; only a failing degree is turned
+    into a label.  No downset is empty: a lattice element is a union of
+    vertex labels, so its downset holds those vertices.
 
     The rationals are skipped for a degree that a prime field earlier in
     `fields` already passed, because they cannot fail there.  The complex
@@ -236,14 +240,14 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
         if certified >> pos & 1:
             statuses.append(ACYCLIC)
             continue
-        sub = X.downset(mask)
+        sets = X._select(mask)
         report.eliminated += 1
         status = ACYCLIC
         prime_passed = False
         for fld in fields:
             if prime_passed and fld.char == 0:
                 continue
-            ranks = homology_ranks(sub, fld)
+            ranks = boundary_matrices(X, fld, sets).homology_ranks()
             if any(ranks):
                 status = NOT_ACYCLIC
                 nonzero = {k: r for k, r in enumerate(ranks) if r}
@@ -384,14 +388,13 @@ def betti_from_downset_homology(X, fld=GF2):
     # carry the same one (non-minimal complexes)
     entries = {(0, lab): 1 for lab in X.vertex_labels()}
     for mask in report.lattice:
-        strict = X.downset(mask, strict=True)
-        if strict.is_empty:
+        sets = X._select(mask, strict=True)
+        if not sets:
             continue
-        alpha = X.label_of(mask)
-        ranks = boundary_matrices(strict, fld).homology_ranks()
+        ranks = boundary_matrices(X, fld, sets).homology_ranks()
         for degree, rank in enumerate(ranks):
             if rank:
-                entries[(degree + 1, alpha)] = rank
+                entries[(degree + 1, X.label_of(mask))] = rank
     return BettiTable(entries)
 
 
@@ -439,7 +442,7 @@ def betti_hochster(H, fld=GF2):
     independence complex is a cone over v and has no homology.  The
     independence complex of H is grown and indexed once
     (`independence_complex`); that of H[alpha] is its downset below
-    alpha, so every alpha is one downset cut plus exact elimination on
+    alpha, so every alpha is one id selection plus exact elimination on
     the shared columns, and label monotonicity and the boundary
     squaring to zero are checked once per call.
     """
@@ -452,19 +455,18 @@ def betti_hochster(H, fld=GF2):
     entries = {}
     for amask in union_closure(ind.mask(e) for e in H.edges):
         size = amask.bit_count()
-        alpha = ind.label_of(amask)
-        sub = ind.downset(amask)
-        if sub.is_empty:
+        sets = ind._select(amask)
+        if not sets:
             # no independent vertices at all: one unit of homology in
             # degree -1 (only reachable for 1-graphs)
-            entries[(size - 1, alpha)] = 1
+            entries[(size - 1, ind.label_of(amask))] = 1
             continue
-        ranks = boundary_matrices(sub, fld).homology_ranks()
+        ranks = boundary_matrices(ind, fld, sets).homology_ranks()
         for degree, rank in enumerate(ranks):
             if rank:
                 i = size - degree - 2
                 if i >= 0:
-                    entries[(i, alpha)] = rank
+                    entries[(i, ind.label_of(amask))] = rank
     return BettiTable(entries)
 
 

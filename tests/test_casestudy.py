@@ -254,3 +254,15 @@ def test_classify_all_searches_once_per_class(monkeypatch):
     for name, parts in zip(names, picked):
         assert calls[covers, name] <= 34 + parts
         assert calls[casestudy, name] == 34  # `_classify_one`'s own search
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 3), (2, 4), (3, 5), (4, 5)])
+def test_relabeling_tables_match_sorted_images(d, n):
+    """Edges looked up by vertex mask land where the sorted image does."""
+    universe = casestudy._edge_universe(d, n)
+    index = {e: i for i, e in enumerate(universe)}
+    want = [
+        [index[tuple(sorted(perm[v - 1] for v in e))] for e in universe]
+        for perm in itertools.permutations(range(1, n + 1))
+    ]
+    assert list(casestudy._relabelings(universe, n)) == want

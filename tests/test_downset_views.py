@@ -20,7 +20,8 @@ from cointerval import (
     join,
     read_complex_dump,
 )
-from cointerval.complexes import _members, union_closure
+from cointerval._kernels import _members
+from cointerval.complexes import union_closure
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)

@@ -23,11 +23,16 @@ from cointerval import (
     BudgetError,
     Hypergraph,
     LabeledComplex,
+    betti_from_downset_homology,
+    betti_from_faces,
     betti_hochster,
+    build_complex,
     complexes,
     independence_complex,
+    taylor_complex,
 )
-from cointerval.complexes import block_boundary
+from cointerval._kernels import _members
+from cointerval.complexes import block_boundary, union_closure
 from cointerval.homology import boundary_matrices
 
 FIELDS = (GF2, GF3, QQ)
@@ -293,14 +298,74 @@ def test_union_sweep_matches_subset_sweep_on_seeded_graphs():
 
 def test_union_sweep_cuts_one_downset_per_union(monkeypatch):
     cuts = []
-    real = LabeledComplex.downset
+    real = LabeledComplex._select
 
     def counted(self, mask, strict=False):
         cuts.append(mask)
         return real(self, mask, strict)
 
-    monkeypatch.setattr(LabeledComplex, "downset", counted)
+    monkeypatch.setattr(LabeledComplex, "_select", counted)
     # {1, 2}, {11, 12} and their union, of 4,096 vertex subsets
     two_edges = Hypergraph(2, range(1, 13), [(1, 2), (11, 12)])
     assert betti_hochster(two_edges).totals() == (2, 1)
     assert sorted(cuts) == [0b11, 0b1100_0000_0000, 0b1100_0000_0011]
+
+
+# --- id selections and the three routes --------------------------------
+
+def hochster_corpus():
+    rng = random.Random(1016)
+    graphs = [Hypergraph(2, range(1, 5), [(1, 2), (3, 4)])]
+    for _ in range(3):
+        graphs.append(interval_complement(rng, 7))
+        graphs.append(planted_2k2(rng, 7, 0.5))
+    for d, n, p in ((1, 6, 0.4), (2, 7, 0.3), (3, 6, 0.3)):
+        graphs.append(random_graph(rng, d, n, p))
+    return graphs
+
+
+def test_selections_are_the_downset_ids_on_independence_complexes():
+    for H in hochster_corpus():
+        ind = independence_complex(H)
+        unions = union_closure(ind.mask(e) for e in H.edges)
+        every = range(1 << H.n)
+        for mask in unions + list(itertools.islice(every, 0, None, 5)):
+            for strict in (False, True):
+                view = ind.downset(mask, strict)
+                got = {d: _members(bits)
+                       for d, bits in ind._select(mask, strict).items()}
+                assert got == {d: list(view.ids(d)) for d in view.dims()}
+                # a face is its own label
+                want = {}
+                for cell in ind.all_cells():
+                    face = ind.mask(cell[0])
+                    if not face & ~mask and not (strict and face == mask):
+                        want.setdefault(len(cell[0]) - 1, []).append(
+                            ind.pos[cell][1]
+                        )
+                assert got == want, (H, mask, strict)
+
+
+def test_every_betti_route_keeps_its_tables():
+    """Faces, downsets of the block and Taylor complexes, and Hochster's
+    sweep, each against the per-subset oracle, over GF(2), GF(3), Q."""
+    copath6 = Hypergraph(2, range(1, 7), [
+        (i, j) for i in range(1, 7) for j in range(i + 2, 7)
+    ])
+    rng = random.Random(2010)
+    graphs = [copath6, interval_complement(rng, 6),
+              Hypergraph(2, range(1, 5), [(1, 2), (3, 4)]),
+              planted_2k2(rng, 6, 0.4)]
+    assert [H.is_cointerval() for H in graphs] == [True, True, False, False]
+    for H in graphs:
+        want = hochster_by_subsets(H)
+        resolutions = [taylor_complex(H)]
+        if H.is_cointerval():
+            resolutions.append(build_complex(H))
+            assert betti_from_faces(H) == want[GF2], H
+        for fld in FIELDS:
+            assert betti_hochster(H, fld) == want[fld], (H, fld)
+            for X in resolutions:
+                assert betti_from_downset_homology(X, fld) == want[fld], (
+                    H, fld,
+                )

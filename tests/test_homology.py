@@ -29,7 +29,13 @@ from cointerval import (
     homology_ranks,
     is_acyclic,
 )
-from cointerval._kernels import nullspace_rational, rank_mod
+from cointerval._kernels import (
+    _members,
+    nullspace_rational,
+    pack_gf2,
+    rank_mod,
+    rank_packed,
+)
 from cointerval.complexes import block_boundary, block_dim
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC
 
@@ -124,6 +130,67 @@ def test_rank_mod_huge_prime():
     # a rank drop only visible modulo p
     assert rank_mod(sparse([[1, 1], [1, 1 + p]]), p) == 1
     assert rank_mod(sparse([[1, 1], [1, 1 + p]]), 0) == 2
+
+
+def test_packed_gf2_rank_against_rank_mod_and_sympy():
+    """Packed once, then xor: the rank mod 2 of seeded sparse matrices."""
+    rng = random.Random(2010)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 40), rng.randrange(1, 40)
+        fill = rng.choice((0.05, 0.15, 0.4))
+        rows = [[rng.randint(-5, 5) if rng.random() < fill else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        cols = sparse(list(zip(*rows)))
+        want = DomainMatrix.from_list(rows, sympy_GF(2)).rank()
+        assert rank_packed(pack_gf2(cols)) == rank_mod(cols, 2) == want, rows
+    # rows may be any ids, spread far apart, as a downset's are
+    spread = [tuple((r * 997, v) for r, v in col) for col in cols]
+    assert rank_packed(pack_gf2(spread)) == rank_mod(cols, 2)
+    # an even entry vanishes, repeated rows cancel
+    assert pack_gf2([((3, 2), (1, 1)), ((0, 1), (0, 1))]) == [0b10, 0]
+
+
+def test_packed_columns_are_the_checked_columns_mod_2(copath5, k4_3):
+    for H in (copath5, k4_3):
+        X = build_complex(H)
+        for dim in X.dims():
+            assert X.packed_columns(dim) == pack_gf2(X.columns(dim))
+        view = X.downset(X.lattice_masks()[-1], strict=True)
+        assert view.packed_columns(1) is X.packed_columns(1)
+    assert X.packed_columns(0) == [1] * len(X.ids(0))  # the augmentation
+
+
+def bits_of(mask):
+    """The per-bit oracle: each binary digit read in turn."""
+    return [i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1"]
+
+
+def test_members_matches_a_per_bit_walk():
+    rng = random.Random(1016)
+    masks = [0, 1, 2, 3, 0b1011, 1 << 100 | 1, (1 << 64) - 1]
+    for width in (8, 20, 300, 5_000, 1 << 16, 1 << 20):
+        for density in (0.5, 0.1, 1 / 15, 1 / 17, 0.01):
+            digits = ["0"] * width
+            for b in rng.sample(range(width), max(1, int(width * density))):
+                digits[b] = "1"
+            digits[-1] = "1"
+            masks.append(int("".join(reversed(digits)), 2))
+    # either side of the switch to the per-bit walk: 9 or 10 of 160 bits
+    for count in (9, 10):
+        mask = 1 << 159 | sum(1 << 16 * i for i in range(count - 1))
+        assert (mask.bit_count() * 16 < mask.bit_length()) == (count == 9)
+        masks.append(mask)
+    for mask in masks:
+        assert _members(mask) == bits_of(mask), mask.bit_length()
+
+
+def test_members_on_a_wide_sparse_mask_costs_its_members():
+    wide = 1 << 10**5 | 1
+    assert _members(wide) == [0, 10**5]
+    start = time.perf_counter()
+    for _ in range(1000):
+        _members(wide)
+    assert time.perf_counter() - start < 1.0
 
 
 def low_rank(rng, n, rank):

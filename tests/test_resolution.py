@@ -31,6 +31,7 @@ from cointerval import (
     write_complex_dump,
 )
 from cointerval import _kernels
+from cointerval._kernels import _members
 from cointerval.complexes import block_boundary
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC, acyclicity_status
 from cointerval.resolution import (
@@ -317,13 +318,18 @@ def test_q_first_or_alone_still_eliminates(copath5, scrambled,
 
 def test_a_second_prime_field_still_runs(scrambled, monkeypatch):
     seen = []
-    real = _kernels.rank_mod
+    real, real_packed = _kernels.rank_mod, _kernels.rank_packed
 
     def counted(cols, p):
         seen.append(p)
         return real(cols, p)
 
+    def counted_packed(masks):
+        seen.append(2)
+        return real_packed(masks)
+
     monkeypatch.setattr(_kernels, "rank_mod", counted)
+    monkeypatch.setattr(_kernels, "rank_packed", counted_packed)
     report = verify_resolution(scrambled, (GF2, GF3))
     assert report.passed and report.eliminated >= 21
     assert seen.count(3) >= 21 and seen.count(2) >= 21
@@ -648,3 +654,99 @@ def test_labels_are_made_only_for_failures(copath5, two_k2, labels_made):
         range(1, 6)
     )
     assert all(s == ACYCLIC for _a, s in report.alpha_status)
+
+
+# --- lattice sweeps on id selections ------------------------------------
+
+def test_selections_are_the_downset_ids(proof_corpus):
+    """`_select` picks what `downset` shows, and what the labels say."""
+    for name, X in proof_corpus:
+        full = (1 << len(X._vertices)) - 1
+        masks = set(X.lattice_masks()) | {0, full} | {
+            full & ~(1 << k) for k in range(len(X._vertices))
+        }
+        for mask in sorted(masks):
+            for strict in (False, True):
+                sets = X._select(mask, strict)
+                view = X.downset(mask, strict)
+                got = {d: _members(bits) for d, bits in sets.items()}
+                assert got == {d: list(view.ids(d)) for d in view.dims()}
+                want = {}
+                for d in X.dims():
+                    ids = [
+                        i for i in X.ids(d)
+                        if not X._masks[d][i] & ~mask
+                        and not (strict and X._masks[d][i] == mask)
+                    ]
+                    if ids:
+                        want[d] = ids
+                assert got == want, (name, mask, strict)
+
+
+def fresh_strict_downset(X, mask):
+    """The strict downset below mask as a complex of its own, with its own
+    columns: no selection and no view is involved."""
+    cells = {
+        c: (X.dim(c), X.label(c)) for c in X.all_cells()
+        if not X.mask(X.label(c)) & ~mask and X.mask(X.label(c)) != mask
+    }
+    return LabeledComplex.from_cells(cells, X.boundary)
+
+
+def betti_by_fresh_downsets(X, fields):
+    """{field: beta_{i, alpha}} as reduced homology of freshly built
+    strict downsets."""
+    entries = {fld: {(0, lab): 1 for lab in X.vertex_labels()}
+               for fld in fields}
+    for mask in X.lattice_masks():
+        sub = fresh_strict_downset(X, mask)
+        if sub.is_empty:
+            continue
+        for fld in fields:
+            for degree, rank in enumerate(homology_ranks(sub, fld)):
+                if rank:
+                    entries[fld][(degree + 1, X.label_of(mask))] = rank
+    return {fld: BettiTable(e) for fld, e in entries.items()}
+
+
+def test_downset_route_keeps_its_tables(proof_corpus):
+    """Over GF(2), GF(3) and Q, the downset route against per-alpha fresh
+    complexes, on the complexes that eliminating everything passes; on
+    the others it refuses."""
+    fields = (GF2, GF3, QQ)
+    checked = 0
+    for name, X in proof_corpus:
+        if X.is_empty:
+            continue
+        want = betti_by_fresh_downsets(X, fields)
+        for fld in fields:
+            if not eliminate_everything(X, (fld,)).passed:
+                with pytest.raises(PreconditionError):
+                    betti_from_downset_homology(X, fld)
+                continue
+            assert betti_from_downset_homology(X, fld) == want[fld], (
+                name, fld,
+            )
+            checked += 1
+    assert checked > 40
+
+
+def test_labels_are_made_only_for_nonzero_ranks(copath5, two_k2,
+                                                labels_made):
+    # vertex labels for beta_0, then one label per nonzero (alpha, degree)
+    for H in (copath5, copath(6), *interval_complements(3)):
+        X = build_complex(H)
+        for fld in (GF2, QQ):
+            labels_made.clear()
+            table = betti_from_downset_homology(X, fld)
+            assert sorted(labels_made) == sorted(
+                X.mask(alpha) for _i, alpha in table.entries
+            ), (H, fld)
+    # Hochster's sweep labels only the alphas it enters in the table
+    for H in (copath5, two_k2, copath(6)):
+        bit = {v: 1 << k for k, v in enumerate(H.vertices)}
+        labels_made.clear()
+        table = betti_hochster(H)
+        assert sorted(labels_made) == sorted(
+            sum(bit[v] for v in alpha) for _i, alpha in table.entries
+        ), H
