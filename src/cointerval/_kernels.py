@@ -2,9 +2,9 @@
 
 The kernels take a matrix as a sequence of sparse columns, each a
 sequence of (row, value) pairs with Python-int values; rows may be any
-non-negative ints (a downset's boundary columns keep the row ids of the
-complex they were cut from), and rank does not depend on which rows are
-empty.  Everything is exact:
+non-negative ints (a selection's columns keep the row ids of the
+complex they were picked from), and rank does not depend on which rows
+are empty.  Everything is exact:
 
   GF(2)  each column packed into one int bitmask (`pack_gf2`), xor
          elimination on the packed columns (`rank_packed`);
@@ -17,10 +17,9 @@ empty.  Everything is exact:
 `nullspace_rational` runs the integer reduction on columns tagged with
 their own index, on rows below every real row: a reduced column that
 leads on a tag row has lost all its real rows, and its tags are a kernel
-vector.  Dump parsing
-orients cells by sign propagation and calls it only for a cell that
-propagation leaves open, in practice on the way to rejecting a
-malformed dump.
+vector.  Dump parsing orients cells by sign propagation and calls it
+only for a cell that propagation leaves open, in practice on the way to
+rejecting a malformed dump.
 
 `_members` and `_picked` read an id bitset: the positions of its set
 bits, or the items of a sequence at them.

@@ -30,7 +30,6 @@ from .hypergraph import (
 from .resolution import (
     betti_from_cells,
     betti_from_downset_homology,
-    betti_from_faces,
     betti_hochster,
     verify_resolution,
 )
@@ -127,14 +126,15 @@ def cmd_betti(args):
         )
     tables = {}
     # Hochster's route carries the budget guard: run it first, so that a
-    # refusal comes before the other routes do any work
-    for method in sorted(methods, key=lambda m: m != "hochster"):
-        if method == "faces":
-            tables[method] = betti_from_faces(H)
-        elif method == "cellular":
-            tables[method] = betti_from_downset_homology(build_complex(H), fld)
-        else:
-            tables[method] = betti_hochster(H, fld)
+    # refusal comes before the complex of H is built
+    if "hochster" in methods:
+        tables["hochster"] = betti_hochster(H, fld)
+    if "faces" in methods or "cellular" in methods:
+        X = build_complex(H)  # one complex for both routes
+        if "faces" in methods:
+            tables["faces"] = betti_from_cells(X)
+        if "cellular" in methods:
+            tables["cellular"] = betti_from_downset_homology(X, fld)
     lines = []
     for method in methods:
         if len(methods) > 1:

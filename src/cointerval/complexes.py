@@ -17,9 +17,9 @@ once, that faces are cells with labels inside their cell's and that
 the boundary squares to zero; over GF(2) the checked columns are also
 packed, once, into one int each.  A downset is an id selection
 ({dim: id bitset}, `_select`): the lattice sweeps read ranks straight
-off it and the whole complex's columns, and `downset` wraps it in a
-view, the same class sharing the keys, masks and columns of the
-complex it was cut from.
+off it and the complex's columns.  `downset` builds a complex of its
+own from a selection, on the same vertices, its columns renumbered
+onto the selected faces.
 
 The builders differ only in how they find cells and columns.  A
 complex of products of simplices is met in sort order and filed by
@@ -38,7 +38,6 @@ boundary rule (part complexes, hand-built ones); `covers.join` and
 
 from __future__ import annotations
 
-import copy
 import functools
 
 from ._kernels import _members, _picked, pack_gf2
@@ -123,9 +122,8 @@ class LabeledComplex:
     Cells, dimensions and labels are read off keys and masks, so the
     columns are made only for `boundary`, `columns` or a downset.  An
     id selection ({dim: id bitset}, `_select`) picks the cells of a
-    downset; the lattice sweeps read ranks straight off it, and a
-    downset view is a copy holding one, sharing the keys, masks, checked
-    and packed columns and holders of the complex it was cut from.
+    downset; the lattice sweeps read ranks straight off it, and
+    `downset` turns one into a complex of its own.
     """
 
     def __init__(self, keys, masks, vertices, columns):
@@ -135,10 +133,10 @@ class LabeledComplex:
         self._bit = {v: 1 << k for k, v in enumerate(self._vertices)}
         self._make_columns = columns
         self._labels = {}  # one frozenset per distinct label mask
-        self._base = None  # a downset's: the complex it was cut from
-        self._ids = {d: range(len(cells)) for d, cells in keys.items() if cells}
-        # the id selection of the cells present: all of a whole complex's
-        self._sets = {d: (1 << len(ids)) - 1 for d, ids in self._ids.items()}
+        # the id selection of every cell; dimensions without one are left out
+        self._sets = {
+            d: (1 << len(cells)) - 1 for d, cells in keys.items() if cells
+        }
 
     @classmethod
     def from_cells(cls, cells, boundary):
@@ -174,48 +172,29 @@ class LabeledComplex:
         }, block_boundary)
 
     # --- cells and labels ---------------------------------------------
-    @property
-    def _whole(self):
-        # the complex a downset is cut from; a whole complex holds no
-        # reference to itself, so it is freed without the cycle collector
-        return self if self._base is None else self._base
-
-    @property
-    def pos(self):
-        """cell -> (dim, id), over the complex a downset is cut from."""
-        return self._whole._pos
-
     @functools.cached_property
-    def _pos(self):
+    def pos(self):
+        """cell -> (dim, id)."""
         return {
             cell: (d, i) for d, cells in self._keys.items()
             for i, cell in enumerate(cells)
         }
 
     def __contains__(self, cell):
-        where = self.pos.get(cell)
-        if where is None or self._base is None:
-            return where is not None
-        return self._sets.get(where[0], 0) >> where[1] & 1 == 1
-
-    def _where(self, cell):
-        dim, i = where = self.pos[cell]
-        if self._base is not None and not self._sets.get(dim, 0) >> i & 1:
-            raise KeyError(cell)
-        return where
+        return cell in self.pos
 
     def __len__(self):
-        return sum(len(ids) for ids in self._ids.values())
+        return sum(len(cells) for cells in self._keys.values())
 
     @property
     def is_empty(self):
-        return not self._ids
+        return not self._sets
 
     def dim(self, cell):
-        return self._where(cell)[0]
+        return self.pos[cell][0]
 
     def label(self, cell):
-        dim, i = self._where(cell)
+        dim, i = self.pos[cell]
         return self.label_of(self._masks[dim][i])
 
     def label_of(self, mask):
@@ -233,23 +212,21 @@ class LabeledComplex:
         return sum(bit[v] for v in vertices if v in bit)
 
     def dims(self):
-        return sorted(self._ids)
+        return sorted(self._sets)
 
     def max_dim(self):
-        return max(self._ids, default=-1)
+        return max(self._sets, default=-1)
 
     def ids(self, dim):
-        """Index ids of this complex's cells of the given dimension."""
-        return self._ids.get(dim, ())
+        """Index ids of the cells of the given dimension."""
+        return range(len(self._keys.get(dim, ())))
 
     def cells(self, dim):
-        keys = self._keys.get(dim, ())
-        return tuple(keys[i] for i in self.ids(dim))
+        return tuple(self._keys.get(dim, ()))
 
     def masks(self, dim):
-        """Label bitmasks of this complex's cells of the given dimension."""
-        masks = self._masks.get(dim, ())
-        return [masks[i] for i in self.ids(dim)]
+        """Label bitmasks of the cells of the given dimension."""
+        return list(self._masks.get(dim, ()))
 
     def all_cells(self):
         for dim in self.dims():
@@ -257,11 +234,11 @@ class LabeledComplex:
 
     def boundary(self, cell):
         """Signed codimension-1 faces as (cell, sign) pairs."""
-        dim, i = self._where(cell)
+        dim, i = self.pos[cell]
         if not dim:
             return []
         faces = self._keys[dim - 1]
-        return [(faces[f], c) for f, c in self._whole._columns[dim][i]]
+        return [(faces[f], c) for f, c in self._columns[dim][i]]
 
     def f_vector(self):
         return tuple(len(self.ids(d)) for d in range(self.max_dim() + 1))
@@ -293,7 +270,7 @@ class LabeledComplex:
         boundary squares to zero (augmentation included).  Label
         monotonicity makes every downset closed under faces, and the
         boundary of a subcomplex is the restriction of the parent's, so
-        neither check is needed again for a downset.
+        neither check is needed again for an id selection.
         """
         keys, masks, columns = self._keys, self._masks, self._columns
         for d, cols in columns.items():
@@ -312,25 +289,25 @@ class LabeledComplex:
         return checked
 
     def columns(self, dim):
-        """Checked boundary columns of the whole complex's dim-cells, by id.
+        """Checked boundary columns of the dim-cells, by id.
 
         A column is a tuple of (face id, coefficient) pairs.  In
         dimension 0 it is the augmentation: every vertex goes to row 0,
         the empty face.
         """
-        return self._whole._checked[dim]
+        return self._checked[dim]
 
     @functools.cached_property
     def _packed(self):
         return {d: pack_gf2(cols) for d, cols in self._checked.items()}
 
     def packed_columns(self, dim):
-        """The checked columns of the whole complex's dim-cells mod 2, by
-        id: one int each, bit r set for an odd coefficient on row r.
+        """The checked columns of the dim-cells mod 2, by id: one int
+        each, bit r set for an odd coefficient on row r.
 
         Packed once per complex, when a rank over GF(2) first needs them.
         """
-        return self._whole._packed[dim]
+        return self._packed[dim]
 
     @functools.cached_property
     def _vertex_holders(self):
@@ -344,9 +321,8 @@ class LabeledComplex:
         return out
 
     def _select(self, mask, strict=False):
-        """The id selection ({dim: id bitset} over the whole complex) of
-        this complex's cells whose label lies inside (or strictly below)
-        a label mask.
+        """The id selection ({dim: id bitset}) of the cells whose label
+        lies inside (or strictly below) a label mask.
 
         A label lies inside the mask when it has no bit outside it; all
         cells of a dimension are tested at once by removing the holders
@@ -355,12 +331,11 @@ class LabeledComplex:
         Dimensions left without a cell are left out, so an empty
         selection is an empty dict.
         """
-        whole = self._whole
-        whole._checked  # raises unless the whole complex checks out
+        self._checked  # raises unless the complex checks out
         inside = _members(mask) if strict else ()
         outside = _members((1 << len(self._vertices)) - 1 & ~mask)
         sets = {}
-        for dim, holders in whole._vertex_holders.items():
+        for dim, holders in self._vertex_holders.items():
             keep = self._sets.get(dim, 0)
             for k in outside:
                 keep &= ~holders[k]
@@ -376,16 +351,26 @@ class LabeledComplex:
     def downset(self, mask, strict=False):
         """Cells whose label lies inside (or strictly below) a label mask.
 
-        The view of `_select(mask, strict)`: a copy of the whole complex
-        that keeps only the selected ids.
+        A complex of its own, on the same vertices so that label masks
+        carry over, built from `_select(mask, strict)`: its columns are
+        this complex's checked ones, renumbered onto the selected faces.
         """
-        whole = self._whole
         sets = self._select(mask, strict)
-        view = copy.copy(whole)
-        view._base = whole
-        view._sets = sets
-        view._ids = {d: _members(bits) for d, bits in sets.items()}
-        return view
+        keys = {d: _picked(self._keys[d], bits) for d, bits in sets.items()}
+        masks = {d: _picked(self._masks[d], bits) for d, bits in sets.items()}
+        checked = self._checked
+
+        def columns():
+            out = {}
+            for d in range(1, len(sets)):
+                new = {f: i for i, f in enumerate(_members(sets[d - 1]))}
+                out[d] = [
+                    tuple((new[f], c) for f, c in col)
+                    for col in _picked(checked[d], sets[d])
+                ]
+            return out
+
+        return LabeledComplex(keys, masks, self._vertices, columns)
 
 
 def union_closure(masks):

@@ -16,9 +16,9 @@ from face to face across ridges that lie in exactly two faces, as in
 any polytope, and checked over the integers (`_propagated_signs`).
 Only a cell they leave open goes to the exact rational kernel
 (`_kernels.nullspace_rational`, integer elimination on the faces' own
-sparse columns), to find its signs or name the rejection.  More than `complexes.CELL_LIMIT` cells,
-or a dimension that needs that many, raise BudgetError while the lines
-are read.
+sparse columns), to find its signs or name the rejection.  More than
+`complexes.CELL_LIMIT` cells, or a dimension that needs that many,
+raise BudgetError while the lines are read.
 """
 
 from __future__ import annotations

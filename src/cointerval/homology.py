@@ -1,14 +1,14 @@
 """Exact (reduced) cellular homology over the rationals or a prime field.
 
 A chain complex is an id selection of a labeled complex ({dim: id
-bitset}: all its cells, a downset view's, or a downset cut by
-`LabeledComplex._select`) over the whole complex's checked columns
-(`LabeledComplex.columns`); the faces of selected cells are selected
-again, so the selected columns are its boundary matrices.  The complex
-checks once that consecutive boundaries compose to zero and raises
-PreconditionError if not; `boundary_matrices` never re-checks.  Ranks
-are exact: xor elimination over GF(2) on the columns the complex packed
-once (`LabeledComplex.packed_columns`, `_kernels.rank_packed`), and one
+bitset}: all its cells, or a downset cut by `LabeledComplex._select`)
+over the complex's checked columns (`LabeledComplex.columns`); the
+faces of selected cells are selected again, so the selected columns
+are its boundary matrices.  The complex checks once that consecutive
+boundaries compose to zero and raises PreconditionError if not;
+`boundary_matrices` never re-checks.  Ranks are exact: xor elimination
+over GF(2) on the columns the complex packed once
+(`LabeledComplex.packed_columns`, `_kernels.rank_packed`), and one
 sparse column reduction for every other field, mod p for odd p and
 over the integers for characteristic zero (`_kernels.rank_mod`).
 """
@@ -87,9 +87,9 @@ class ChainComplex:
     """The augmented chain complex of a selection of a labeled complex's
     cells, over a field.
 
-    `sets` is the id selection ({dim: id bitset}) in the whole complex
-    X.  `matrices[k]` holds the sparse columns of the selected k-cells,
-    as (row, coefficient) pairs over the degree-(k-1) cells; in degree 0
+    `sets` is the id selection ({dim: id bitset}) in the complex X.
+    `matrices[k]` holds the sparse columns of the selected k-cells, as
+    (row, coefficient) pairs over the degree-(k-1) cells; in degree 0
     the augmentation sends every vertex to row 0, the empty face, so its
     rank is 1 over every field.  The other ranks read X's checked
     columns, over GF(2) packed once per complex (`packed_columns`).
@@ -133,20 +133,19 @@ class ChainComplex:
 def boundary_matrices(X, field, sets=None):
     """The augmented chain complex of X over the field, as sparse columns.
 
-    With `sets`, an id selection of X ({dim: id bitset} over the complex
-    X was cut from, as `LabeledComplex._select` gives), the chain
-    complex of the selected cells instead.  Columns follow the complex's
-    sort order and rows are ids in the complex X was cut from (X itself
-    unless X is a downset).  The degree-0 boundary sends every vertex to
-    the empty face, so homology ranks come out reduced.
+    With `sets`, an id selection of X ({dim: id bitset}, as
+    `LabeledComplex._select` gives), the chain complex of the selected
+    cells instead.  Columns follow the complex's sort order and rows are
+    X's ids one dimension down.  The degree-0 boundary sends every
+    vertex to the empty face, so homology ranks come out reduced.
     """
-    return ChainComplex(field, X._whole, X._sets if sets is None else sets)
+    return ChainComplex(field, X, X._sets if sets is None else sets)
 
 
 def _assert_squares_to_zero(keys, columns):
     """Raise PreconditionError unless every boundary composes to zero.
 
-    Takes a whole complex's keys and augmented columns ({dim: cells in
+    Takes a complex's keys and augmented columns ({dim: cells in
     id order} and {dim: columns by id}, with every vertex on row 0, the
     empty face, in dimension 0), so each edge's two endpoints must
     cancel as well.  The error names the first failing cell and the

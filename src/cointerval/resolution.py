@@ -24,8 +24,8 @@ Acyclicity is settled for every downset at once where a lead matching
 proves it (`_certified`, bit-parallel over the lattice positions);
 exact elimination runs only on the downsets that proof leaves open.
 Every sweep cuts a downset as an id selection (`LabeledComplex._select`)
-and ranks it through `boundary_matrices` on the whole complex's
-columns; no downset view is made, and a label is made only for a
+and ranks it through `boundary_matrices` on the complex's own columns;
+no downset is built as a complex, and a label is made only for a
 failing degree or a nonzero Betti number.
 """
 
@@ -313,10 +313,8 @@ def _certified(X, lattice):
     cleared = {}
     for dim in range(X.max_dim(), -1, -1):
         seen = {}
-        masks, columns = X._masks[dim], X.columns(dim)
-        for i in X.ids(dim):
-            col = columns[i]
-            live = live_at(masks[i], cleared.get(i, 0))
+        for i, (col, mask) in enumerate(zip(X.columns(dim), X._masks[dim])):
+            live = live_at(mask, cleared.get(i, 0))
             if not live:
                 continue
             if not col:
@@ -336,10 +334,9 @@ def _certified(X, lattice):
 def verify_minimal(X):
     """No cell may share its label with any codimension-1 face."""
     for dim in range(1, X.max_dim() + 1):
-        masks, below = X._masks[dim], X._masks[dim - 1]
-        columns = X.columns(dim)
-        for i in X.ids(dim):
-            if any(below[face] == masks[i] for face, _c in columns[i]):
+        below = X._masks[dim - 1]
+        for col, mask in zip(X.columns(dim), X._masks[dim]):
+            if any(below[face] == mask for face, _c in col):
                 return False
     return True
 

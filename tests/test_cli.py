@@ -78,6 +78,28 @@ def test_betti_all(capsys):
     )
 
 
+def test_betti_all_builds_the_block_complex_once(capsys, monkeypatch):
+    # faces and cellular read one complex of H; Hochster's route grows
+    # the independence complex, not block cells
+    grown = []
+    real = complexes._grow
+
+    def counted(*args):
+        grown.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "_grow", counted)
+    check_golden(
+        capsys,
+        "betti_copath5_all.txt",
+        "betti",
+        COPATH5,
+        "--method=all",
+        "--field=q",
+    )
+    assert len(grown) == 1
+
+
 def test_betti_faces_requires_cointerval(capsys):
     code, _, err = run(capsys, "betti", TWO_K2, "--method=faces")
     assert code == 3 and "hochster" in err

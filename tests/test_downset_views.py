@@ -1,4 +1,4 @@
-"""Downset views agree with complexes built afresh from the same cells."""
+"""Downsets agree with complexes built afresh from the same cells."""
 
 import gc
 import itertools
@@ -19,6 +19,8 @@ from cointerval import (
     homology_ranks,
     join,
     read_complex_dump,
+    verify_resolution,
+    write_complex_dump,
 )
 from cointerval._kernels import _members
 from cointerval.complexes import union_closure
@@ -77,12 +79,17 @@ def test_views_match_fresh_complexes(corpus):
                 assert list(view.all_cells()) == list(new.all_cells()), where
                 assert view.f_vector() == new.f_vector(), where
                 assert len(view) == len(new) and view.is_empty == new.is_empty
+                dump = write_complex_dump(new)
+                assert write_complex_dump(view) == dump, where
                 if new.is_empty:
                     continue
                 for fld in ALL_FIELDS:
                     assert homology_ranks(view, fld) == homology_ranks(
                         new, fld
                     ), (where, str(fld))
+                assert verify_resolution(view, ALL_FIELDS).summary() == (
+                    verify_resolution(new, ALL_FIELDS).summary()
+                ), where
                 compared += 1
     assert compared > 200
 
@@ -192,7 +199,7 @@ def test_complexes_are_freed_without_the_cycle_collector(copath5, two_k2):
             X = build()
             X.columns(X.max_dim())  # checks the complex
             V = X.downset(X.lattice_masks()[-1], strict=True)
-            V.label(next(V.all_cells()))  # fills the shared caches
+            V.label(next(V.all_cells()))  # fills its caches
             refs = [weakref.ref(X), weakref.ref(V)]
             del X, V
             assert [ref() for ref in refs] == [None, None]

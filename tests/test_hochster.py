@@ -334,7 +334,9 @@ def test_selections_are_the_downset_ids_on_independence_complexes():
                 view = ind.downset(mask, strict)
                 got = {d: _members(bits)
                        for d, bits in ind._select(mask, strict).items()}
-                assert got == {d: list(view.ids(d)) for d in view.dims()}
+                assert {
+                    d: [ind.cells(d)[i] for i in ids] for d, ids in got.items()
+                } == {d: list(view.cells(d)) for d in view.dims()}
                 # a face is its own label
                 want = {}
                 for cell in ind.all_cells():

@@ -1,6 +1,7 @@
-"""Every name the package imports is used, and every module-level private
-name is read somewhere in the package: deletions leave no dead imports and
-no orphaned helpers."""
+"""Every name the package imports is used, and every private name the
+package binds (module level, class body or `self` attribute) is read
+somewhere in it: deletions leave no dead imports, no orphaned helpers and
+no attribute that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -34,12 +35,32 @@ def unused_imports(tree):
                   if name not in used)
 
 
+def _bound(node):
+    """(line, name) of each name a statement binds: a def, a class or the
+    names among its assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [(node.lineno, node.name)]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        (node.lineno, n.id) for t in targets for n in ast.walk(t)
+        if isinstance(n, ast.Name)
+    ]
+
+
 def unread_privates(trees):
     """(module, line, name) of each private name (`_x`, not dunder) that a
-    module binds at top level and no module reads.
+    module binds and no module reads.
 
-    A read is a loaded name, a loaded attribute or a name imported from a
-    module, so `complexes._grow` and `from .homology import _x` count.
+    A module binds the names at its top level, the methods and attributes
+    in the body of each of its classes, and every attribute it stores on
+    `self`.  A read is a loaded name, a loaded attribute or a name
+    imported from a module, so `complexes._grow`, `self._keys` and
+    `from .homology import _x` count.
     """
     read = set()
     for tree in trees.values():
@@ -54,21 +75,22 @@ def unread_privates(trees):
                 read.update(alias.name for alias in node.names)
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bound = [node.name]
-            elif isinstance(node, ast.Assign):
-                bound = [
-                    n.id for t in node.targets for n in ast.walk(t)
-                    if isinstance(n, ast.Name)
-                ]
-            else:
-                continue
-            found += [
-                (module, node.lineno, name) for name in bound
-                if name.startswith("_") and not name.startswith("__")
-                and name not in read
-            ]
+        bound = [pair for node in tree.body for pair in _bound(node)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bound += [pair for item in node.body for pair in _bound(item)]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                bound.append((node.lineno, node.attr))
+        found += [
+            (module, line, name) for line, name in bound
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read
+        ]
     return sorted(found)
 
 
@@ -113,6 +135,8 @@ def test_the_scan_sees_an_unread_private_name():
             "_LIMIT = 3\n_orphan = 4\n__all__ = []\n"
             "def _helper():\n    return _LIMIT\n"
             "class _Unused:\n    _field = 1\n"
+            "    def _method(self):\n        self._slot = self._kept\n"
+            "    def __init__(self):\n        self._kept = 2\n"
         ),
         "b.py": ast.parse(
             "import a\nfrom a import _helper\n"
@@ -120,5 +144,6 @@ def test_the_scan_sees_an_unread_private_name():
         ),
     }
     assert unread_privates(trees) == [
-        ("a.py", 2, "_orphan"), ("a.py", 6, "_Unused"),
+        ("a.py", 2, "_orphan"), ("a.py", 6, "_Unused"), ("a.py", 7, "_field"),
+        ("a.py", 8, "_method"), ("a.py", 9, "_slot"),
     ]

@@ -670,7 +670,9 @@ def test_selections_are_the_downset_ids(proof_corpus):
                 sets = X._select(mask, strict)
                 view = X.downset(mask, strict)
                 got = {d: _members(bits) for d, bits in sets.items()}
-                assert got == {d: list(view.ids(d)) for d in view.dims()}
+                assert {
+                    d: [X.cells(d)[i] for i in ids] for d, ids in got.items()
+                } == {d: list(view.cells(d)) for d in view.dims()}
                 want = {}
                 for d in X.dims():
                     ids = [
@@ -685,7 +687,7 @@ def test_selections_are_the_downset_ids(proof_corpus):
 
 def fresh_strict_downset(X, mask):
     """The strict downset below mask as a complex of its own, with its own
-    columns: no selection and no view is involved."""
+    columns: no selection is involved."""
     cells = {
         c: (X.dim(c), X.label(c)) for c in X.all_cells()
         if not X.mask(X.label(c)) & ~mask and X.mask(X.label(c)) != mask
