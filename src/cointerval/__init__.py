@@ -37,7 +37,6 @@ from .homology import (
     QQ,
     Field,
     acyclicity_status,
-    boundary_matrices,
     homology_ranks,
     is_acyclic,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "betti_from_downset_homology",
     "betti_from_faces",
     "betti_hochster",
-    "boundary_matrices",
     "build_complex",
     "burnside_count",
     "cell_to_blocks",

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernels: xor for GF(2), one reduction for the rest.
+"""Exact linear algebra kernels: xor for GF(2), one reduction for any field.
 
 The kernels take a matrix as a sequence of sparse columns, each a
 sequence of (row, value) pairs with Python-int values; rows may be any
@@ -7,9 +7,11 @@ complex they were picked from), and rank does not depend on which rows
 are empty.  Everything is exact:
 
   GF(2)  each column packed into one int bitmask (`pack_gf2`), xor
-         elimination on the packed columns (`rank_packed`);
+         elimination on the packed columns (`rank_packed`); the
+         package ranks GF(2) this way;
   GF(p)  sparse column reduction with dict columns, each pivot scaled
-         to lead 1 (Python ints, so no overflow for any prime p);
+         to lead 1 (`rank_mod`; Python ints, so no overflow for any
+         prime p, 2 included, where it is independent of the xor);
   Q      the same reduction over the integers (p = 0): a column is
          scaled by the pivot's lead, the pivot subtracted, and the
          result divided by the gcd of its entries.
@@ -64,8 +66,6 @@ def _picked(seq, bits):
 
 def rank_mod(cols, p):
     """Rank over GF(p), or over Q for p == 0, of sparse integer columns."""
-    if p == 2:
-        return rank_packed(pack_gf2(cols))
     return len(_reduce(cols, p))
 
 
@@ -78,8 +78,9 @@ def nullspace_rational(cols):
 
 
 def _reduce(cols, p):
-    """Column reduction over GF(p) for odd p, or over the integers for
-    p == 0: every nonzero reduced column, by its leading (largest) row."""
+    """Column reduction over GF(p) for any prime p, or over the integers
+    for p == 0: every nonzero reduced column, by its leading (largest)
+    row."""
     pivots = {}
     for col in cols:
         vec = {}

@@ -1,21 +1,20 @@
 """Exact (reduced) cellular homology over the rationals or a prime field.
 
-A chain complex is an id selection of a labeled complex ({dim: id
-bitset}: all its cells, or a downset cut by `LabeledComplex._select`)
-over the complex's checked columns (`LabeledComplex.columns`); the
-faces of selected cells are selected again, so the selected columns
-are its boundary matrices.  The complex checks once that consecutive
-boundaries compose to zero and raises PreconditionError if not;
-`boundary_matrices` never re-checks.  Ranks are exact: xor elimination
-over GF(2) on the columns the complex packed once
-(`LabeledComplex.packed_columns`, `_kernels.rank_packed`), and one
-sparse column reduction for every other field, mod p for odd p and
-over the integers for characteristic zero (`_kernels.rank_mod`).
+`homology_ranks(X, field, sets)` reads the ranks of an id selection of
+a labeled complex ({dim: id bitset}: all its cells, or a downset cut by
+`LabeledComplex._select`) straight off the complex's checked columns
+(`LabeledComplex.columns`); the faces of selected cells are selected
+again, so the selected columns are the selection's boundary matrices.
+The complex checks once that consecutive boundaries compose to zero
+and raises PreconditionError if not; no selection is re-checked.
+Ranks are exact: xor elimination over GF(2) on the columns the complex
+packed once (`LabeledComplex.packed_columns`, `_kernels.rank_packed`),
+and one sparse column reduction for every other field, mod p for odd p
+and over the integers for characteristic zero (`_kernels.rank_mod`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import _kernels
@@ -81,65 +80,6 @@ GF2 = Field(2)
 GF3 = Field(3)
 GF32003 = Field(32003)
 DEFAULT_FIELDS = (GF2, QQ)
-
-
-class ChainComplex:
-    """The augmented chain complex of a selection of a labeled complex's
-    cells, over a field.
-
-    `sets` is the id selection ({dim: id bitset}) in the complex X.
-    `matrices[k]` holds the sparse columns of the selected k-cells, as
-    (row, coefficient) pairs over the degree-(k-1) cells; in degree 0
-    the augmentation sends every vertex to row 0, the empty face, so its
-    rank is 1 over every field.  The other ranks read X's checked
-    columns, over GF(2) packed once per complex (`packed_columns`).
-    """
-
-    def __init__(self, field, X, sets):
-        self.field = field
-        self._X = X
-        self._sets = sets
-        self._top = max(sets, default=-1)
-
-    @functools.cached_property
-    def matrices(self):
-        out = {}
-        for k in range(self._top + 1):
-            bits = self._sets.get(k, 0)
-            out[k] = _picked(self._X.columns(k), bits) if bits else []
-        return out
-
-    def boundary_rank(self, k):
-        bits = self._sets.get(k)
-        if not bits:
-            return 0
-        if not k:
-            return 1
-        p, X = self.field.char, self._X
-        if p == 2:
-            return _kernels.rank_packed(_picked(X.packed_columns(k), bits))
-        return _kernels.rank_mod(_picked(X.columns(k), bits), p)
-
-    def homology_ranks(self):
-        """Reduced homology ranks in degrees 0..top."""
-        sets = self._sets
-        rk = [self.boundary_rank(k) for k in range(self._top + 2)]
-        return [
-            sets.get(k, 0).bit_count() - rk[k] - rk[k + 1]
-            for k in range(self._top + 1)
-        ]
-
-
-def boundary_matrices(X, field, sets=None):
-    """The augmented chain complex of X over the field, as sparse columns.
-
-    With `sets`, an id selection of X ({dim: id bitset}, as
-    `LabeledComplex._select` gives), the chain complex of the selected
-    cells instead.  Columns follow the complex's sort order and rows are
-    X's ids one dimension down.  The degree-0 boundary sends every
-    vertex to the empty face, so homology ranks come out reduced.
-    """
-    return ChainComplex(field, X, X._sets if sets is None else sets)
 
 
 def _assert_squares_to_zero(keys, columns):
@@ -211,11 +151,37 @@ def _boundary_of_boundary(col, below):
     return acc
 
 
-def homology_ranks(X, field):
-    """Reduced homology ranks of X in degrees 0..dim(X)."""
-    if X.is_empty:
-        raise PreconditionError("homology of the empty complex is degree -1")
-    return boundary_matrices(X, field).homology_ranks()
+def homology_ranks(X, field, sets=None):
+    """Reduced homology ranks of X over the field in degrees 0..dim(X).
+
+    With `sets`, an id selection of X ({dim: id bitset}, as
+    `LabeledComplex._select` gives), those of the selected cells
+    instead; an empty selection has no degrees.  Ranks read X's checked
+    columns (`columns`, over GF(2) `packed_columns`), picked by the
+    selection; in degree 0 the augmentation sends every vertex to the
+    empty face, so its rank is 1 over every field and the ranks come
+    out reduced.
+    """
+    if sets is None:
+        if X.is_empty:
+            raise PreconditionError("homology of the empty complex is degree -1")
+        sets = X._sets
+    top = max(sets, default=-1)
+    rk = [_boundary_rank(X, field.char, k, sets.get(k)) for k in range(top + 2)]
+    return [
+        sets.get(k, 0).bit_count() - rk[k] - rk[k + 1]
+        for k in range(top + 1)
+    ]
+
+
+def _boundary_rank(X, p, k, bits):
+    if not bits:
+        return 0
+    if not k:
+        return 1
+    if p == 2:
+        return _kernels.rank_packed(_picked(X.packed_columns(k), bits))
+    return _kernels.rank_mod(_picked(X.columns(k), bits), p)
 
 
 EMPTY = "empty"

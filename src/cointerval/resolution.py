@@ -24,8 +24,8 @@ Acyclicity is settled for every downset at once where a lead matching
 proves it (`_certified`, bit-parallel over the lattice positions);
 exact elimination runs only on the downsets that proof leaves open.
 Every sweep cuts a downset as an id selection (`LabeledComplex._select`)
-and ranks it through `boundary_matrices` on the complex's own columns;
-no downset is built as a complex, and a label is made only for a
+and ranks it with `homology_ranks` on the complex's own columns; no
+downset is built as a complex, and a label is made only for a
 failing degree or a nonzero Betti number.
 """
 
@@ -51,7 +51,7 @@ from .homology import (
     EMPTY,
     GF2,
     NOT_ACYCLIC,
-    boundary_matrices,
+    homology_ranks,
 )
 
 HOCHSTER_VERTEX_LIMIT = 12  # up to 2^n unions of edges swept
@@ -109,17 +109,6 @@ class BettiTable:
             ((i, tuple(sorted(alpha)), b) for (i, alpha), b in self.entries.items()),
             key=lambda t: (t[0], t[1]),
         )
-
-    def format_text(self):
-        """One `i | alpha | beta` line per entry, then a coarse block."""
-        lines = [
-            f"{i} | {' '.join(map(str, alpha))} | {b}"
-            for i, alpha, b in self.sorted_entries()
-        ]
-        lines.append("coarse:")
-        for (i, j), b in sorted(self.coarse().items()):
-            lines.append(f"{i} {j} {b}")
-        return "\n".join(lines) + "\n"
 
 
 class Failure(tuple):
@@ -247,7 +236,7 @@ def verify_resolution(X, fields=DEFAULT_FIELDS, fail_fast=False):
         for fld in fields:
             if prime_passed and fld.char == 0:
                 continue
-            ranks = boundary_matrices(X, fld, sets).homology_ranks()
+            ranks = homology_ranks(X, fld, sets)
             if any(ranks):
                 status = NOT_ACYCLIC
                 nonzero = {k: r for k, r in enumerate(ranks) if r}
@@ -388,7 +377,7 @@ def betti_from_downset_homology(X, fld=GF2):
         sets = X._select(mask, strict=True)
         if not sets:
             continue
-        ranks = boundary_matrices(X, fld, sets).homology_ranks()
+        ranks = homology_ranks(X, fld, sets)
         for degree, rank in enumerate(ranks):
             if rank:
                 entries[(degree + 1, X.label_of(mask))] = rank
@@ -458,7 +447,7 @@ def betti_hochster(H, fld=GF2):
             # degree -1 (only reachable for 1-graphs)
             entries[(size - 1, ind.label_of(amask))] = 1
             continue
-        ranks = boundary_matrices(ind, fld, sets).homology_ranks()
+        ranks = homology_ranks(ind, fld, sets)
         for degree, rank in enumerate(ranks):
             if rank:
                 i = size - degree - 2

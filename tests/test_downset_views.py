@@ -70,10 +70,12 @@ def test_views_match_fresh_complexes(corpus):
     for name, X in corpus:
         for mask in X.lattice_masks():
             alpha = X.label_of(mask)
-            for view, keep in (
-                (X.downset(mask), lambda lab: lab <= alpha),
-                (X.downset(mask, strict=True), lambda lab: lab < alpha),
+            for strict, keep in (
+                (False, lambda lab: lab <= alpha),
+                (True, lambda lab: lab < alpha),
             ):
+                view = X.downset(mask, strict)
+                sets = X._select(mask, strict)
                 new = fresh(X, keep)
                 where = (name, sorted(alpha))
                 assert list(view.all_cells()) == list(new.all_cells()), where
@@ -82,11 +84,16 @@ def test_views_match_fresh_complexes(corpus):
                 dump = write_complex_dump(new)
                 assert write_complex_dump(view) == dump, where
                 if new.is_empty:
+                    for fld in ALL_FIELDS:
+                        assert homology_ranks(X, fld, sets) == [], where
                     continue
                 for fld in ALL_FIELDS:
-                    assert homology_ranks(view, fld) == homology_ranks(
-                        new, fld
-                    ), (where, str(fld))
+                    want = homology_ranks(new, fld)
+                    assert homology_ranks(view, fld) == want, (where, str(fld))
+                    # the selection, ranked on X's own columns
+                    assert homology_ranks(X, fld, sets) == want, (
+                        where, str(fld)
+                    )
                 assert verify_resolution(view, ALL_FIELDS).summary() == (
                     verify_resolution(new, ALL_FIELDS).summary()
                 ), where

@@ -28,12 +28,12 @@ from cointerval import (
     betti_hochster,
     build_complex,
     complexes,
+    homology_ranks,
     independence_complex,
     taylor_complex,
 )
 from cointerval._kernels import _members
 from cointerval.complexes import block_boundary, union_closure
-from cointerval.homology import boundary_matrices
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -81,7 +81,7 @@ def induced_betti(sub, fld):
     ind = scanned_complex(sub)
     if ind.is_empty:
         return ((size - 1, 1),) if size - 1 >= 0 else ()
-    ranks = boundary_matrices(ind, fld).homology_ranks()
+    ranks = homology_ranks(ind, fld)
     return tuple(
         (size - degree - 2, rank)
         for degree, rank in enumerate(ranks)
@@ -143,7 +143,7 @@ def hochster_by_subset_sweep(H, fld):
                 if size - 1 >= 0:
                     entries[(size - 1, frozenset(alpha))] = 1
                 continue
-            ranks = boundary_matrices(sub, fld).homology_ranks()
+            ranks = homology_ranks(sub, fld)
             for degree, rank in enumerate(ranks):
                 if rank and size - degree - 2 >= 0:
                     entries[(size - degree - 2, frozenset(alpha))] = rank

@@ -23,7 +23,6 @@ from cointerval import (
     LabeledComplex,
     PreconditionError,
     acyclicity_status,
-    boundary_matrices,
     build_complex,
     enumerate_block_cells,
     homology_ranks,
@@ -48,11 +47,11 @@ def sparse(rows):
     return [tuple((j, v) for j, v in enumerate(row) if v) for row in rows]
 
 
-def dense(cc, k):
+def dense(X, k):
     """Boundary matrix of degree k of a full complex: one row per k-cell."""
-    nrows = 1 if k == 0 else len(cc.matrices[k - 1])
+    nrows = 1 if k == 0 else len(X.columns(k - 1))
     out = []
-    for col in cc.matrices[k]:
+    for col in X.columns(k):
         row = [0] * nrows
         for r, v in col:
             row[r] += v
@@ -133,7 +132,8 @@ def test_rank_mod_huge_prime():
 
 
 def test_packed_gf2_rank_against_rank_mod_and_sympy():
-    """Packed once, then xor: the rank mod 2 of seeded sparse matrices."""
+    """Packed once, then xor, against the sparse reduction mod 2 and
+    sympy: the rank mod 2 of seeded sparse matrices."""
     rng = random.Random(2010)
     for _ in range(60):
         nrows, ncols = rng.randrange(1, 40), rng.randrange(1, 40)
@@ -268,6 +268,11 @@ def test_empty_complex_is_flagged(copath5):
     X = build_complex(Hypergraph(2, [1, 2], []))
     assert acyclicity_status(X, GF2) == EMPTY
     assert not is_acyclic(X, GF2)
+    with pytest.raises(PreconditionError, match="empty complex"):
+        homology_ranks(X, GF2)
+    # an empty selection has no degrees
+    for fld in ALL_FIELDS:
+        assert homology_ranks(build_complex(copath5), fld, {}) == []
 
 
 def test_single_point_acyclic():
@@ -287,17 +292,16 @@ def test_circle_homology(copath5):
 
 def test_boundary_matrices_shape(copath5):
     X = build_complex(copath5)
-    cc = boundary_matrices(X, GF2)
-    assert {k: len(m) for k, m in cc.matrices.items()} == {
+    assert {k: len(X.columns(k)) for k in X.dims()} == {
         0: 7, 1: 11, 2: 6, 3: 1
     }
     # one row per cell, columns over the basis one degree down;
     # the augmentation sends every vertex to the empty cell
-    assert dense(cc, 0) == [[1]] * 7
-    assert len(dense(cc, 1)) == 11 and len(dense(cc, 1)[0]) == 7
+    assert dense(X, 0) == [[1]] * 7
+    assert len(dense(X, 1)) == 11 and len(dense(X, 1)[0]) == 7
     # the sparse columns index faces in the complex's sort order
-    assert all(r in range(len(cc.matrices[k - 1])) for k in (1, 2, 3)
-               for col in cc.matrices[k] for r, _v in col)
+    assert all(r in range(len(X.columns(k - 1))) for k in (1, 2, 3)
+               for col in X.columns(k) for r, _v in col)
 
 
 def test_characteristic_independence_on_downsets(copath5, k4_3):
@@ -317,10 +321,9 @@ def test_characteristic_independence_on_downsets(copath5, k4_3):
 
 def test_complex_boundary_ranks_match_sympy(copath5):
     X = build_complex(copath5)
-    cc = boundary_matrices(X, QQ)
-    assert sorted(cc.matrices) == [0, 1, 2, 3]
-    for k, mat in cc.matrices.items():
-        assert rank_mod(mat, 0) == Matrix(dense(cc, k)).rank()
+    assert X.dims() == [0, 1, 2, 3]
+    for k in X.dims():
+        assert rank_mod(X.columns(k), 0) == Matrix(dense(X, k)).rank()
 
 
 def test_random_complex_ranks_match_sympy():
@@ -334,12 +337,19 @@ def test_random_complex_ranks_match_sympy():
         if X.is_empty:
             continue
         for fld, p in ((GF2, 2), (GF3, 3)):
-            cc = boundary_matrices(X, fld)
-            assert sorted(cc.matrices) == list(range(X.max_dim() + 1))
-            for k, mat in cc.matrices.items():
+            assert X.dims() == list(range(X.max_dim() + 1))
+            rk = {}
+            for k in X.dims():
+                mat = X.columns(k)
                 if mat:
-                    dom = DomainMatrix.from_list(dense(cc, k), sympy_GF(p))
+                    dom = DomainMatrix.from_list(dense(X, k), sympy_GF(p))
                     assert rank_mod(mat, p) == dom.rank()
+                    rk[k] = dom.rank()
+            # the reduced homology ranks read off sympy's boundary ranks
+            assert homology_ranks(X, fld) == [
+                len(X.columns(k)) - rk.get(k, 0) - rk.get(k + 1, 0)
+                for k in X.dims()
+            ]
 
 
 def flipped_sign(blocks_iter):

@@ -1,5 +1,7 @@
-"""The README's Library section names only what the package exports."""
+"""The README's Library section names only what the package exports, and
+its example runs and gives the values its comments state."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -28,3 +30,26 @@ def test_library_names_import_from_the_package():
         for attr in rest:
             obj = getattr(obj, attr)
         assert callable(obj), name
+
+
+def library_example():
+    text = README.read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1]
+    return library.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_library_example_runs_and_gives_its_commented_values():
+    source = library_example()
+    lines = source.splitlines()
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(source).body:
+        code, sep, comment = lines[stmt.end_lineno - 1].partition("# ")
+        if sep and isinstance(stmt, ast.Expr):
+            got = eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                       namespace)
+            assert got == eval(comment, {}), code.strip()
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert checked >= 4
