@@ -73,7 +73,6 @@ from .staircase import (
     polarize_blocks,
     restrict_to_graph,
     staircase_volume,
-    weak_tuples,
     write_geometry,
 )
 
@@ -154,7 +153,6 @@ __all__ = [
     "taylor_complex",
     "verify_minimal",
     "verify_resolution",
-    "weak_tuples",
     "write_complex_dump",
     "write_complex_dump_file",
     "write_geometry",

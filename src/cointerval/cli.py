@@ -33,7 +33,7 @@ from .resolution import (
     betti_hochster,
     verify_resolution,
 )
-from .staircase import export_geometry, restrict_to_graph
+from .staircase import export_geometry, restrict_to_graph, write_geometry
 
 _FIELDS = {"2": GF2, "3": GF3, "32003": GF32003, "q": QQ}
 
@@ -149,18 +149,16 @@ def cmd_betti(args):
 def cmd_embed(args):
     H = read_hypergraph(args.file)
     geom = restrict_to_graph(H.d, H.n, H)
-    text = export_geometry(geom)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return [
-            f"geometry: d={geom.d} m={geom.m} n={geom.n}",
-            f"vertices: {geom.vertex_count()}",
-            f"maximal-cells: {len(geom.maximal)}",
-            f"f-vector: {_fvec(geom.f_vector())}",
-            f"wrote {args.out}",
-        ]
-    return text.splitlines()
+    if not args.out:
+        return export_geometry(geom).splitlines()
+    write_geometry(geom, args.out)
+    return [
+        f"geometry: d={geom.d} m={geom.m} n={geom.n}",
+        f"vertices: {geom.vertex_count()}",
+        f"maximal-cells: {len(geom.maximal)}",
+        f"f-vector: {_fvec(geom.f_vector())}",
+        f"wrote {args.out}",
+    ]
 
 
 def cmd_decompose(args):

@@ -12,14 +12,15 @@ blocks.
 `LabeledComplex` is the one complex class, and it is its own index: the
 cells of each dimension in sort order (a cell's id is its position),
 their labels as bitmasks, and a builder's rule for the boundary
-columns.  On first use of its columns or downsets the complex checks,
-once, that faces are cells with labels inside their cell's and that
-the boundary squares to zero; over GF(2) the checked columns are also
-packed, once, into one int each.  A downset is an id selection
-({dim: id bitset}, `_select`): the lattice sweeps read ranks straight
-off it and the complex's columns.  `downset` builds a complex of its
-own from a selection, on the same vertices, its columns renumbered
-onto the selected faces.
+columns.  On first use of its boundary, columns or downsets the
+complex checks, once, that faces are cells with labels inside their
+cell's and that the boundary squares to zero; nothing is read off a
+complex that fails.  Over GF(2) the checked columns are also packed,
+once, into one int each.  A downset is an id selection ({dim: id bitset},
+`_select`): the lattice sweeps read ranks straight off it and the
+complex's columns.  `downset` builds a complex of its own from a
+selection, on the same vertices, its columns renumbered onto the
+selected faces.
 
 The builders differ only in how they find cells and columns.  A
 complex of products of simplices is met in sort order and filed by
@@ -131,7 +132,7 @@ class LabeledComplex:
         self._masks = masks
         self._vertices = tuple(vertices)
         self._bit = {v: 1 << k for k, v in enumerate(self._vertices)}
-        self._make_columns = columns
+        self._column_rule = columns
         self._labels = {}  # one frozenset per distinct label mask
         # the id selection of every cell; dimensions without one are left out
         self._sets = {
@@ -233,12 +234,12 @@ class LabeledComplex:
             yield from self.cells(dim)
 
     def boundary(self, cell):
-        """Signed codimension-1 faces as (cell, sign) pairs."""
+        """Signed codimension-1 faces as (cell, sign) pairs, once checked."""
         dim, i = self.pos[cell]
         if not dim:
             return []
         faces = self._keys[dim - 1]
-        return [(faces[f], c) for f, c in self._columns[dim][i]]
+        return [(faces[f], c) for f, c in self._checked[dim][i]]
 
     def f_vector(self):
         return tuple(len(self.ids(d)) for d in range(self.max_dim() + 1))
@@ -258,10 +259,6 @@ class LabeledComplex:
 
     # --- checked columns and downsets ---------------------------------
     @functools.cached_property
-    def _columns(self):
-        return self._make_columns()
-
-    @functools.cached_property
     def _checked(self):
         """The columns, with the augmentation in dimension 0, once checked.
 
@@ -272,7 +269,7 @@ class LabeledComplex:
         boundary of a subcomplex is the restriction of the parent's, so
         neither check is needed again for an id selection.
         """
-        keys, masks, columns = self._keys, self._masks, self._columns
+        keys, masks, columns = self._keys, self._masks, self._column_rule()
         for d, cols in columns.items():
             below, count = masks[d - 1], len(masks[d - 1])
             for i, (col, mask) in enumerate(zip(cols, masks[d])):

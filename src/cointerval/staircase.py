@@ -11,7 +11,8 @@ Shifting the i-th coordinate of a multiset by i-1 (polarization) turns
 multisets into d-subsets of [m+d]; under it the faces of the subdivision
 restricted to a d-graph H on [n] (n = m+d) become exactly the block
 cells of H's labeled complex.  `restrict_to_graph` realizes that
-restriction with integer vertex coordinates.
+restriction with integer vertex coordinates; on the complete d-graph
+on [m+d] it keeps every weak tuple, so every face of the subdivision.
 """
 
 from __future__ import annotations
@@ -82,27 +83,6 @@ def cell_to_blocks(bseq):
 def polarize_blocks(taus):
     """Apply the polarization shift blockwise to a weak tuple."""
     return tuple([tuple([a + k for a in tau]) for k, tau in enumerate(taus)])
-
-
-def weak_tuples(d, m):
-    """All faces of the subdivision: weak tuples over points 1..m+1."""
-    points = range(1, m + 2)
-
-    def extend(prefix, lo):
-        k = len(prefix)
-        if k == d:
-            yield prefix
-            return
-        for tau in _nonempty_subsets(points, lo):
-            yield from extend(prefix + (tau,), tau[-1])
-
-    yield from extend((), 1)
-
-
-def _nonempty_subsets(points, lo):
-    pool = [p for p in points if p >= lo]
-    for size in range(1, len(pool) + 1):
-        yield from itertools.combinations(pool, size)
 
 
 @dataclass

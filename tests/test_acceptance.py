@@ -40,6 +40,8 @@ from cointerval import (
 from cointerval.casestudy import counterexample_search, net_complement
 from cointerval.cli import main
 
+from graphs import all_graphs
+
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
 
 
@@ -57,14 +59,6 @@ def criterion(acceptance, number, summary, budget=None):
         assert elapsed < budget, f"criterion {number} over budget: {note}"
         note += f" < {budget:.0f}s"
     acceptance(f"criterion {number}: PASS  {summary} [{note}]")
-
-
-def all_graphs(d, n):
-    universe = list(itertools.combinations(range(1, n + 1), d))
-    for mask in range(2 ** len(universe)):
-        yield Hypergraph(
-            d, range(1, n + 1), [e for i, e in enumerate(universe) if mask >> i & 1]
-        )
 
 
 def cointerval_labeled(H):
@@ -161,10 +155,10 @@ def test_criterion_4_mixed_subdivision(acceptance):
                 assert len(cells) == math.comb(m + d - 1, d - 1)
                 assert sum(staircase_volume(b) for b in cells) == d**m
         for n in range(2, 7):
-            for H in all_graphs(2, n):
+            for H in all_graphs(2, range(1, n + 1)):
                 geom = restrict_to_graph(2, n, H)
                 assert geom.block_cells() == set(build_complex(H).all_cells())
-        for H in all_graphs(3, 5):
+        for H in all_graphs(3, range(1, 6)):
             geom = restrict_to_graph(3, 5, H)
             assert geom.block_cells() == set(build_complex(H).all_cells())
 

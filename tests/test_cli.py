@@ -117,7 +117,9 @@ def test_embed_out_summary(capsys, tmp_path):
     assert out_file.read_text() == (GOLDEN / "embed_copath5.txt").read_text()
 
 
-def test_embed_reads_the_cell_budget_at_call_time(capsys, monkeypatch):
+def test_embed_reads_the_cell_budget_at_call_time(
+    capsys, monkeypatch, tmp_path
+):
     # copath(5) keeps 7 + 11 + 6 + 1 = 25 faces
     H = parse_hypergraph(pathlib.Path(COPATH5).read_text())
     monkeypatch.setattr(complexes, "CELL_LIMIT", 24)
@@ -126,8 +128,19 @@ def test_embed_reads_the_cell_budget_at_call_time(capsys, monkeypatch):
     code, out, err = run(capsys, "embed", COPATH5)
     assert code == 4 and out == ""
     assert "more than 24 faces" in err
+    out_file = tmp_path / "geom.txt"
+    code, out, err = run(capsys, "embed", COPATH5, "--out", str(out_file))
+    assert code == 4 and out == ""
+    assert "more than 24 faces" in err
+    assert not out_file.exists()
     monkeypatch.setattr(complexes, "CELL_LIMIT", 25)
     assert restrict_to_graph(2, 5, H).f_vector() == (7, 11, 6, 1)
+
+
+def test_embed_out_to_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "embed", COPATH5, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_decompose(capsys):

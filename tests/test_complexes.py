@@ -6,6 +6,7 @@ import pytest
 from cointerval import (
     GF2,
     Hypergraph,
+    LabeledComplex,
     PreconditionError,
     build_complex,
     contractibility_certificate,
@@ -13,6 +14,7 @@ from cointerval import (
     fold,
     homology_ranks,
     is_acyclic,
+    join,
 )
 from cointerval.complexes import block_boundary, block_dim
 
@@ -53,6 +55,38 @@ def test_boundary_is_block_shrink():
     assert faces[((2,), (3, 4, 5))] == 1
     assert faces[((1,), (3, 4, 5))] == -1
     assert faces[((1, 2), (4, 5))] == -1
+
+
+def flipped_triangle():
+    """A filled triangle whose 2-cell has one face sign flipped."""
+    top = ((1, 2, 3),)
+    cells = {
+        (block,): (len(block) - 1, frozenset(block))
+        for k in (1, 2, 3) for block in itertools.combinations((1, 2, 3), k)
+    }
+
+    def boundary(cell):
+        faces = block_boundary(cell)
+        if cell == top:
+            (face, sign), *rest = faces
+            faces = [(face, -sign), *rest]
+        return faces
+
+    return LabeledComplex.from_cells(cells, boundary), top
+
+
+def test_boundary_is_read_only_after_the_check():
+    bad, top = flipped_triangle()
+    assert len(bad) == 7
+    for cell in (top, ((1, 2),)):
+        with pytest.raises(PreconditionError, match="square to zero"):
+            bad.boundary(cell)
+    # a join checks each factor on its first boundary read, so the
+    # error names the factor's cell, not a join cell holding it
+    J = join([bad, build_complex(Hypergraph(1, [4], [(4,)]))])
+    with pytest.raises(PreconditionError,
+                       match=r"square to zero at \(\(1, 2, 3\),\):"):
+        J.columns(1)
 
 
 def test_boundary_squares_to_zero(copath5, k4_3):

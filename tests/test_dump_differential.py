@@ -38,6 +38,8 @@ from cointerval import (
 from cointerval import dumpio
 from cointerval.dumpio import _read_cells
 
+from graphs import copath
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -155,14 +157,6 @@ def outcome(parse, text):
 
 def oracle_parse(text):
     return oracle_orient(_read_cells(text))
-
-
-def copath(n):
-    return Hypergraph(
-        2, range(1, n + 1),
-        [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
-         if j - i >= 2],
-    )
 
 
 def interval_complement(rng, n):

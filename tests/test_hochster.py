@@ -35,6 +35,8 @@ from cointerval import (
 from cointerval._kernels import _members
 from cointerval.complexes import block_boundary, union_closure
 
+from graphs import all_graphs, random_graph
+
 FIELDS = (GF2, GF3, QQ)
 
 
@@ -89,14 +91,6 @@ def induced_betti(sub, fld):
     )
 
 
-def all_graphs(d, vertices):
-    universe = list(itertools.combinations(vertices, d))
-    for mask in range(2 ** len(universe)):
-        yield Hypergraph(
-            d, vertices, [e for i, e in enumerate(universe) if mask >> i & 1]
-        )
-
-
 def interval_complement(rng, n, span=30):
     ivs = sorted(
         (a + rng.randrange(1, span // 3 + 2), a)
@@ -118,13 +112,6 @@ def planted_2k2(rng, n, p):
     edges |= {tuple(sorted((a, b))), tuple(sorted((c, d)))}
     edges -= {tuple(sorted(q)) for q in ((a, c), (a, d), (b, c), (b, d))}
     return Hypergraph(2, range(1, n + 1), edges)
-
-
-def random_graph(rng, d, n, p):
-    return Hypergraph(d, range(1, n + 1), [
-        e for e in itertools.combinations(range(1, n + 1), d)
-        if rng.random() < p
-    ])
 
 
 def hochster_by_subset_sweep(H, fld):
@@ -181,7 +168,8 @@ def test_grown_complex_matches_scan_on_seeded_graphs():
     for n in (6, 7, 8):
         for d, p in ((1, 0.3), (2, 0.2), (2, 0.5), (2, 0.8), (3, 0.3)):
             for _ in range(4):
-                assert_grown_like_scan(random_graph(rng, d, n, p))
+                H = random_graph(rng, d, range(1, n + 1), p)
+                assert_grown_like_scan(H)
 
 
 def test_grown_complex_is_labeled_by_its_faces(two_k2):
@@ -283,7 +271,7 @@ def test_union_sweep_matches_subset_sweep_on_seeded_graphs():
     for d, n, p in ((1, 7, 0.4), (2, 7, 0.3), (2, 8, 0.6), (3, 7, 0.3),
                     (3, 8, 0.15)):
         for _ in range(3):
-            assert_like_subset_sweep(random_graph(rng, d, n, p))
+            assert_like_subset_sweep(random_graph(rng, d, range(1, n + 1), p))
     for verts in ([2, 5, 11], [2, 5, 11, 13, 40]):
         for d in (1, 2, 3):
             assert_like_subset_sweep(
@@ -320,7 +308,7 @@ def hochster_corpus():
         graphs.append(interval_complement(rng, 7))
         graphs.append(planted_2k2(rng, 7, 0.5))
     for d, n, p in ((1, 6, 0.4), (2, 7, 0.3), (3, 6, 0.3)):
-        graphs.append(random_graph(rng, d, n, p))
+        graphs.append(random_graph(rng, d, range(1, n + 1), p))
     return graphs
 
 

@@ -19,21 +19,7 @@ from cointerval import (
 )
 from cointerval.hypergraph import VERTEX_LIMIT, _nested_layers
 
-
-def all_graphs(d, n):
-    """Every d-graph on 1..n."""
-    universe = list(itertools.combinations(range(1, n + 1), d))
-    for mask in range(2 ** len(universe)):
-        yield Hypergraph(
-            d, range(1, n + 1), [e for i, e in enumerate(universe) if mask >> i & 1]
-        )
-
-
-def random_graph(rng, d, vertices, p):
-    edges = [
-        e for e in itertools.combinations(vertices, d) if rng.random() < p
-    ]
-    return Hypergraph(d, vertices, edges)
+from graphs import all_graphs, random_graph
 
 
 def borel_closure(n, gens):
@@ -229,8 +215,8 @@ def _labeling_oracle(H):
 
 
 def _labeling_corpus():
-    yield from (H for n in range(1, 6) for H in all_graphs(2, n))
-    yield from all_graphs(3, 5)
+    yield from (H for n in range(1, 6) for H in all_graphs(2, range(1, n + 1)))
+    yield from all_graphs(3, range(1, 6))
     rng = random.Random(20261019)
     for _ in range(80):
         d = rng.choice((2, 3))
@@ -283,8 +269,8 @@ def test_strongly_stable(copath5, k4_3):
 
 def test_ss_labeling_matches_sweep_exhaustive():
     # the whole dict, edgeless vertices included, on every small graph
-    corpus = [H for n in range(1, 6) for H in all_graphs(2, n)]
-    corpus += list(all_graphs(3, 5))
+    corpus = [H for n in range(1, 6) for H in all_graphs(2, range(1, n + 1))]
+    corpus += list(all_graphs(3, range(1, 6)))
     found = 0
     for H in corpus:
         got = find_strongly_stable_labeling(H)
@@ -339,9 +325,9 @@ def test_ss_labeling_on_shuffled_borel_closures():
 
 
 def test_nested_layers_matches_layer_recursion():
-    corpus = [H for n in range(1, 6) for H in all_graphs(2, n)]
-    corpus += list(all_graphs(3, 5))
-    corpus += list(all_graphs(1, 4))
+    corpus = [H for n in range(1, 6) for H in all_graphs(2, range(1, n + 1))]
+    corpus += list(all_graphs(3, range(1, 6)))
+    corpus += list(all_graphs(1, range(1, 5)))
     rng = random.Random(20261018)
     for _ in range(150):
         d = rng.choice((3, 4))

@@ -43,6 +43,8 @@ from cointerval.resolution import (
     verify_minimal,
 )
 
+from graphs import copath
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # resolution of the running example, frozen entry by entry
@@ -394,14 +396,6 @@ def eliminate_everything(X, fields, fail_fast=False):
             break
     report.minimal = verify_minimal(X)
     return report
-
-
-def copath(n):
-    """Complement of the path 1-2-...-n: edges {i, j} with j - i >= 2."""
-    return Hypergraph(
-        2, range(1, n + 1),
-        [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)],
-    )
 
 
 def interval_complements(count, seed=5):

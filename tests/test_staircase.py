@@ -15,7 +15,6 @@ from cointerval import (
     polarize_blocks,
     restrict_to_graph,
     staircase_volume,
-    weak_tuples,
 )
 from cointerval.staircase import window_bseq
 
@@ -81,15 +80,32 @@ def test_cell_to_blocks():
         assert polarize_blocks(windows) == cell_to_blocks(bseq)
 
 
-def test_weak_tuples_are_graded_faces():
-    faces = list(weak_tuples(2, 3))
-    # tuples of nonempty point sets with max tau_i <= min tau_{i+1}
-    for taus in faces:
-        assert all(t for t in taus)
-        assert all(max(a) <= min(b) for a, b in zip(taus, taus[1:]))
+def brute_weak_tuples(d, m):
+    """Every d-tuple of nonempty subsets of 1..m+1 with
+    max(t_i) <= min(t_(i+1))."""
+    points = range(1, m + 2)
+    subsets = [
+        t for k in range(1, m + 2) for t in itertools.combinations(points, k)
+    ]
+    return {
+        taus for taus in itertools.product(subsets, repeat=d)
+        if all(a[-1] <= b[0] for a, b in zip(taus, taus[1:]))
+    }
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 3)])
+def test_complete_graph_keeps_every_weak_tuple(d, m):
+    n = m + d
+    complete = Hypergraph(
+        d, range(1, n + 1), itertools.combinations(range(1, n + 1), d)
+    )
+    geom = restrict_to_graph(d, n, complete)
+    faces = [taus for fs in geom.faces_by_dim.values() for taus in fs]
+    assert len(set(faces)) == len(faces)
+    assert set(faces) == brute_weak_tuples(d, m)
+    assert all(t for taus in faces for t in taus)
     # vertices of the full subdivision: one per size-d multiset from [m+1]
-    singles = [t for t in faces if all(len(x) == 1 for x in t)]
-    assert len(singles) == math.comb(3 + 2, 2)
+    assert geom.vertex_count() == math.comb(m + d, d)
 
 
 def test_window_bseq_roundtrip():
