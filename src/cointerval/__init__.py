@@ -12,7 +12,6 @@ from .complexes import (
     LabeledComplex,
     build_complex,
     contractibility_certificate,
-    enumerate_block_cells,
     fold,
 )
 from .covers import (
@@ -26,7 +25,6 @@ from .dumpio import (
     parse_complex_dump,
     read_complex_dump,
     write_complex_dump,
-    write_complex_dump_file,
 )
 from .errors import BudgetError, ParseError, PreconditionError
 from .homology import (
@@ -38,7 +36,6 @@ from .homology import (
     Field,
     acyclicity_status,
     homology_ranks,
-    is_acyclic,
 )
 from .hypergraph import (
     Hypergraph,
@@ -48,7 +45,6 @@ from .hypergraph import (
     interval_representation,
     parse_hypergraph,
     read_hypergraph,
-    write_hypergraph,
 )
 from .resolution import (
     BettiTable,
@@ -84,7 +80,6 @@ from .casestudy import (
     classify_all,
     counterexample_search,
     enumerate_classes,
-    net_complement,
     net_graph,
     ss_width_gap_search,
 )
@@ -123,7 +118,6 @@ __all__ = [
     "counterexample_search",
     "cube_betti",
     "depolarize",
-    "enumerate_block_cells",
     "enumerate_classes",
     "enumerate_staircase",
     "export_geometry",
@@ -135,10 +129,8 @@ __all__ = [
     "homology_ranks",
     "independence_complex",
     "interval_representation",
-    "is_acyclic",
     "join",
     "linear_width",
-    "net_complement",
     "net_graph",
     "parse_complex_dump",
     "parse_hypergraph",
@@ -154,7 +146,5 @@ __all__ = [
     "verify_minimal",
     "verify_resolution",
     "write_complex_dump",
-    "write_complex_dump_file",
     "write_geometry",
-    "write_hypergraph",
 ]

@@ -251,10 +251,6 @@ class LabelingSearchReport:
     distinct: int
     passing: list  # relabeling dicts, in lexicographic label order
 
-    @property
-    def any_passing(self):
-        return bool(self.passing)
-
 
 def counterexample_search(H, fields=(GF2,)):
     """Run the resolution check under every labeling of H.
@@ -299,10 +295,6 @@ def net_graph():
     return Hypergraph(
         2, range(1, 7), [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)]
     )
-
-
-def net_complement():
-    return net_graph().complement()
 
 
 def ss_width_gap_search(d=3, n=5, rows=None):

@@ -154,7 +154,7 @@ def cmd_embed(args):
     write_geometry(geom, args.out)
     return [
         f"geometry: d={geom.d} m={geom.m} n={geom.n}",
-        f"vertices: {geom.vertex_count()}",
+        f"vertices: {len(geom.vertices)}",
         f"maximal-cells: {len(geom.maximal)}",
         f"f-vector: {_fvec(geom.f_vector())}",
         f"wrote {args.out}",

@@ -218,10 +218,6 @@ class LabeledComplex:
     def max_dim(self):
         return max(self._sets, default=-1)
 
-    def ids(self, dim):
-        """Index ids of the cells of the given dimension."""
-        return range(len(self._keys.get(dim, ())))
-
     def cells(self, dim):
         return tuple(self._keys.get(dim, ()))
 
@@ -242,7 +238,8 @@ class LabeledComplex:
         return [(faces[f], c) for f, c in self._checked[dim][i]]
 
     def f_vector(self):
-        return tuple(len(self.ids(d)) for d in range(self.max_dim() + 1))
+        keys = self._keys
+        return tuple(len(keys.get(d, ())) for d in range(self.max_dim() + 1))
 
     def vertex_labels(self):
         """Labels of the 0-cells (the generators of the resolved ideal)."""
@@ -547,12 +544,6 @@ def _filed(cells, vertices, bit, stride):
         return out
 
     return LabeledComplex(keys, masks, vertices, columns)
-
-
-def enumerate_block_cells(H):
-    """Block tuples of H (every transversal an edge), in lexicographic
-    order."""
-    return sorted(build_complex(H).all_cells())
 
 
 def build_complex(H):

@@ -243,10 +243,5 @@ def _rational_signs(cell, cols):
     return [1 if v == lead else -1 for v in vec]
 
 
-def write_complex_dump_file(X, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_complex_dump(X))
-
-
 def read_complex_dump(path):
     return parse_complex_dump(read_text(path))

@@ -200,8 +200,3 @@ def acyclicity_status(X, field):
         return EMPTY
     ranks = homology_ranks(X, field)
     return ACYCLIC if not any(ranks) else NOT_ACYCLIC
-
-
-def is_acyclic(X, field):
-    """True iff X is nonempty with vanishing reduced homology."""
-    return acyclicity_status(X, field) == ACYCLIC

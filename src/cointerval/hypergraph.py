@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 
 from .errors import BudgetError, ParseError, PreconditionError
 
@@ -29,46 +30,30 @@ COINTERVAL_PLACEMENT_LIMIT = 50_000  # labeling search guard: DFS placements
 VERTEX_LIMIT = 500
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Hypergraph:
     """Immutable d-uniform hypergraph with sorted-tuple edges."""
 
-    __slots__ = ("d", "vertices", "edges", "_hash")
+    d: int
+    vertices: tuple
+    edges: frozenset
 
-    def __init__(self, d, vertices, edges):
+    def __post_init__(self):
+        d = self.d
         if d < 1:
             raise ValueError(f"uniformity must be >= 1, got {d}")
-        vs = tuple(sorted(set(int(v) for v in vertices)))
+        vs = tuple(sorted(set(int(v) for v in self.vertices)))
         vset = set(vs)
         norm = set()
-        for e in edges:
+        for e in self.edges:
             t = tuple(sorted(int(v) for v in e))
             if len(t) != d or len(set(t)) != d:
                 raise ValueError(f"edge {t} is not a {d}-element set")
             if not set(t) <= vset:
                 raise ValueError(f"edge {t} uses vertices outside {vs}")
             norm.add(t)
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "_hash", hash((d, vs, self.edges)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypergraph is immutable")
-
-    def __reduce__(self):
-        return (Hypergraph, (self.d, self.vertices, tuple(self.edges)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return (
-            self.d == other.d
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         es = ",".join("".join(map(str, e)) for e in self.edge_list())
@@ -471,8 +456,3 @@ def read_text(path):
 
 def read_hypergraph(path):
     return parse_hypergraph(read_text(path))
-
-
-def write_hypergraph(H, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_hypergraph(H))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from . import complexes
@@ -58,20 +59,18 @@ HOCHSTER_VERTEX_LIMIT = 12  # up to 2^n unions of edges swept
 TAYLOR_EDGE_LIMIT = 12  # 2^|E| - 1 Taylor cells guard
 
 
+@dataclass
 class BettiTable:
     """Sparse table of graded Betti numbers beta_{i, alpha}."""
 
-    def __init__(self, entries=()):
+    entries: dict = ()
+
+    def __post_init__(self):
         self.entries = {
             (i, frozenset(alpha)): int(b)
-            for (i, alpha), b in dict(entries).items()
+            for (i, alpha), b in dict(self.entries).items()
             if b
         }
-
-    def __eq__(self, other):
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        return self.entries == other.entries
 
     def __bool__(self):
         return bool(self.entries)
@@ -461,6 +460,9 @@ def cube_betti(H, V=None):
 
     Counts block tuples covering V whose transversals are all edges;
     equals the top Betti number beta_{|V| - d, V} for cointerval H.
+    Tries every split of V into d runs, C(|V| - 1, d - 1) of them, and
+    raises BudgetError before the first when that exceeds
+    `complexes.CELL_LIMIT`.
     """
     if V is None:
         V = H.vertices
@@ -469,6 +471,12 @@ def cube_betti(H, V=None):
     size = len(verts)
     if size < H.d:
         return 0
+    splits = math.comb(size - 1, H.d - 1)
+    if splits > complexes.CELL_LIMIT:
+        raise BudgetError(
+            f"cube_betti tries every split into d runs; refusing "
+            f"{splits} > {complexes.CELL_LIMIT} splits"
+        )
     count = 0
     for cuts in itertools.combinations(range(1, size), H.d - 1):
         bounds = (0,) + cuts + (size,)

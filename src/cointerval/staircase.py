@@ -101,9 +101,6 @@ class Geometry:
     faces_by_dim: dict
     maximal: list
 
-    def vertex_count(self):
-        return len(self.vertices)
-
     def f_vector(self):
         if not self.faces_by_dim:
             return ()

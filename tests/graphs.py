@@ -1,6 +1,9 @@
-"""Test-graph generators shared by the test modules."""
+"""Test-graph generators, and a refusal probe, shared by the test
+modules."""
 
 import itertools
+
+import pytest
 
 from cointerval import Hypergraph
 
@@ -29,3 +32,11 @@ def random_graph(rng, d, vertices, p):
     return Hypergraph(d, vertices, [
         e for e in itertools.combinations(vertices, d) if rng.random() < p
     ])
+
+
+def refusal(call, *args):
+    """The exact type and the message of the ValueError call(*args) raises
+    (PreconditionError and ParseError are ValueErrors too)."""
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    return type(err.value), str(err.value)

@@ -37,7 +37,7 @@ from cointerval import (
     taylor_complex,
     verify_resolution,
 )
-from cointerval.casestudy import counterexample_search, net_complement
+from cointerval.casestudy import counterexample_search, net_graph
 from cointerval.cli import main
 
 from graphs import all_graphs
@@ -166,9 +166,11 @@ def test_criterion_4_mixed_subdivision(acceptance):
 def test_criterion_5_counterexample(acceptance):
     """All 720 labelings of the net complement fail; cointerval ones pass."""
     with criterion(acceptance, 5, "net-complement counterexample", 300.0):
-        report = counterexample_search(net_complement(), fields=(GF2, QQ))
+        report = counterexample_search(
+            net_graph().complement(), fields=(GF2, QQ)
+        )
         assert report.total == 720
-        assert not report.any_passing
+        assert not report.passing
         assert report.passing == []
         # sanity half: the certified labeling of every cointerval class passes
         for H in enumerate_classes(3, 5):
@@ -262,7 +264,7 @@ def test_criterion_8_property_suites(acceptance):
             ),
             build_complex(Hypergraph(3, range(1, 6), [(1, 2, 3), (1, 2, 4)])),
             taylor_complex(two_k2),
-            taylor_complex(net_complement()),
+            taylor_complex(net_graph().complement()),
             glued,
         ]
         rank_corpus += [

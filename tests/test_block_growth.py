@@ -22,7 +22,6 @@ from cointerval import (
     PreconditionError,
     build_complex,
     complexes,
-    enumerate_block_cells,
 )
 from cointerval.complexes import block_boundary, block_dim
 
@@ -145,7 +144,7 @@ def test_grown_cells_match_scan_on_every_small_graph():
         scanned_graphs(4, 5), scanned_graphs(4, 6, step=4),
     )
     for H, cells in graphs:
-        assert enumerate_block_cells(H) == cells, H
+        assert sorted(build_complex(H).all_cells()) == cells, H
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 5)])
@@ -163,13 +162,14 @@ def test_builder_index_matches_generic_index_on_six_vertices():
 
 def test_builder_index_matches_generic_index_on_seeded_graphs():
     for H in seeded_graphs(60) + EDGE_CASES:
-        assert enumerate_block_cells(H) == sorted(scan_block_cells(H)), H
+        cells = sorted(build_complex(H).all_cells())
+        assert cells == sorted(scan_block_cells(H)), H
         assert_same_index(H)
 
 
 def test_one_graph_cells_are_all_vertex_sets():
     H = Hypergraph(1, [2, 5, 11], [(2,), (5,), (11,)])
-    assert enumerate_block_cells(H) == [
+    assert sorted(build_complex(H).all_cells()) == [
         ((2,),), ((2, 5),), ((2, 5, 11),), ((2, 11),), ((5,),), ((5, 11),),
         ((11,),),
     ]
@@ -266,7 +266,7 @@ def test_cell_budget_counts_while_growing(monkeypatch):
     H = Hypergraph(2, range(1, 8), itertools.combinations(range(1, 8), 2))
     total = len(scan_block_cells(H))
     monkeypatch.setattr(complexes, "CELL_LIMIT", total)
-    assert len(enumerate_block_cells(H)) == total
+    assert len(list(build_complex(H).all_cells())) == total
     monkeypatch.setattr(complexes, "CELL_LIMIT", total - 1)
     with pytest.raises(BudgetError, match=f"more than {total - 1}"):
         build_complex(H)

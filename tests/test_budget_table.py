@@ -32,7 +32,7 @@ def table_rows(text):
     `\\|` inside a cell is an escaped pipe, not a cell border."""
     table = text.split("The budget guards", 1)[1].split("\n\n", 2)[1]
     return [
-        (m[1], re.split(r"(?<!\\)\|", m[2], 1)[0].strip())
+        (m[1], re.split(r"(?<!\\)\|", m[2], maxsplit=1)[0].strip())
         for m in re.finditer(r"^\| `(\w+\.\w+_LIMIT)` \|(.*)$", table, re.M)
     ]
 

@@ -16,7 +16,6 @@ from cointerval import (
     classify_all,
     counterexample_search,
     enumerate_classes,
-    net_complement,
     net_graph,
     ss_width_gap_search,
 )
@@ -88,7 +87,7 @@ def test_counterexample_search_2k2(two_k2):
     rep = counterexample_search(two_k2)
     assert rep.total == 24
     assert rep.distinct == 3  # relabelings of 2K2 up to equal edge sets
-    assert not rep.any_passing
+    assert not rep.passing
     assert rep.passing == []
 
 
@@ -96,7 +95,7 @@ def test_counterexample_search_cointerval(copath5):
     rep = counterexample_search(copath5)
     assert rep.total == 120
     assert rep.distinct == 60
-    assert rep.any_passing
+    assert rep.passing
     assert len(rep.passing) == 20
     ident = {v: v for v in copath5.vertices}
     assert ident in rep.passing
@@ -112,9 +111,9 @@ def test_net_graph_shapes():
         (2, 5),
         (3, 6),
     ]
-    comp = net_complement()
+    comp = net.complement()
     assert len(comp.edge_list()) == 9
-    assert comp.canonical_form() == net.complement().canonical_form()
+    assert comp.complement() == net
 
 
 def test_ss_width_gap():

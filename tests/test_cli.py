@@ -214,6 +214,28 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad.write_text("2 4\nbogus line\n")
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2 and "line 2" in err
+    bad.write_text("2 3\nvertices: 1 x 3\n")
+    assert run(capsys, "check", str(bad)) == (
+        2, "", "error: line 2: bad vertex label\n"
+    )
+    dump = tmp_path / "bad.dump"
+    dump.write_text("0 | x | 1\n")
+    assert run(capsys, "verify", str(dump)) == (
+        2, "", "error: line 1: bad block 'x'\n"
+    )
+
+
+def test_check_without_labels_1_to_n_skips_strong_stability(
+    capsys, tmp_path
+):
+    even = tmp_path / "even.txt"
+    even.write_text("2 3\nvertices: 2 4 6\n2 4\n")
+    assert run(capsys, "check", str(even)) == (
+        0,
+        "cointerval: yes (given labels)\n"
+        "strongly-stable: n/a (vertex labels are not 1..n)\n",
+        "",
+    )
 
 
 def test_missing_file_exit_code(capsys):

@@ -10,13 +10,14 @@ from cointerval import (
     PreconditionError,
     build_complex,
     contractibility_certificate,
-    enumerate_block_cells,
     fold,
     homology_ranks,
-    is_acyclic,
     join,
 )
 from cointerval.complexes import block_boundary, block_dim
+from cointerval.homology import ACYCLIC, acyclicity_status
+
+from graphs import refusal
 
 
 def test_block_cells_worked_example(copath5):
@@ -29,7 +30,7 @@ def test_block_cells_worked_example(copath5):
 
 
 def test_cells_are_edge_transversal(copath5):
-    for blocks in enumerate_block_cells(copath5):
+    for blocks in sorted(build_complex(copath5).all_cells()):
         for pick in itertools.product(*blocks):
             assert tuple(sorted(pick)) in copath5.edges
 
@@ -129,6 +130,9 @@ def test_fold_worked(copath5, two_k2):
         fold(copath5, 3, 2)  # needs i < j
     with pytest.raises(PreconditionError):
         fold(two_k2, 1, 3)  # layer(3) = {4} does not nest in layer(1) = {2}
+    assert refusal(fold, copath5, 2, 9) == (
+        ValueError, "fold vertices must lie in (1, 2, 3, 4, 5)"
+    )
 
 
 def test_fold_is_homology_invariant_sampled():
@@ -171,7 +175,7 @@ def test_certificate_replay(copath5, k4_3):
         assert cur.d == 1
         # a 1-graph complex is a simplex on its edges: contractible on sight
         assert cur.edges
-        assert is_acyclic(build_complex(cur), GF2)
+        assert acyclicity_status(build_complex(cur), GF2) == ACYCLIC
 
 
 def test_certificate_preconditions(two_k2):

@@ -24,8 +24,10 @@ from cointerval import (
     verify_resolution,
 )
 from cointerval import cli, complexes
-from cointerval.casestudy import net_complement
+from cointerval.casestudy import net_graph
 from cointerval.complexes import LabeledComplex
+
+from graphs import refusal
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,7 +134,7 @@ def test_unknown_family_is_refused(two_k2):
 
 
 def test_linear_width_net_complement():
-    H = net_complement()
+    H = net_graph().complement()
     k, cover = linear_width(H)
     assert k == 2
     glued, report = glued_resolution(H, cover)
@@ -231,6 +233,12 @@ def test_cover_validation(two_k2):
     bad = (Hypergraph(2, range(1, 5), [(1, 3)]), ok_parts[1])
     with pytest.raises(PreconditionError):
         Cover(bad, (ident, ident)).validate(two_k2, "cointerval")
+    # a part over other vertices
+    wide = Hypergraph(2, range(1, 6), [(1, 2)])
+    cover = Cover((wide, ok_parts[1]), (ident, swap))
+    assert refusal(cover.validate, two_k2) == (
+        PreconditionError, "cover parts must share the vertex set of the graph"
+    )
     # parts that do not cover every edge
     with pytest.raises(PreconditionError):
         Cover((ok_parts[0],), (ident,)).validate(two_k2, "cointerval")

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -19,7 +22,7 @@ from cointerval import (
 )
 from cointerval.hypergraph import VERTEX_LIMIT, _nested_layers
 
-from graphs import all_graphs, random_graph
+from graphs import all_graphs, random_graph, refusal
 
 
 def borel_closure(n, gens):
@@ -109,8 +112,26 @@ def test_constructor_validation():
 def test_immutable_and_hashable(copath5):
     with pytest.raises(AttributeError):
         copath5.d = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copath5.edges = frozenset()
     assert copath5 == Hypergraph(2, range(1, 6), reversed(copath5.edge_list()))
     assert len({copath5, copath5}) == 1
+    assert hash(copath5) == hash((copath5.d, copath5.vertices, copath5.edges))
+    for twin in (
+        pickle.loads(pickle.dumps(copath5)),
+        copy.copy(copath5),
+        copy.deepcopy(copath5),
+    ):
+        assert twin == copath5 and hash(twin) == hash(copath5)
+        assert repr(twin) == repr(copath5)
+    # vertices and edges in any order, repeated, edges as unsorted lists
+    jumbled = Hypergraph(
+        d=2,
+        vertices=[5, 3, 1, 4, 2, 3],
+        edges=[[b, a] for a, b in reversed(copath5.edge_list())] + [[2, 5]],
+    )
+    assert jumbled == copath5 and hash(jumbled) == hash(copath5)
+    assert jumbled.vertices == (1, 2, 3, 4, 5)
 
 
 def test_layers(copath5):
@@ -124,6 +145,12 @@ def test_layers(copath5):
     }
     with pytest.raises(PreconditionError):
         copath5.layer(1).layer(2)  # layers of a 1-graph are undefined
+    assert refusal(copath5.layer, 9) == (
+        ValueError, "vertex 9 not in (1, 2, 3, 4, 5)"
+    )
+    assert refusal(copath5.induced, [1, 9]) == (
+        ValueError, "[1, 9] is not a subset of the vertex set"
+    )
 
 
 def test_cointerval_flags(copath5, two_k2, k4_3):
@@ -265,6 +292,10 @@ def test_strongly_stable(copath5, k4_3):
     assert not flipped.is_strongly_stable()
     cert = find_strongly_stable_labeling(flipped)
     assert cert is not None and flipped.relabel(cert).is_strongly_stable()
+    assert refusal(Hypergraph(2, (2, 3), [(2, 3)]).is_strongly_stable) == (
+        PreconditionError,
+        "strong stability needs vertex labels 1..n, got (2, 3)",
+    )
 
 
 def test_ss_labeling_matches_sweep_exhaustive():
@@ -374,6 +405,12 @@ def test_interval_representation(copath5):
     }
     with pytest.raises(PreconditionError):
         interval_representation(Hypergraph(2, range(1, 5), [(1, 2), (3, 4)]))
+    assert refusal(interval_representation, Hypergraph(3, range(1, 4), [])) == (
+        PreconditionError, "interval representations need a 2-graph"
+    )
+    assert refusal(interval_representation, Hypergraph(2, (2, 3), [])) == (
+        PreconditionError, "interval representations need labels 1..n"
+    )
 
 
 def test_chordal():
@@ -384,6 +421,9 @@ def test_chordal():
     assert not C4.is_chordal() and not C5.is_chordal()
     assert K4.is_chordal() and tree.is_chordal()
     assert Hypergraph(2, range(1, 4), []).is_chordal()
+    assert refusal(Hypergraph(3, range(1, 4), []).is_chordal) == (
+        PreconditionError, "chordality is only defined for 2-graphs"
+    )
 
 
 def test_complement_involution():
@@ -391,6 +431,9 @@ def test_complement_involution():
     assert K4.complement().edge_list() == []
     P4 = Hypergraph(2, range(1, 5), [(1, 2), (2, 3), (3, 4)])
     assert P4.complement().complement() == P4
+    assert refusal(Hypergraph(3, range(1, 4), []).complement) == (
+        PreconditionError, "complement is only defined for 2-graphs"
+    )
 
 
 @given(graphs(max_n=5), st.randoms(use_true_random=False))

@@ -1,7 +1,9 @@
 import copy
 import itertools
+import math
 import pickle
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,7 @@ from cointerval import (
     verify_resolution,
     write_complex_dump,
 )
-from cointerval import _kernels, cli
+from cointerval import _kernels, cli, complexes
 from cointerval._kernels import _members
 from cointerval.complexes import block_boundary
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC, acyclicity_status
@@ -194,6 +196,11 @@ def test_betti_table_formatting(copath5):
     empty = BettiTable({})
     assert not empty
     assert empty.totals() == ()
+    # a value: the same from a list of pairs, never a dict, unhashable
+    assert BettiTable(list(table.entries.items())) == table
+    assert table != table.entries
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def test_coarse_collapse(copath5):
@@ -201,7 +208,7 @@ def test_coarse_collapse(copath5):
     assert coarse == {(0, 2): 7, (1, 3): 11, (2, 4): 6, (3, 5): 1}
 
 
-def test_exhaustive_routes_are_budgeted():
+def test_exhaustive_routes_are_budgeted(monkeypatch):
     n = HOCHSTER_VERTEX_LIMIT + 1
     path = Hypergraph(2, range(1, n + 1), [(i, i + 1) for i in range(1, n)])
     with pytest.raises(BudgetError):
@@ -211,6 +218,23 @@ def test_exhaustive_routes_are_budgeted():
     assert taylor_complex(Hypergraph(2, range(1, 8), edges[:t])).f_vector()[-1] == 1
     with pytest.raises(BudgetError):
         taylor_complex(Hypergraph(2, range(1, 8), edges[: t + 1]))
+    # C(39, 19), about 6.9e10 splits of 40 vertices into 20 runs
+    H = Hypergraph(20, range(1, 41), [range(1, 21)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        cube_betti(H)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (
+        "cube_betti tries every split into d runs; refusing "
+        f"{math.comb(39, 19)} > {complexes.CELL_LIMIT} splits"
+    )
+    # the limit is read at call time, and a count at the limit runs
+    K4 = Hypergraph(2, range(1, 5), itertools.combinations(range(1, 5), 2))
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 3)
+    assert cube_betti(K4) == 3
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 2)
+    with pytest.raises(BudgetError, match="refusing 3 > 2 splits"):
+        cube_betti(K4)
 
 
 def verify_every_field(X, fields):
@@ -668,7 +692,7 @@ def test_selections_are_the_downset_ids(proof_corpus):
                 want = {}
                 for d in X.dims():
                     ids = [
-                        i for i in X.ids(d)
+                        i for i in range(len(X.cells(d)))
                         if not X._masks[d][i] & ~mask
                         and not (strict and X._masks[d][i] == mask)
                     ]

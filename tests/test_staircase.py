@@ -18,6 +18,8 @@ from cointerval import (
 )
 from cointerval.staircase import window_bseq
 
+from graphs import refusal
+
 
 def test_staircase_2_3():
     assert enumerate_staircase(2, 3) == [
@@ -26,6 +28,9 @@ def test_staircase_2_3():
         (1, 3, 4),
         (1, 4, 4),
     ]
+    assert refusal(enumerate_staircase, 0, 2) == (
+        ValueError, "need d >= 1 and m >= 0, got d=0 m=2"
+    )
 
 
 def test_staircase_3_2():
@@ -66,6 +71,9 @@ def test_polarization():
         polarize((2, 1))  # must be sorted
     with pytest.raises(ValueError):
         depolarize((2, 2))  # not strictly increasing
+    assert refusal(depolarize, (0, 2)) == (
+        ValueError, "(0, 2) is not in the image of polarize"
+    )
 
 
 def test_cell_to_blocks():
@@ -105,7 +113,7 @@ def test_complete_graph_keeps_every_weak_tuple(d, m):
     assert set(faces) == brute_weak_tuples(d, m)
     assert all(t for taus in faces for t in taus)
     # vertices of the full subdivision: one per size-d multiset from [m+1]
-    assert geom.vertex_count() == math.comb(m + d, d)
+    assert len(geom.vertices) == math.comb(m + d, d)
 
 
 def test_window_bseq_roundtrip():
@@ -120,7 +128,7 @@ def test_window_bseq_roundtrip():
 def test_restrict_k5():
     K5 = Hypergraph(2, range(1, 6), itertools.combinations(range(1, 6), 2))
     geom = restrict_to_graph(2, 5, K5)
-    assert geom.vertex_count() == 10  # one per edge of K5
+    assert len(geom.vertices) == 10  # one per edge of K5
     assert len(geom.maximal) == 4
     assert geom.f_vector() == (10, 20, 15, 4)
 
@@ -133,7 +141,7 @@ def test_restrict_worked_example(copath5):
 
 def test_restrict_single_edge():
     geom = restrict_to_graph(2, 2, Hypergraph(2, [1, 2], [(1, 2)]))
-    assert geom.vertex_count() == 1
+    assert len(geom.vertices) == 1
     assert geom.f_vector() == (1,)
 
 
@@ -155,6 +163,9 @@ def test_restrict_preconditions(copath5):
     gap = Hypergraph(2, (1, 3), [(1, 3)])
     with pytest.raises(PreconditionError):
         restrict_to_graph(2, 3, gap)
+    assert refusal(restrict_to_graph, 2, 1, Hypergraph(2, [1], [])) == (
+        PreconditionError, "need n >= d, got n=1 d=2"
+    )
 
 
 def test_export_deterministic(copath5):
