@@ -314,42 +314,34 @@ class LabeledComplex:
             out[d] = [holders.get(k, 0) for k in range(width)]
         return out
 
-    def _select(self, mask, strict=False):
+    def _select(self, mask):
         """The id selection ({dim: id bitset}) of the cells whose label
-        lies inside (or strictly below) a label mask.
+        lies inside a label mask.
 
         A label lies inside the mask when it has no bit outside it; all
         cells of a dimension are tested at once by removing the holders
-        of every vertex outside.  With strict, a label inside the mask
-        that also holds each of its bits equals it and is dropped.
-        Dimensions left without a cell are left out, so an empty
-        selection is an empty dict.
+        of every vertex outside.  Dimensions left without a cell are
+        left out, so an empty selection is an empty dict.
         """
         self._checked  # raises unless the complex checks out
-        inside = _members(mask) if strict else ()
         outside = _members((1 << len(self._vertices)) - 1 & ~mask)
         sets = {}
         for dim, holders in self._vertex_holders.items():
             keep = self._sets.get(dim, 0)
             for k in outside:
                 keep &= ~holders[k]
-            if strict:
-                same = keep
-                for k in inside:
-                    same &= holders[k]
-                keep &= ~same
             if keep:
                 sets[dim] = keep
         return sets
 
-    def downset(self, mask, strict=False):
-        """Cells whose label lies inside (or strictly below) a label mask.
+    def downset(self, mask):
+        """Cells whose label lies inside a label mask.
 
         A complex of its own, on the same vertices so that label masks
-        carry over, built from `_select(mask, strict)`: its columns are
-        this complex's checked ones, renumbered onto the selected faces.
+        carry over, built from `_select(mask)`: its columns are this
+        complex's checked ones, renumbered onto the selected faces.
         """
-        sets = self._select(mask, strict)
+        sets = self._select(mask)
         keys = {d: _picked(self._keys[d], bits) for d, bits in sets.items()}
         masks = {d: _picked(self._masks[d], bits) for d, bits in sets.items()}
         checked = self._checked

@@ -5,10 +5,11 @@ its vertex labels exactly when every label-bounded subcomplex (downset)
 is acyclic; it is minimal when no cell shares its label with a
 codimension-1 face.  Betti numbers can then be read off three
 independent routes: counting cells by label (valid for the complex of a
-cointerval graph, where the resolution is minimal), reduced homology of
-strict downsets (valid for any verified resolution), and the
-independence-complex homology formula (valid for any edge ideal, no
-complex needed) -- the classical Hochster reading.
+cointerval graph, where the resolution is minimal), the homology of the
+degree-alpha strands, which is that of the strict downsets (valid for
+any verified resolution), and the independence-complex homology formula
+(valid for any edge ideal, no complex needed) -- the classical Hochster
+reading.
 
 Hochster's route sweeps the unions of edges (the lcm lattice of the
 edge ideal; no other vertex subset carries a Betti number).  It grows
@@ -23,10 +24,12 @@ never the block complex of H.
 Acyclicity is settled for every downset at once where a lead matching
 proves it (`_certified`, bit-parallel over the lattice positions);
 exact elimination runs only on the downsets that proof leaves open.
-Every sweep cuts a downset as an id selection (`LabeledComplex._select`)
-and ranks it with `homology_ranks` on the complex's own columns; no
-downset is built as a complex, and a label is made only for a
-failing degree or a nonzero Betti number.
+The verification and Hochster sweeps cut a downset as an id selection
+(`LabeledComplex._select`) and rank it with `homology_ranks` on the
+complex's own columns; no downset is built as a complex.  The strand
+route cuts none: it ranks only the blocks of the checked columns
+between cells of one label, and on a minimal complex there are none.
+A label is made only for a failing degree or a nonzero Betti number.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from . import complexes
+from . import _kernels, complexes
 from ._kernels import _members
 from .complexes import (
     _filed,
@@ -66,11 +69,13 @@ class BettiTable:
     entries: dict = ()
 
     def __post_init__(self):
-        self.entries = {
-            (i, frozenset(alpha)): int(b)
-            for (i, alpha), b in dict(self.entries).items()
-            if b
-        }
+        # a mapping or (key, value) pairs, as dict() takes them; each
+        # alpha is frozen before the keys meet, so a set is accepted
+        pairs = self.entries
+        if hasattr(pairs, "keys"):
+            pairs = pairs.items()
+        frozen = {(i, frozenset(alpha)): b for (i, alpha), b in pairs}
+        self.entries = {key: int(b) for key, b in frozen.items() if b}
 
     def __bool__(self):
         return bool(self.entries)
@@ -357,30 +362,59 @@ def betti_from_faces(H):
 
 
 def betti_from_downset_homology(X, fld=GF2):
-    """Betti numbers from reduced homology of strict downsets of X.
+    """Betti numbers from the degree-alpha strands of the resolution.
 
     X must support a resolution, which is verified here; minimality is
-    not required.  beta_{0, alpha} counts the generators, and for
-    i >= 1, beta_{i, alpha} is the reduced rank of the strict downset
-    below alpha in degree i - 1.
+    not required.  beta_{0, alpha} counts the generators: one per
+    distinct vertex label, even if several vertices carry the same one
+    (non-minimal complexes).
+
+    For i >= 1, beta_{i, alpha} is dim H~_{i-1}(X_{<alpha})
+    (Bayer-Sturmfels 1998; Miller-Sturmfels, Combinatorial Commutative
+    Algebra, Thm 4.7), read off the strand instead of the strict
+    downset.  The verification makes X_{<=alpha} acyclic at every
+    lattice element alpha, so the long exact sequence of the pair gives
+    H~_{i-1}(X_{<alpha}) = H_i(X_{<=alpha}, X_{<alpha}).  The relative
+    chains are the cells labeled exactly alpha, and their differential
+    is the alpha-block of the checked columns: the entries between cells
+    labeled alpha (never the augmentation, whose row has the empty
+    label).  So beta_{i, alpha} = n_i - r_i - r_{i+1}, with n_i the
+    i-cells labeled alpha and r_i the rank of the alpha-block of the
+    boundary d_i, read at the lattice elements only.  On a minimal
+    complex every block is zero: no rank is computed and no downset is
+    cut.
     """
     report = verify_resolution(X, fields=(fld,))
     if not report.passed:
         raise PreconditionError(
             "complex does not support a resolution over " + str(fld)
         )
-    # one generator per distinct vertex label, even if several vertices
-    # carry the same one (non-minimal complexes)
     entries = {(0, lab): 1 for lab in X.vertex_labels()}
-    for mask in report.lattice:
-        sets = X._select(mask, strict=True)
-        if not sets:
-            continue
-        ranks = homology_ranks(X, fld, sets)
-        for degree, rank in enumerate(ranks):
-            if rank:
-                entries[(degree + 1, X.label_of(mask))] = rank
+    lattice = set(report.lattice)
+    counts = collections.Counter()  # (dim, alpha mask) -> cells labeled alpha
+    blocks = {}  # (dim, alpha mask) -> nonzero columns of the alpha-block
+    for dim in range(1, X.max_dim() + 1):
+        masks = X._masks[dim]
+        counts.update((dim, mask) for mask in masks if mask in lattice)
+        if report.minimal:
+            continue  # no cell shares its label with a face
+        below = X._masks[dim - 1]
+        for col, mask in zip(X.columns(dim), masks):
+            block = [(face, c) for face, c in col if below[face] == mask]
+            if block:
+                blocks.setdefault((dim, mask), []).append(block)
+    ranks = {key: _rank(cols, fld.char) for key, cols in blocks.items()}
+    for (dim, mask), count in counts.items():
+        betti = count - ranks.get((dim, mask), 0) - ranks.get((dim + 1, mask), 0)
+        if betti:
+            entries[(dim, X.label_of(mask))] = betti
     return BettiTable(entries)
+
+
+def _rank(cols, p):
+    if p == 2:
+        return _kernels.rank_packed(_kernels.pack_gf2(cols))
+    return _kernels.rank_mod(cols, p)
 
 
 def independence_complex(H):

@@ -1,11 +1,12 @@
-"""Test-graph generators, and a refusal probe, shared by the test
-modules."""
+"""Test-graph generators, a strict-downset cutter and a refusal probe,
+shared by the test modules."""
 
 import itertools
 
 import pytest
 
-from cointerval import Hypergraph
+from cointerval import Hypergraph, LabeledComplex
+from cointerval._kernels import _members, _picked
 
 
 def all_graphs(d, vertices):
@@ -32,6 +33,27 @@ def random_graph(rng, d, vertices, p):
     return Hypergraph(d, vertices, [
         e for e in itertools.combinations(vertices, d) if rng.random() < p
     ])
+
+
+def strict_downset(X, mask):
+    """The cells of X whose label lies strictly inside a label mask.
+
+    Returns their id selection of X ({dim: id bitset}) and a complex of
+    their own.  A label strictly inside the mask lies inside the mask
+    with one of its bits removed, so the selection is the union of the
+    downsets below those masks; the complex is built afresh from the
+    selected cells, their labels and X's boundary, and checks its own
+    columns.
+    """
+    sets = {}
+    for k in _members(mask):
+        for dim, bits in X._select(mask & ~(1 << k)).items():
+            sets[dim] = sets.get(dim, 0) | bits
+    cells = {
+        cell: (dim, X.label(cell))
+        for dim, bits in sets.items() for cell in _picked(X.cells(dim), bits)
+    }
+    return sets, LabeledComplex.from_cells(cells, X.boundary)
 
 
 def refusal(call, *args):

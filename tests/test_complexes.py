@@ -17,7 +17,7 @@ from cointerval import (
 from cointerval.complexes import block_boundary, block_dim
 from cointerval.homology import ACYCLIC, acyclicity_status
 
-from graphs import refusal
+from graphs import refusal, strict_downset
 
 
 def test_block_cells_worked_example(copath5):
@@ -114,7 +114,7 @@ def test_downsets(copath5):
     X = build_complex(copath5)
     alpha = frozenset({1, 2, 4})
     le = X.downset(X.mask(alpha))
-    lt = X.downset(X.mask(alpha), strict=True)
+    _sets, lt = strict_downset(X, X.mask(alpha))
     assert set(le.all_cells()) - set(lt.all_cells()) == {
         c for c in le.all_cells() if le.label(c) == alpha
     }

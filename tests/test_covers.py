@@ -27,14 +27,14 @@ from cointerval import cli, complexes
 from cointerval.casestudy import net_graph
 from cointerval.complexes import LabeledComplex
 
-from graphs import refusal
+from graphs import refusal, strict_downset
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def zero_sphere(a, b):
     seg = build_complex(Hypergraph(1, [a, b], [(a,), (b,)]))
-    return seg.downset(seg.mask({a, b}), strict=True)
+    return strict_downset(seg, seg.mask({a, b}))[1]
 
 
 def test_join_of_spheres():

@@ -25,6 +25,8 @@ from cointerval import (
 from cointerval._kernels import _members
 from cointerval.complexes import union_closure
 
+from graphs import strict_downset
+
 GOLDEN = Path(__file__).parent / "golden"
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
 
@@ -74,8 +76,10 @@ def test_views_match_fresh_complexes(corpus):
                 (False, lambda lab: lab <= alpha),
                 (True, lambda lab: lab < alpha),
             ):
-                view = X.downset(mask, strict)
-                sets = X._select(mask, strict)
+                sets, view = (
+                    strict_downset(X, mask) if strict
+                    else (X._select(mask), X.downset(mask))
+                )
                 new = fresh(X, keep)
                 where = (name, sorted(alpha))
                 assert list(view.all_cells()) == list(new.all_cells()), where
@@ -110,8 +114,8 @@ def test_nested_views_and_membership(copath5):
         assert list(V.downset(beta).all_cells()) == list(
             X.downset(X.mask(inner)).all_cells()
         )
-    assert list(V.downset(X.mask(alpha), strict=True).all_cells()) == list(
-        X.downset(X.mask(alpha), strict=True).all_cells()
+    assert list(strict_downset(V, X.mask(alpha))[1].all_cells()) == list(
+        strict_downset(X, X.mask(alpha))[1].all_cells()
     )
     outside = [c for c in X.all_cells() if not X.label(c) <= alpha]
     assert outside
@@ -205,7 +209,7 @@ def test_complexes_are_freed_without_the_cycle_collector(copath5, two_k2):
         for build in builders:
             X = build()
             X.columns(X.max_dim())  # checks the complex
-            V = X.downset(X.lattice_masks()[-1], strict=True)
+            _sets, V = strict_downset(X, X.lattice_masks()[-1])
             V.label(next(V.all_cells()))  # fills its caches
             refs = [weakref.ref(X), weakref.ref(V)]
             del X, V

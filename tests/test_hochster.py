@@ -35,7 +35,7 @@ from cointerval import (
 from cointerval._kernels import _members
 from cointerval.complexes import block_boundary, union_closure
 
-from graphs import all_graphs, random_graph
+from graphs import all_graphs, random_graph, strict_downset
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -288,9 +288,9 @@ def test_union_sweep_cuts_one_downset_per_union(monkeypatch):
     cuts = []
     real = LabeledComplex._select
 
-    def counted(self, mask, strict=False):
+    def counted(self, mask):
         cuts.append(mask)
-        return real(self, mask, strict)
+        return real(self, mask)
 
     monkeypatch.setattr(LabeledComplex, "_select", counted)
     # {1, 2}, {11, 12} and their union, of 4,096 vertex subsets
@@ -319,9 +319,11 @@ def test_selections_are_the_downset_ids_on_independence_complexes():
         every = range(1 << H.n)
         for mask in unions + list(itertools.islice(every, 0, None, 5)):
             for strict in (False, True):
-                view = ind.downset(mask, strict)
-                got = {d: _members(bits)
-                       for d, bits in ind._select(mask, strict).items()}
+                sets, view = (
+                    strict_downset(ind, mask) if strict
+                    else (ind._select(mask), ind.downset(mask))
+                )
+                got = {d: _members(bits) for d, bits in sets.items()}
                 assert {
                     d: [ind.cells(d)[i] for i in ids] for d, ids in got.items()
                 } == {d: list(view.cells(d)) for d in view.dims()}

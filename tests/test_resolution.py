@@ -19,6 +19,7 @@ from cointerval import (
     LabeledComplex,
     ParseError,
     PreconditionError,
+    betti_from_cells,
     betti_from_downset_homology,
     betti_from_faces,
     betti_hochster,
@@ -45,7 +46,7 @@ from cointerval.resolution import (
     verify_minimal,
 )
 
-from graphs import copath
+from graphs import all_graphs, copath, random_graph, strict_downset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -201,6 +202,9 @@ def test_betti_table_formatting(copath5):
     assert table != table.entries
     with pytest.raises(TypeError):
         hash(table)
+    # an alpha given as a set is frozen before the pairs are merged
+    assert BettiTable([((0, {1}), 1)]) == BettiTable({(0, frozenset({1})): 1})
+    assert BettiTable([((0, {1}), 1), ((0, [1]), 0)]) == BettiTable()
 
 
 def test_coarse_collapse(copath5):
@@ -336,8 +340,46 @@ def test_q_first_or_alone_still_eliminates(copath5, scrambled,
         assert report.eliminated >= 21, fields
         assert len(q_rank_calls) > 21, fields  # several ranks per degree
         q_rank_calls.clear()
-    betti_from_downset_homology(build_complex(copath5), QQ)
+    # the cellular route eliminates only the equal-label blocks, which
+    # vanish on the minimal complex of copath5 but not on its Taylor
+    # complex
+    betti_from_downset_homology(taylor_complex(copath5), QQ)
     assert q_rank_calls
+
+
+def test_minimal_complexes_are_read_by_counting(copath5, monkeypatch):
+    """On a minimal complex every equal-label block is zero: the cellular
+    route ranks nothing and cuts no downset.  A Taylor complex is not
+    minimal, and the route eliminates its blocks."""
+    calls = []
+    real_mod, real_packed = _kernels.rank_mod, _kernels.rank_packed
+    real_select = LabeledComplex._select
+
+    def counted_mod(cols, p):
+        calls.append("rank_mod")
+        return real_mod(cols, p)
+
+    def counted_packed(masks):
+        calls.append("rank_packed")
+        return real_packed(masks)
+
+    def counted_select(self, mask):
+        calls.append("_select")
+        return real_select(self, mask)
+
+    monkeypatch.setattr(_kernels, "rank_mod", counted_mod)
+    monkeypatch.setattr(_kernels, "rank_packed", counted_packed)
+    monkeypatch.setattr(LabeledComplex, "_select", counted_select)
+    X = build_complex(copath(8))
+    for fld in (GF2, QQ):
+        table = betti_from_downset_homology(X, fld)
+        assert calls == [], fld
+        assert table == betti_from_cells(X), fld
+    T = taylor_complex(copath5)
+    for fld, kernel in ((GF2, "rank_packed"), (QQ, "rank_mod")):
+        calls.clear()
+        assert betti_from_downset_homology(T, fld) == betti_from_faces(copath5)
+        assert kernel in calls, fld
 
 
 def test_a_second_prime_field_still_runs(scrambled, monkeypatch):
@@ -535,7 +577,7 @@ def proof_corpus(copath5, k4_3, two_k2, scrambled):
     out = [
         ("copath5", resolved),
         ("copath5_strict",
-         resolved.downset(resolved.mask(range(1, 6)), strict=True)),
+         strict_downset(resolved, resolved.mask(range(1, 6)))[1]),
         ("k4_3", build_complex(k4_3)),
         ("2k2", build_complex(two_k2)),
         ("planted", build_complex(planted)),
@@ -545,7 +587,7 @@ def proof_corpus(copath5, k4_3, two_k2, scrambled):
         ("disk", loop_on_a_segment(filled=True)),
         ("two_disks", two_disks),
         ("two_disks_strict",
-         two_disks.downset(two_disks.mask({1, 2, 3}), strict=True)),
+         strict_downset(two_disks, two_disks.mask({1, 2, 3}))[1]),
     ]
     out += [(f"taylor{i}", taylor_complex(H))
             for i, H in enumerate((k3, two_k2, copath5, copath(5)))]
@@ -683,8 +725,10 @@ def test_selections_are_the_downset_ids(proof_corpus):
         }
         for mask in sorted(masks):
             for strict in (False, True):
-                sets = X._select(mask, strict)
-                view = X.downset(mask, strict)
+                sets, view = (
+                    strict_downset(X, mask) if strict
+                    else (X._select(mask), X.downset(mask))
+                )
                 got = {d: _members(bits) for d, bits in sets.items()}
                 assert {
                     d: [X.cells(d)[i] for i in ids] for d, ids in got.items()
@@ -701,23 +745,13 @@ def test_selections_are_the_downset_ids(proof_corpus):
                 assert got == want, (name, mask, strict)
 
 
-def fresh_strict_downset(X, mask):
-    """The strict downset below mask as a complex of its own, with its own
-    columns: no selection is involved."""
-    cells = {
-        c: (X.dim(c), X.label(c)) for c in X.all_cells()
-        if not X.mask(X.label(c)) & ~mask and X.mask(X.label(c)) != mask
-    }
-    return LabeledComplex.from_cells(cells, X.boundary)
-
-
 def betti_by_fresh_downsets(X, fields):
-    """{field: beta_{i, alpha}} as reduced homology of freshly built
-    strict downsets."""
+    """{field: beta_{i, alpha}} as reduced homology of strict downsets,
+    each built afresh as a complex of its own (the route's oracle)."""
     entries = {fld: {(0, lab): 1 for lab in X.vertex_labels()}
                for fld in fields}
     for mask in X.lattice_masks():
-        sub = fresh_strict_downset(X, mask)
+        _sets, sub = strict_downset(X, mask)
         if sub.is_empty:
             continue
         for fld in fields:
@@ -727,10 +761,30 @@ def betti_by_fresh_downsets(X, fields):
     return {fld: BettiTable(e) for fld, e in entries.items()}
 
 
+def strand_corpus():
+    """Complexes that support resolutions over every field: the block
+    complexes of every cointerval 2-graph and 3-graph on at most five
+    vertices and of copath(4..9), and the Taylor complexes of seeded
+    2-graphs (not minimal, so their equal-label blocks are nonzero)."""
+    out = [
+        (f"{H.d}-graph {sorted(H.edges)}", build_complex(H))
+        for d in (2, 3) for n in range(d, 6)
+        for H in all_graphs(d, range(1, n + 1))
+        if H.edges and H.is_cointerval()
+    ]
+    out += [(f"copath{n}", build_complex(copath(n))) for n in range(4, 10)]
+    rng = random.Random(60)
+    for i in range(60):
+        H = random_graph(rng, 2, range(1, rng.randrange(3, 7)), 0.5)
+        if H.edges:
+            out.append((f"taylor_seeded{i}", taylor_complex(H)))
+    return out
+
+
 def test_downset_route_keeps_its_tables(proof_corpus):
-    """Over GF(2), GF(3) and Q, the downset route against per-alpha fresh
-    complexes, on the complexes that eliminating everything passes; on
-    the others it refuses."""
+    """Over GF(2), GF(3) and Q, the strand route against per-alpha fresh
+    strict downsets: on the proof corpus where eliminating everything
+    passes (elsewhere it refuses), and on complexes that resolve."""
     fields = (GF2, GF3, QQ)
     checked = 0
     for name, X in proof_corpus:
@@ -747,6 +801,14 @@ def test_downset_route_keeps_its_tables(proof_corpus):
             )
             checked += 1
     assert checked > 40
+    corpus = strand_corpus()
+    assert len(corpus) > 350
+    for name, X in corpus:
+        want = betti_by_fresh_downsets(X, fields)
+        for fld in fields:
+            assert betti_from_downset_homology(X, fld) == want[fld], (
+                name, fld,
+            )
 
 
 def test_labels_are_made_only_for_nonzero_ranks(copath5, two_k2,
