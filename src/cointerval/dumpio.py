@@ -10,11 +10,17 @@ non-unit entries) means the text is not the face poset of a polyhedral
 complex and raises ParseError.  The parsed object plugs into the same
 verification machinery as internally built complexes.
 
-Faces are found with one holder bitset per (block slot, value) pair
-and dimension, not by testing every pair of cells.  Signs are carried
-from face to face across ridges that lie in exactly two faces, as in
-any polytope, and checked over the integers (`_propagated_signs`).
-Only a cell they leave open goes to the exact rational kernel
+A dump whose every cell is a product of simplices (no empty block,
+dimension `block_dim`) with all its one-vertex deletions present, each
+labeled inside it, is oriented by the block rule (`_block_columns`):
+one lookup per deletion, signed by `block_boundary` and flipped so that
+each cell's first face is +1, which is the column the kernel gives.
+Any other dump takes the general route (`_holder_columns`).  Faces are
+found with one holder bitset per (block slot, value) pair and
+dimension, not by testing every pair of cells.  Signs are carried from
+face to face across ridges that lie in exactly two faces, as in any
+polytope, and checked over the integers (`_propagated_signs`).  Only a
+cell they leave open goes to the exact rational kernel
 (`_kernels.nullspace_rational`, integer elimination on the faces' own
 sparse columns), to find its signs or name the rejection.  More than
 `complexes.CELL_LIMIT` cells, or a dimension that needs that many,
@@ -25,9 +31,16 @@ from __future__ import annotations
 
 from . import complexes
 from ._kernels import _members, nullspace_rational
-from .complexes import _AUG_COLUMN, LabeledComplex, _holders, _layout
+from .complexes import (
+    _AUG_COLUMN,
+    LabeledComplex,
+    _holders,
+    _layout,
+    block_boundary,
+    block_dim,
+)
 from .errors import BudgetError, ParseError
-from .hypergraph import read_text
+from .hypergraph import _int_tokens, read_text
 
 
 def write_complex_dump(X):
@@ -62,7 +75,7 @@ def _read_cells(text):
         if len(parts) != 3:
             raise ParseError("expected `dim | blocks | label`", lineno)
         try:
-            dim = int(parts[0])
+            (dim,) = _int_tokens(parts[0])
         except ValueError:
             raise ParseError(f"bad dimension {parts[0]!r}", lineno) from None
         blocks = []
@@ -72,7 +85,7 @@ def _read_cells(text):
                 blocks.append(())
                 continue
             try:
-                block = tuple(int(v) for v in btxt.split())
+                block = tuple(_int_tokens(btxt))
             except ValueError:
                 raise ParseError(f"bad block {btxt!r}", lineno) from None
             if any(
@@ -90,7 +103,7 @@ def _read_cells(text):
                 f"cell has {len(blocks)} blocks, expected {arity}", lineno
             )
         try:
-            label = frozenset(int(v) for v in parts[2].split())
+            label = frozenset(_int_tokens(parts[2]))
         except ValueError:
             raise ParseError(f"bad label {parts[2]!r}", lineno) from None
         if not label:
@@ -129,15 +142,73 @@ def _pair_bits(keys, bits):
 
 
 def _orient(cells):
-    """Derive signed boundaries from the face poset, degree by degree.
+    """The complex of the dump's cells, its columns by the block rule
+    when every cell is a product of simplices (`_block_columns`) and by
+    holder search and sign propagation otherwise (`_holder_columns`).
+    Both give the same columns wherever the block rule applies."""
+    keys, masks, verts = _layout(cells)
+    columns = _block_columns(keys, masks)
+    if columns is None:
+        columns = _holder_columns(keys, masks)
+    return LabeledComplex(keys, masks, verts, lambda: columns)
+
+
+def _block_columns(keys, masks):
+    """Columns by one-vertex deletion, or None unless every cell allows it.
+
+    The rule applies when every cell has no empty block and dimension
+    `block_dim`, and every deletion `block_boundary` names is a cell
+    whose label lies inside the cell's.  A cell's faces one dimension
+    down by componentwise containment are then exactly its deletions,
+    the faces the holder search finds.
+
+    A cell's flip (+-1) is its parsed orientation over
+    `block_boundary`'s.  Face f enters with its `block_boundary` sign
+    times f's flip: the boundary of the product of simplices, the one
+    kernel vector of its faces' columns up to scale, in parsed
+    coordinates.  The cell's flip then makes its first face by id +1,
+    as the propagation and the rational kernel do, so the columns are
+    theirs entry for entry.
+    """
+    ids = {}
+    for dim, dim_keys in keys.items():
+        for i, cell in enumerate(dim_keys):
+            if block_dim(cell) != dim or not all(cell):
+                return None
+            ids[cell] = i
+    flips = [1] * len(keys.get(0, ()))  # a vertex's augmentation is +1
+    columns = {}
+    for dim in range(1, len(keys)):
+        below = masks[dim - 1]
+        cols = columns[dim] = []
+        cell_flips = []
+        for cell, mask in zip(keys[dim], masks[dim]):
+            outside = ~mask
+            col = []
+            for face, sign in block_boundary(cell):
+                f = ids.get(face)
+                if f is None or below[f] & outside:
+                    return None
+                col.append((f, sign * flips[f]))
+            col.sort()
+            flip = col[0][1]
+            cell_flips.append(flip)
+            cols.append(
+                tuple(col) if flip == 1 else tuple((f, -s) for f, s in col)
+            )
+        flips = cell_flips
+    return columns
+
+
+def _holder_columns(keys, masks):
+    """Signed boundaries from the face poset, degree by degree.
 
     The faces of a cell are the cells one dimension down whose every
     block slot lies inside the cell's (componentwise containment): all
     of them, minus the holders of each (slot, value) pair the cell does
-    not have.  The columns, as face ids and signs, go to the complex as
-    they are.
+    not have.  Each cell's signs are the kernel of its faces' columns
+    (`_signed_faces`).
     """
-    keys, masks, verts = _layout(cells)
     bits, columns, holders = {}, {}, {}
     for dim, dim_keys in keys.items():
         pairs = _pair_bits(dim_keys, bits)
@@ -154,7 +225,7 @@ def _orient(cells):
                 ))
         # holders are only needed for the next dimension up
         holders = _holders(pairs) if dim + 1 in keys else {}
-    return LabeledComplex(keys, masks, verts, lambda: columns)
+    return columns
 
 
 def _signed_faces(keys, masks, columns, dim, i, faces):

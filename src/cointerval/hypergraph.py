@@ -390,7 +390,7 @@ def parse_hypergraph(text):
             if len(parts) != 2:
                 raise ParseError("expected header `d n`", lineno)
             try:
-                d, n = int(parts[0]), int(parts[1])
+                d, n = _int_tokens(line)
             except ValueError:
                 raise ParseError("expected header `d n`", lineno) from None
             if d < 1 or n < 0:
@@ -406,7 +406,7 @@ def parse_hypergraph(text):
                     "vertices: line must come right after the header", lineno
                 )
             try:
-                vertices = [int(v) for v in line[len("vertices:"):].split()]
+                vertices = _int_tokens(line[len("vertices:"):])
             except ValueError:
                 raise ParseError("bad vertex label", lineno) from None
             if len(vertices) != n:
@@ -417,7 +417,7 @@ def parse_hypergraph(text):
                 raise ParseError("duplicate vertex labels", lineno)
             continue
         try:
-            edge = [int(v) for v in line.split()]
+            edge = _int_tokens(line)
         except ValueError:
             raise ParseError(f"bad edge line {line!r}", lineno) from None
         if len(edge) != d:
@@ -433,6 +433,21 @@ def parse_hypergraph(text):
         return Hypergraph(d, vertices, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _int_tokens(text):
+    """The integers of a field of both text formats.
+
+    The field is ASCII, and each of its whitespace-separated tokens an
+    optional `-` and digits, the only spelling the formats write; `int`
+    alone would also take `+3`, `1_0` and non-ASCII digits.  Raises
+    ValueError otherwise.
+    """
+    # `int` reads an optional sign and Unicode digits, with `_` between
+    # digits; on ASCII text without `+` or `_` it reads exactly the rule
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"not integer tokens: {text!r}")
+    return [int(t) for t in text.split()]
 
 
 def format_hypergraph(H):

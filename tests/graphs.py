@@ -1,11 +1,12 @@
-"""Test-graph generators, a strict-downset cutter and a refusal probe,
-shared by the test modules."""
+"""Test-graph generators, a corpus of complexes that resolve, a
+strict-downset cutter and a refusal probe, shared by the test modules."""
 
 import itertools
+import random
 
 import pytest
 
-from cointerval import Hypergraph, LabeledComplex
+from cointerval import Hypergraph, LabeledComplex, build_complex, taylor_complex
 from cointerval._kernels import _members, _picked
 
 
@@ -33,6 +34,26 @@ def random_graph(rng, d, vertices, p):
     return Hypergraph(d, vertices, [
         e for e in itertools.combinations(vertices, d) if rng.random() < p
     ])
+
+
+def strand_corpus():
+    """Complexes that support resolutions over every field: the block
+    complexes of every cointerval 2-graph and 3-graph on at most five
+    vertices and of copath(4..9), and the Taylor complexes of seeded
+    2-graphs (not minimal, so their equal-label blocks are nonzero)."""
+    out = [
+        (f"{H.d}-graph {sorted(H.edges)}", build_complex(H))
+        for d in (2, 3) for n in range(d, 6)
+        for H in all_graphs(d, range(1, n + 1))
+        if H.edges and H.is_cointerval()
+    ]
+    out += [(f"copath{n}", build_complex(copath(n))) for n in range(4, 10)]
+    rng = random.Random(60)
+    for i in range(60):
+        H = random_graph(rng, 2, range(1, rng.randrange(3, 7)), 0.5)
+        if H.edges:
+            out.append((f"taylor_seeded{i}", taylor_complex(H)))
+    return out
 
 
 def strict_downset(X, mask):

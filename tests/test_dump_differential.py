@@ -3,10 +3,13 @@
 `oracle_orient` is the orientation step as it was written first: every
 (dim - 1)-cell is tested against every dim-cell by `_below`, and each
 cell's signs come from a dense Fraction nullspace (`fraction_nullspace`).
-The parser finds faces by holder bitsets and carries signs across ridges
-shared by two faces, falling back to the integer-elimination rational
-kernel; on every dump here both must give the same boundaries, or the
-same ParseError text.
+The parser orients a dump of products of simplices by the block rule
+(`dumpio._block_columns`); any other dump finds faces by holder bitsets
+and carries signs across ridges shared by two faces, falling back to the
+integer-elimination rational kernel (`dumpio._holder_columns`).  On
+every dump here parser and oracle must give the same boundaries, or the
+same ParseError text, and the block rule must give the holder route's
+columns wherever it applies.
 """
 
 import itertools
@@ -36,9 +39,10 @@ from cointerval import (
     write_complex_dump,
 )
 from cointerval import dumpio
+from cointerval.complexes import _layout
 from cointerval.dumpio import _read_cells
 
-from graphs import copath
+from graphs import copath, strand_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -275,6 +279,82 @@ def test_parser_matches_oracle_on_mutations():
     for part in ("ok", "kernel has dimension", "no faces", "does not divide",
                  "duplicate cell"):
         assert sum(part in m for m in messages) >= 5, part
+
+
+def block_rule_dumps():
+    """Dumps of products of simplices: every complex of `strand_corpus`
+    (block complexes of small cointerval graphs and copath(4..9), seeded
+    Taylor complexes), copath(10) and the golden Taylor dump."""
+    out = [(name, write_complex_dump(X)) for name, X in strand_corpus()]
+    out.append(("copath10", write_complex_dump(build_complex(copath(10)))))
+    out.append(
+        ("golden_taylor", (GOLDEN / "input_taylor_2k2.dump").read_text())
+    )
+    return out
+
+
+def test_block_rule_gives_the_holder_columns():
+    dumps = block_rule_dumps()
+    assert len(dumps) >= 400
+    for name, text in dumps:
+        keys, masks, _verts = _layout(_read_cells(text))
+        got = dumpio._block_columns(keys, masks)
+        assert got is not None, name
+        assert got == dumpio._holder_columns(keys, masks), name
+
+
+@pytest.fixture
+def holder_calls(monkeypatch):
+    """Calls of the holder route and of its two sign finders, by name."""
+    calls = {"_holder_columns": 0, "_propagated_signs": 0,
+             "_rational_signs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(dumpio, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(dumpio, name, counted)
+    return calls
+
+
+def test_block_dumps_skip_the_holder_route(holder_calls):
+    texts = [
+        write_complex_dump(build_complex(copath(7))),
+        write_complex_dump(taylor_complex(
+            Hypergraph(2, range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)])
+        )),
+        (GOLDEN / "input_taylor_2k2.dump").read_text(),
+    ]
+    for text in texts:
+        assert verify_resolution(parse_complex_dump(text)).passed
+    assert holder_calls == {
+        "_holder_columns": 0, "_propagated_signs": 0, "_rational_signs": 0
+    }
+
+
+def test_irregular_dumps_take_the_holder_route(holder_calls):
+    text = write_complex_dump(build_complex(copath(5)))
+    H = Hypergraph(2, range(1, 5), [(1, 2), (3, 4)])
+    glued, _ = glued_resolution(H, linear_width(H)[1])
+    joined = write_complex_dump(glued)
+    assert " - " in joined  # a join cell with an empty block
+    cases = [
+        (joined, "ok"),
+        (square([(1, 2), (2, 3), (3, 4), (1, 4)]), "ok"),  # dim 2, not 3
+        (text.replace("1 | 1 ; 4 5 | 1 4 5\n", ""),
+         "cell ((1,), (3, 4, 5)): boundary kernel has dimension 0, "
+         "not a polyhedral cell"),
+        (text.replace("0 | 1 ; 3 | 1 3\n", "0 | 1 ; 3 | 1 3 9\n"),
+         "label of face ((1,), (3,)) does not divide label of "
+         "((1,), (3, 4))"),
+    ]
+    for i, (mutated, expected) in enumerate(cases, start=1):
+        keys, masks, _verts = _layout(_read_cells(mutated))
+        assert dumpio._block_columns(keys, masks) is None
+        got = outcome(parse_complex_dump, mutated)
+        assert holder_calls["_holder_columns"] == i
+        assert got == outcome(oracle_parse, mutated)
+        assert (got[0] if got[0] == "ok" else got[1]) == expected
 
 
 def square(top_faces):

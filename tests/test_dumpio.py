@@ -82,6 +82,16 @@ def test_parse_rejects_malformed():
         parse_complex_dump("0 | 1 | 1\n0 | 1 | 1\n")
     with pytest.raises(ParseError, match="negative"):
         parse_complex_dump("-1 | 1 | 1\n")
+    # an integer is an optional `-` and ASCII digits, not all `int` takes
+    for text, field in [
+        ("0 | 1_0 | 1_0\n", "block"),
+        ("+0 | 1 | 1\n", "dimension"),
+        ("0 | 1 | \uff11\n", "label"),  # a full-width digit
+        ("0 | 1 2 | 1 +2\n", "label"),
+    ]:
+        with pytest.raises(ParseError, match=f"line 1: bad {field}"):
+            parse_complex_dump(text)
+    assert list(parse_complex_dump("0 | -1 | -1\n").all_cells()) == [((-1,),)]
 
 
 def test_parse_rejects_broken_posets():

@@ -471,6 +471,17 @@ def test_parse_errors_carry_line_numbers():
         parse_hypergraph("")
     with pytest.raises(ParseError):
         parse_hypergraph("2 3\n1 2 3\n")  # arity mismatch
+    # an integer is an optional `-` and ASCII digits, not all `int` takes
+    for text, lineno in [
+        ("2 3\n1 2\n2 \uff13\n", 3),  # a full-width digit
+        ("2 +3\n1 2\n", 1),
+        ("2 3\n1_0 2\n", 2),
+        ("2 3\nvertices: 1 2 +3\n", 2),
+    ]:
+        with pytest.raises(ParseError, match=f"line {lineno}"):
+            parse_hypergraph(text)
+    H = parse_hypergraph("2 2\nvertices: -1 0\n-1 0\n")
+    assert H.edge_list() == [(-1, 0)]
 
 
 HYPERGRAPH_CHUNKS = st.sampled_from(

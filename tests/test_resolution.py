@@ -46,7 +46,7 @@ from cointerval.resolution import (
     verify_minimal,
 )
 
-from graphs import all_graphs, copath, random_graph, strict_downset
+from graphs import copath, strand_corpus, strict_downset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -759,26 +759,6 @@ def betti_by_fresh_downsets(X, fields):
                 if rank:
                     entries[fld][(degree + 1, X.label_of(mask))] = rank
     return {fld: BettiTable(e) for fld, e in entries.items()}
-
-
-def strand_corpus():
-    """Complexes that support resolutions over every field: the block
-    complexes of every cointerval 2-graph and 3-graph on at most five
-    vertices and of copath(4..9), and the Taylor complexes of seeded
-    2-graphs (not minimal, so their equal-label blocks are nonzero)."""
-    out = [
-        (f"{H.d}-graph {sorted(H.edges)}", build_complex(H))
-        for d in (2, 3) for n in range(d, 6)
-        for H in all_graphs(d, range(1, n + 1))
-        if H.edges and H.is_cointerval()
-    ]
-    out += [(f"copath{n}", build_complex(copath(n))) for n in range(4, 10)]
-    rng = random.Random(60)
-    for i in range(60):
-        H = random_graph(rng, 2, range(1, rng.randrange(3, 7)), 0.5)
-        if H.edges:
-            out.append((f"taylor_seeded{i}", taylor_complex(H)))
-    return out
 
 
 def test_downset_route_keeps_its_tables(proof_corpus):
