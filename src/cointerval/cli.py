@@ -64,10 +64,12 @@ def cmd_check(args):
     H = read_hypergraph(args.file)
     total = math.factorial(H.n)
     lines = []
-    if H.is_cointerval():
+    cointerval = H.is_cointerval()  # under the given labels, then any
+    if cointerval:
         lines.append("cointerval: yes (given labels)")
     elif args.find_labeling:
         cert = find_cointerval_labeling(H)
+        cointerval = cert is not None
         if cert:
             lines.append(f"cointerval: yes (labeling: {_perm_line(H, cert)})")
         else:
@@ -79,7 +81,9 @@ def cmd_check(args):
     if consecutive and H.is_strongly_stable():
         lines.append("strongly-stable: yes")
     elif args.find_labeling:
-        cert = find_strongly_stable_labeling(H)
+        # a strongly stable labeling is a cointerval labeling, so a
+        # cointerval search that found none settles this search too
+        cert = find_strongly_stable_labeling(H) if cointerval else None
         if cert:
             lines.append(
                 f"strongly-stable: yes (labeling: {_perm_line(H, cert)})"
@@ -141,7 +145,8 @@ def cmd_betti(args):
             lines.append(f"method: {method}")
         lines.extend(_table_lines(tables[method]))
     if args.method == "all":
-        agree = len({tuple(t.sorted_entries()) for t in tables.values()}) == 1
+        first, *rest = tables.values()
+        agree = all(t == first for t in rest)  # equal entries dicts
         lines.append("AGREE" if agree else "DISAGREE")
     return lines
 

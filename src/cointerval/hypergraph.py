@@ -11,6 +11,13 @@ recursive layer-nesting condition: every layer must itself be cointerval
 and the layers must shrink (as edge sets) when the root vertex grows.
 For 2-graphs this class is exactly the complements of interval graphs,
 which `interval_representation` witnesses directly.
+
+`find_cointerval_labeling` searches the relabelings depth-first.  On a
+2-graph it first tests the complement for being an interval graph
+(chordal, by the same routine as `Hypergraph.is_chordal`, and free of
+asteroidal triples), so a 2-graph without a labeling is refused in
+polynomial time and only d >= 3 or a 2-graph with a labeling reaches
+the search and its placement budget.
 """
 
 from __future__ import annotations
@@ -158,25 +165,7 @@ class Hypergraph:
         """Perfect-elimination test for 2-graphs."""
         if self.d != 2:
             raise PreconditionError("chordality is only defined for 2-graphs")
-        adj = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        remaining = set(self.vertices)
-        while remaining:
-            simplicial = None
-            for v in remaining:
-                nb = adj[v] & remaining
-                if all(
-                    u in adj[w]
-                    for u, w in itertools.combinations(sorted(nb), 2)
-                ):
-                    simplicial = v
-                    break
-            if simplicial is None:
-                return False
-            remaining.discard(simplicial)
-        return True
+        return _is_chordal(_adjacency(self.vertices, self.edges))
 
     def canonical_form(self):
         """Lexicographically least relabeling onto 1..n.
@@ -234,6 +223,97 @@ def _nested_layers(edges):
     return True
 
 
+def _adjacency(vertices, edges):
+    """Neighbor bitmasks of a 2-graph: bit j of the i-th mask is set when
+    vertices[i] and vertices[j] span an edge."""
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [0] * len(vertices)
+    for a, b in edges:
+        i, j = index[a], index[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _is_chordal(adj):
+    """Chordality of the graph on 0..n-1 with neighbor bitmasks `adj`.
+
+    Maximum cardinality search visits next an unvisited vertex with the
+    most visited neighbors.  The graph is chordal iff the reverse visit
+    order is a perfect elimination order (Tarjan-Yannakakis 1984): each
+    vertex is simplicial when eliminated, its neighbors visited before
+    it forming a clique.  Tested for every vertex in turn, it suffices
+    that those neighbors are adjacent to the last visited of them
+    (Rose-Tarjan-Lueker 1976), one mask test per vertex.
+    """
+    n = len(adj)
+    weight = [0] * n
+    unvisited = list(range(n))
+    order = []
+    seen = 0
+    for _ in range(n):
+        v = max(unvisited, key=weight.__getitem__)
+        unvisited.remove(v)
+        earlier = adj[v] & seen
+        if earlier:
+            for last in reversed(order):
+                if earlier >> last & 1:
+                    break
+            if earlier & ~adj[last] & ~(1 << last):
+                return False
+        order.append(v)
+        seen |= 1 << v
+        for u in unvisited:
+            if adj[v] >> u & 1:
+                weight[u] += 1
+    return True
+
+
+def _is_at_free(adj):
+    """Whether the graph with neighbor bitmasks `adj` has no asteroidal
+    triple: three vertices each two of which a path joins that avoids
+    the closed neighborhood of the third.
+
+    The components of G - N[v] are found once per vertex v, each vertex
+    outside N[v] mapped to its component's bitmask (0 inside N[v]).  A
+    triple a < b < c is asteroidal iff b and c share a component of
+    G - N[a], a and c one of G - N[b], and a and b one of G - N[c]; the
+    first two conditions give, as one mask, the candidates c of a pair.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    comp = []
+    for v in range(n):
+        rest = full & ~adj[v] & ~(1 << v)
+        of = [0] * n
+        while rest:
+            part = grow = rest & -rest
+            while grow:  # breadth-first, one frontier mask per step
+                reach = 0
+                while grow:
+                    low = grow & -grow
+                    reach |= adj[low.bit_length() - 1]
+                    grow ^= low
+                grow = reach & rest & ~part
+                part |= grow
+            rest ^= part
+            left = part
+            while left:
+                low = left & -left
+                of[low.bit_length() - 1] = part
+                left ^= low
+        comp.append(of)
+    for a in range(n):
+        for b in range(a + 1, n):
+            cands = comp[a][b] & comp[b][a] & ~((2 << b) - 1)
+            while cands:
+                low = cands & -cands
+                if comp[low.bit_length() - 1][a] >> b & 1:
+                    return False
+                cands ^= low
+    return True
+
+
 def find_cointerval_labeling(H):
     """Search for a relabeling making H cointerval.
 
@@ -246,11 +326,24 @@ def find_cointerval_labeling(H):
     Returns the first success as a dict (original -> new label), or
     None.  Raises BudgetError once the search has tried more than
     COINTERVAL_PLACEMENT_LIMIT placements.
+
+    A 2-graph has a cointerval labeling iff its complement is an
+    interval graph, and a graph is interval iff it is chordal and has
+    no asteroidal triple (Lekkerkerker-Boland 1962).  So a 2-graph whose
+    complement fails either test gets None before any placement, in
+    polynomial time; only d >= 3 and 2-graphs that have a labeling reach
+    the search, which then returns the same witness as without the test.
     """
     verts = H.vertices
     n = len(verts)
     if H.d == 1 or not H.edges:
         return {v: i for i, v in enumerate(verts, start=1)}
+    if H.d == 2:
+        full = (1 << n) - 1
+        co = [full ^ (1 << i) ^ nb
+              for i, nb in enumerate(_adjacency(verts, H.edges))]
+        if not (_is_chordal(co) and _is_at_free(co)):
+            return None
     rests = {v: [frozenset(e).difference((v,)) for e in H.edges if v in e]
              for v in verts}
 

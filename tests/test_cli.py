@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -12,6 +13,8 @@ from cointerval import (
     BudgetError,
     Hypergraph,
     complexes,
+    find_strongly_stable_labeling,
+    format_hypergraph,
     parse_hypergraph,
     restrict_to_graph,
 )
@@ -20,6 +23,8 @@ from cointerval.complexes import CELL_LIMIT
 from cointerval.covers import LINEAR_WIDTH_EDGE_LIMIT
 from cointerval.hypergraph import COINTERVAL_PLACEMENT_LIMIT, VERTEX_LIMIT
 from cointerval.resolution import HOCHSTER_VERTEX_LIMIT
+
+from graphs import all_graphs, random_graph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -49,6 +54,35 @@ def test_check_find_labeling(capsys):
     check_golden(
         capsys, "check_2k2_find.txt", "check", TWO_K2, "--find-labeling"
     )
+
+
+def test_check_strongly_stable_line_matches_the_search(capsys, tmp_path):
+    # `check --find-labeling` skips the strong-stability search once the
+    # cointerval search finds nothing; its line still gives the verdict
+    # and the labeling of `find_strongly_stable_labeling`
+    corpus = [H for n in range(1, 6) for H in all_graphs(2, range(1, n + 1))]
+    corpus += list(all_graphs(3, range(1, 6)))
+    rng = random.Random(20261022)
+    for _ in range(60):
+        labels = sorted(rng.sample(range(2, 40), rng.randint(4, 7)))
+        corpus.append(random_graph(rng, rng.choice((2, 3)), labels, 0.5))
+    path = tmp_path / "graph.txt"
+    verdicts = set()
+    for H in corpus:
+        path.write_text(format_hypergraph(H))
+        code, out, err = run(capsys, "check", str(path), "--find-labeling")
+        assert code == 0, err
+        line = out.splitlines()[1]
+        cert = find_strongly_stable_labeling(H)
+        if cert is None:
+            assert line == (
+                f"strongly-stable: no (all {math.factorial(H.n)} labelings)"
+            ), H
+        elif line != "strongly-stable: yes":  # stable under its own labels
+            perm = " ".join(str(cert[v]) for v in H.vertices)
+            assert line == f"strongly-stable: yes (labeling: {perm})", H
+        verdicts.add((cert is not None, out.startswith("cointerval: yes")))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_resolve(capsys):
@@ -355,16 +389,42 @@ def test_repeated_main_calls_match_fresh_runs(capsys, tmp_path):
         assert got == _fresh_run(*argv), argv
 
 
-def test_cointerval_labeling_search_is_budgeted(tmp_path):
-    # a dense random 2-graph on 14 vertices on which the labeling search
-    # passes 100,000 placements without an answer
+def _seeded_edges(n, p):
+    """The pairs of 1..n drawn at probability p from random.Random(7)."""
     rng = random.Random(7)
-    edges = [
-        (i, j) for i in range(1, 15) for j in range(i + 1, 15)
-        if rng.random() < 0.85
+    return [
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        if rng.random() < p
     ]
+
+
+def test_dense_two_graph_no_is_answered_without_search(tmp_path):
+    # a dense random 2-graph on 14 vertices on which the exhaustive
+    # labeling search once passed 100,000 placements without an answer;
+    # its complement is not an interval graph, so no placement is made
     path = tmp_path / "dense14.txt"
-    path.write_text("2 14\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    path.write_text(
+        "2 14\n" + "".join(f"{i} {j}\n" for i, j in _seeded_edges(14, 0.85))
+    )
+    start = time.perf_counter()
+    code, out, err = _fresh_run("check", path, "--find-labeling")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0, err
+    assert out == (
+        "cointerval: no (all 87178291200 labelings)\n"
+        "strongly-stable: no (all 87178291200 labelings)\n"
+    )
+
+
+def test_cointerval_labeling_search_is_budgeted(tmp_path):
+    # the 3-graph of cones {0} + e over a seeded 2-graph on 1..10: the
+    # labeling search passes the placement budget without an answer
+    edges = _seeded_edges(10, 0.8)
+    path = tmp_path / "cone10.txt"
+    path.write_text(
+        "3 11\nvertices: " + " ".join(map(str, range(11))) + "\n"
+        + "".join(f"0 {i} {j}\n" for i, j in edges)
+    )
     start = time.perf_counter()
     code, out, err = _fresh_run("check", path, "--find-labeling")
     assert time.perf_counter() - start < 5.0

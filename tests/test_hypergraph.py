@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,10 +265,17 @@ def _labeling_corpus():
 
 def test_labeling_search_matches_every_layer_oracle(monkeypatch):
     # same witness and same placement count: the search passes with the
-    # budget at the oracle's count and refuses one placement earlier
-    seen = found = 0
+    # budget at the oracle's count and refuses one placement earlier;
+    # a 2-graph without a labeling is answered before any placement
+    seen = found = refused = 0
     for H in _labeling_corpus():
         want, count = _labeling_oracle(H)
+        if H.d == 2 and H.edges and want is None:
+            monkeypatch.setattr(hypergraph, "COINTERVAL_PLACEMENT_LIMIT", 0)
+            assert find_cointerval_labeling(H) is None, H
+            refused += 1
+            seen += 1
+            continue
         monkeypatch.setattr(hypergraph, "COINTERVAL_PLACEMENT_LIMIT", count)
         assert find_cointerval_labeling(H) == want, H
         if count:
@@ -277,8 +286,90 @@ def test_labeling_search_matches_every_layer_oracle(monkeypatch):
                 find_cointerval_labeling(H)
         seen += 1
         found += want is not None
-    assert 0 < found < seen
+    assert 0 < found < seen and refused > 0
     assert count == 4513  # the 12-vertex Borel graph comes last
+
+
+@functools.cache
+def _small_two_graphs():
+    """Every 2-graph on 1..n for n <= 6: 33,867 graphs."""
+    return [H for n in range(1, 7) for H in all_graphs(2, range(1, n + 1))]
+
+
+def test_interval_test_matches_the_search(monkeypatch):
+    # on a 2-graph the interval test of the complement decides what the
+    # exhaustive search decides, and a yes keeps the search's witness
+    corpus = [H for H in _small_two_graphs() if H.edges]
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(7, 12)
+        corpus.append(
+            random_graph(rng, 2, range(1, n + 1), rng.uniform(0.3, 0.95))
+        )
+    got = [find_cointerval_labeling(H) for H in corpus]
+    chordal = [H.complement().is_chordal() for H in corpus]
+    # the search alone: the test passes everything, the budget is lifted
+    monkeypatch.setattr(hypergraph, "_is_chordal", lambda adj: True)
+    monkeypatch.setattr(hypergraph, "_is_at_free", lambda adj: True)
+    monkeypatch.setattr(hypergraph, "COINTERVAL_PLACEMENT_LIMIT", 10**9)
+    for H, cert in zip(corpus, got):
+        assert find_cointerval_labeling(H) == cert, H
+    yes = sum(cert is not None for cert in got)
+    at_only = sum(c is None and f for c, f in zip(got, chordal))
+    assert 0 < yes < len(corpus)
+    assert at_only > 0  # chordal complements with an asteroidal triple
+
+
+def _has_induced_cycle(H):
+    """Oracle: some four or more vertices induce a cycle."""
+    for k in range(4, H.n + 1):
+        for W in itertools.combinations(H.vertices, k):
+            G = H.induced(W)
+            degree = Counter(v for e in G.edges for v in e)
+            if len(G.edges) == k and all(degree[v] == 2 for v in W):
+                seen, stack = set(), [W[0]]
+                while stack:
+                    v = stack.pop()
+                    if v not in seen:
+                        seen.add(v)
+                        stack.extend(u for e in G.edges if v in e for u in e)
+                if len(seen) == k:
+                    return True
+    return False
+
+
+def test_chordal_matches_induced_cycle_oracle():
+    corpus = [H for H in _small_two_graphs() if H.n <= 5]
+    rng = random.Random(20261021)
+    corpus += [
+        random_graph(rng, 2, range(1, rng.randint(6, 8) + 1), rng.random())
+        for _ in range(150)
+    ]
+    chordal = 0
+    for H in corpus:
+        assert H.is_chordal() != _has_induced_cycle(H), H
+        chordal += H.is_chordal()
+    assert 0 < chordal < len(corpus)
+
+
+def test_dense_two_graphs_answer_within_budget(monkeypatch):
+    # dense 2-graphs on 14-20 vertices, whose "no" the search alone could
+    # not reach within its budget: a "no" now makes no placement at all
+    answers = []
+    for n in (14, 18, 20):
+        for p in (0.8, 0.85, 0.9, 0.95):
+            for seed in range(6):
+                rng = random.Random(f"{n}:{p}:{seed}")
+                H = random_graph(rng, 2, range(1, n + 1), p)
+                cert = find_cointerval_labeling(H)
+                if cert is None:
+                    with monkeypatch.context() as m:
+                        m.setattr(hypergraph, "COINTERVAL_PLACEMENT_LIMIT", 0)
+                        assert find_cointerval_labeling(H) is None
+                else:
+                    assert H.relabel(cert).is_cointerval()
+                answers.append(cert is not None)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_strongly_stable(copath5, k4_3):
@@ -378,11 +469,19 @@ def test_nested_layers_matches_layer_recursion():
     assert 0 < hits < len(corpus)
 
 
-@given(graphs(max_n=5))
-@settings(max_examples=60, deadline=None)
-def test_strongly_stable_implies_cointerval(H):
-    if H.is_strongly_stable():
-        assert H.is_cointerval()
+def test_strongly_stable_implies_cointerval():
+    # every labeling the strong-stability search returns is a cointerval
+    # labeling, which lets `check` skip that search after a failed one
+    corpus = _small_two_graphs() + list(all_graphs(3, range(1, 6)))
+    stable = 0
+    for H in corpus:
+        if H.is_strongly_stable():
+            assert H.is_cointerval(), H
+        cert = find_strongly_stable_labeling(H)
+        if cert is not None:
+            assert H.relabel(cert).is_cointerval(), H
+            stable += 1
+    assert 0 < stable < len(corpus)
 
 
 @given(graphs(max_n=5))
