@@ -49,7 +49,7 @@ from .hypergraph import Hypergraph
 
 # cells grown before build_complex refuses (also faces kept by
 # staircase.restrict_to_graph); `resolve` on copath(15), 98,305
-# cells, takes about 3.5 s and 285 MB (2 vCPUs, Python 3.11)
+# cells, takes 2.1-3.6 s and 284 MB peak RSS (2 vCPUs, Python 3.11)
 CELL_LIMIT = 100_000
 
 _AUG_COLUMN = ((0, 1),)  # a vertex's augmentation: once the empty face
@@ -93,24 +93,6 @@ def _column(faces, pos, cell, dim):
     return tuple((i, c) for i, c in acc.items() if c)
 
 
-def _layout(cells):
-    """Keys (sorted, per dimension 0..top), label masks and ascending
-    label vertices of {cell: (dim, label)}."""
-    top = max((dim for dim, _label in cells.values()), default=-1)
-    keys = {d: [] for d in range(top + 1)}
-    for cell, (dim, _label) in cells.items():
-        keys[dim].append(cell)
-    for dim_cells in keys.values():
-        dim_cells.sort()
-    verts = sorted(frozenset().union(*(lab for _d, lab in cells.values())))
-    bit = {v: 1 << k for k, v in enumerate(verts)}
-    masks = {
-        d: [sum(bit[v] for v in cells[c][1]) for c in dim_cells]
-        for d, dim_cells in keys.items()
-    }
-    return keys, masks, verts
-
-
 class LabeledComplex:
     """Finite labeled cell complex, stored by cell id.
 
@@ -147,7 +129,18 @@ class LabeledComplex:
         signed faces as (cell, sign) pairs and is read when the columns
         are first needed.
         """
-        keys, masks, verts = _layout(cells)
+        top = max((dim for dim, _label in cells.values()), default=-1)
+        keys = {d: [] for d in range(top + 1)}
+        for cell, (dim, _label) in cells.items():
+            keys[dim].append(cell)
+        for dim_cells in keys.values():
+            dim_cells.sort()
+        verts = sorted(set().union(*(lab for _d, lab in cells.values())))
+        bit = {v: 1 << k for k, v in enumerate(verts)}
+        masks = {
+            d: [sum(bit[v] for v in cells[c][1]) for c in dim_cells]
+            for d, dim_cells in keys.items()
+        }
 
         def columns():
             out = {}

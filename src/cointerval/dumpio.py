@@ -1,4 +1,4 @@
-"""Complex dump format: serialize labeled complexes, re-verify from text.
+r"""Complex dump format: serialize labeled complexes, re-verify from text.
 
 One cell per line, `dim | s_1 ; s_2 ; ... ; s_k | label`, sorted by
 (dim, blocks); an empty block slot (a join cell whose factor vanished)
@@ -10,11 +10,18 @@ non-unit entries) means the text is not the face poset of a polyhedral
 complex and raises ParseError.  The parsed object plugs into the same
 verification machinery as internally built complexes.
 
+The reader (`_read`) makes one pass over the lines (`hypergraph._lines`:
+breaks at `\n`, `\r\n` and `\r` only), filing each as a (blocks, label)
+row of its dimension and parsing each distinct block slot text once;
+it sorts each dimension once and turns labels into bitmasks once every
+vertex is known.
+
 A dump whose every cell is a product of simplices (no empty block,
 dimension `block_dim`) with all its one-vertex deletions present, each
 labeled inside it, is oriented by the block rule (`_block_columns`):
-one lookup per deletion, signed by `block_boundary` and flipped so that
-each cell's first face is +1, which is the column the kernel gives.
+each cell gets an integer code, so a deletion is one XOR and one
+lookup, signed as `block_boundary` signs it and flipped so that each
+cell's first face is +1, which is the column the kernel gives.
 Any other dump takes the general route (`_holder_columns`).  Faces are
 found with one holder bitset per (block slot, value) pair and
 dimension, not by testing every pair of cells.  Signs are carried from
@@ -29,18 +36,14 @@ raise BudgetError while the lines are read.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import lt
+
 from . import complexes
 from ._kernels import _members, nullspace_rational
-from .complexes import (
-    _AUG_COLUMN,
-    LabeledComplex,
-    _holders,
-    _layout,
-    block_boundary,
-    block_dim,
-)
+from .complexes import _AUG_COLUMN, LabeledComplex, _holders
 from .errors import BudgetError, ParseError
-from .hypergraph import _int_tokens, read_text
+from .hypergraph import _SPACE, _lines, _plain, read_text
 
 
 def write_complex_dump(X):
@@ -60,40 +63,55 @@ def write_complex_dump(X):
 
 def parse_complex_dump(text):
     """Rebuild a verifiable complex from dump text."""
-    return _orient(_read_cells(text))
+    return _orient(*_read(text))
 
 
-def _read_cells(text):
-    """The dump's cells as {blocks: (dim, label)}, checked line by line."""
-    cells = {}
+def _read(text):
+    """The dump's cells as keys, label masks and label vertices (the
+    fields of `LabeledComplex`), checked line by line.
+
+    One pass files each line as a (blocks, label) row of its dimension;
+    each dimension is then sorted once, and labels become masks once
+    every vertex is known.  The token rule (`_plain`) is tested once per
+    line, and per field only to name the field a line breaks it in.
+    """
+    rows = {}  # dim -> [(blocks, label)]
+    seen = set()
+    vertices = set()
     arity = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split("|")]
+    parsed = {}  # slot text -> its block; dumps repeat their slots
+    for lineno, line in _lines(text):
+        parts = line.split("|")
         if len(parts) != 3:
             raise ParseError("expected `dim | blocks | label`", lineno)
+        dtxt, btxt, ltxt = parts
+        plain = _plain(line)
         try:
-            (dim,) = _int_tokens(parts[0])
+            if not (plain or _plain(dtxt)):
+                raise ValueError
+            (dim,) = map(int, dtxt.split())
         except ValueError:
-            raise ParseError(f"bad dimension {parts[0]!r}", lineno) from None
+            raise ParseError(
+                f"bad dimension {dtxt.strip(_SPACE)!r}", lineno
+            ) from None
         blocks = []
-        for btxt in parts[1].split(";"):
-            btxt = btxt.strip()
-            if btxt == "-" or not btxt:
-                blocks.append(())
-                continue
-            try:
-                block = tuple(_int_tokens(btxt))
-            except ValueError:
-                raise ParseError(f"bad block {btxt!r}", lineno) from None
-            if any(
-                block[i] >= block[i + 1] for i in range(len(block) - 1)
-            ):
-                raise ParseError(
-                    f"block {block} is not strictly increasing", lineno
-                )
+        for slot in btxt.split(";"):
+            block = parsed.get(slot)
+            if block is None:
+                tokens = slot.split()
+                try:
+                    if not (plain or _plain(slot)):
+                        raise ValueError
+                    block = () if tokens == ["-"] else tuple(map(int, tokens))
+                except ValueError:
+                    raise ParseError(
+                        f"bad block {slot.strip(_SPACE)!r}", lineno
+                    ) from None
+                if len(block) > 1 and not all(map(lt, block, block[1:])):
+                    raise ParseError(
+                        f"block {block} is not strictly increasing", lineno
+                    )
+                parsed[slot] = block
             blocks.append(block)
         blocks = tuple(blocks)
         if arity is None:
@@ -103,12 +121,18 @@ def _read_cells(text):
                 f"cell has {len(blocks)} blocks, expected {arity}", lineno
             )
         try:
-            label = frozenset(_int_tokens(parts[2]))
+            if not (plain or _plain(ltxt)):
+                raise ValueError
+            label = [*map(int, ltxt.split())]
         except ValueError:
-            raise ParseError(f"bad label {parts[2]!r}", lineno) from None
+            raise ParseError(
+                f"bad label {ltxt.strip(_SPACE)!r}", lineno
+            ) from None
         if not label:
             raise ParseError("empty label", lineno)
-        if blocks in cells:
+        count = len(seen)
+        seen.add(blocks)  # one hash of the key; a duplicate adds nothing
+        if len(seen) == count:
             raise ParseError(f"duplicate cell {blocks}", lineno)
         if dim < 0:
             raise ParseError(f"negative dimension {dim}", lineno)
@@ -118,12 +142,31 @@ def _read_cells(text):
                 f"a cell of dimension {dim} needs more than "
                 f"{complexes.CELL_LIMIT} cells"
             )
-        cells[blocks] = (dim, label)
-        if len(cells) > complexes.CELL_LIMIT:
+        if len(seen) > complexes.CELL_LIMIT:
             raise BudgetError(
                 f"the dump has more than {complexes.CELL_LIMIT} cells"
             )
-    return cells
+        vertices.update(label)
+        dim_rows = rows.get(dim)
+        if dim_rows is None:
+            dim_rows = rows[dim] = []
+        dim_rows.append((blocks, label))
+    vertices = sorted(vertices)
+    bit = dict(zip(vertices, (1 << k for k in range(len(vertices)))))
+    get = bit.__getitem__
+    keys, masks = {}, {}
+    for dim in range(max(rows, default=-1) + 1):
+        dim_rows = rows.get(dim, [])
+        dim_rows.sort()  # by blocks, which no two rows share
+        keys[dim] = [blocks for blocks, _label in dim_rows]
+        masks[dim] = dim_masks = []
+        for _blocks, label in dim_rows:
+            mask = sum(map(get, label))
+            # carries mean a repeated vertex
+            if mask.bit_count() != len(label):
+                mask = sum(map(get, set(label)))
+            dim_masks.append(mask)
+    return keys, masks, vertices
 
 
 def _pair_bits(keys, bits):
@@ -141,12 +184,11 @@ def _pair_bits(keys, bits):
     return masks
 
 
-def _orient(cells):
+def _orient(keys, masks, verts):
     """The complex of the dump's cells, its columns by the block rule
     when every cell is a product of simplices (`_block_columns`) and by
     holder search and sign propagation otherwise (`_holder_columns`).
     Both give the same columns wherever the block rule applies."""
-    keys, masks, verts = _layout(cells)
     columns = _block_columns(keys, masks)
     if columns is None:
         columns = _holder_columns(keys, masks)
@@ -162,6 +204,10 @@ def _block_columns(keys, masks):
     down by componentwise containment are then exactly its deletions,
     the faces the holder search finds.
 
+    Each cell gets the code `complexes._filed` uses: block i's values
+    as bits at offset i * stride, so deleting v from block i is
+    `code ^ bits[i][v]`, one lookup of an int per deletion.
+
     A cell's flip (+-1) is its parsed orientation over
     `block_boundary`'s.  Face f enters with its `block_boundary` sign
     times f's flip: the boundary of the product of simplices, the one
@@ -170,26 +216,45 @@ def _block_columns(keys, masks):
     as the propagation and the rational kernel do, so the columns are
     theirs entry for entry.
     """
-    ids = {}
+    cells = list(chain.from_iterable(keys.values()))
+    values = set(chain.from_iterable(chain.from_iterable(cells)))
+    stride = len(values)
+    arity = len(cells[0]) if cells else 0
+    # bits[i](v): the bit of value v in block slot i
+    bits = [
+        dict(zip(values, (1 << i * stride + k for k in range(stride))))
+        .__getitem__
+        for i in range(arity)
+    ]
+    codes = {}
     for dim, dim_keys in keys.items():
-        for i, cell in enumerate(dim_keys):
-            if block_dim(cell) != dim or not all(cell):
+        size = dim + arity  # the vertex count of a product of simplices
+        dim_codes = codes[dim] = []
+        for cell in dim_keys:
+            if sum(map(len, cell)) != size or not all(cell):
                 return None
-            ids[cell] = i
+            dim_codes.append(sum(map(sum, map(map, bits, cell))))
     flips = [1] * len(keys.get(0, ()))  # a vertex's augmentation is +1
     columns = {}
     for dim in range(1, len(keys)):
         below = masks[dim - 1]
+        ids = dict(zip(codes[dim - 1], range(len(below))))
         cols = columns[dim] = []
         cell_flips = []
-        for cell, mask in zip(keys[dim], masks[dim]):
+        for cell, code, mask in zip(keys[dim], codes[dim], masks[dim]):
             outside = ~mask
             col = []
-            for face, sign in block_boundary(cell):
-                f = ids.get(face)
-                if f is None or below[f] & outside:
-                    return None
-                col.append((f, sign * flips[f]))
+            offset = 0
+            for block, bit in zip(cell, bits):
+                if len(block) > 1:
+                    sign = -1 if offset & 1 else 1
+                    for v in block:
+                        f = ids.get(code ^ bit(v))
+                        if f is None or below[f] & outside:
+                            return None
+                        col.append((f, sign * flips[f]))
+                        sign = -sign
+                    offset += len(block) - 1
             col.sort()
             flip = col[0][1]
             cell_flips.append(flip)

@@ -474,10 +474,7 @@ def parse_hypergraph(text):
     d = n = None
     vertices = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if d is None:
             parts = line.split()
             if len(parts) != 2:
@@ -528,17 +525,43 @@ def parse_hypergraph(text):
         raise ParseError(str(exc)) from None
 
 
-def _int_tokens(text):
-    """The integers of a field of both text formats.
+# the ASCII whitespace that `str.split()` splits at, line breaks aside
+_SPACE = " \t\v\f\x1c\x1d\x1e\x1f"
 
-    The field is ASCII, and each of its whitespace-separated tokens an
-    optional `-` and digits, the only spelling the formats write; `int`
-    alone would also take `+3`, `1_0` and non-ASCII digits.  Raises
-    ValueError otherwise.
+
+def _lines(text):
+    r"""(line number, text) of each line of both text formats that keeps
+    something once its `#` comment is cut.
+
+    Lines end at `\n`, `\r\n` or `\r`, the breaks `open` reads, and
+    nowhere else.  Only ASCII whitespace is stripped, so a non-ASCII
+    character outside a comment stays in the line for the token rule
+    (`_plain`) to refuse.
     """
-    # `int` reads an optional sign and Unicode digits, with `_` between
-    # digits; on ASCII text without `+` or `_` it reads exactly the rule
-    if not text.isascii() or "+" in text or "_" in text:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip(_SPACE)
+        if line:
+            yield lineno, line
+
+
+def _plain(text):
+    """Whether text can hold only integer tokens the formats write.
+
+    Each token of both formats is an optional `-` and ASCII digits.
+    `int` reads an optional sign and Unicode digits, with `_` between
+    digits; on ASCII text without `+` or `_` it reads exactly the rule.
+    """
+    return text.isascii() and "+" not in text and "_" not in text
+
+
+def _int_tokens(text):
+    """The integers of a field of both text formats (`_plain`), or
+    ValueError."""
+    if not _plain(text):
         raise ValueError(f"not integer tokens: {text!r}")
     return [int(t) for t in text.split()]
 

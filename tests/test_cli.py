@@ -13,10 +13,15 @@ from cointerval import (
     BudgetError,
     Hypergraph,
     complexes,
+    dumpio,
     find_strongly_stable_labeling,
     format_hypergraph,
+    glued_resolution,
+    linear_width,
     parse_hypergraph,
+    read_hypergraph,
     restrict_to_graph,
+    write_complex_dump,
 )
 from cointerval.cli import main
 from cointerval.complexes import CELL_LIMIT
@@ -44,6 +49,7 @@ def check_golden(capsys, name, *argv):
 COPATH5 = str(GOLDEN / "input_copath5.txt")
 TWO_K2 = str(GOLDEN / "input_2k2.txt")
 TAYLOR = str(GOLDEN / "input_taylor_2k2.dump")
+JOIN = str(GOLDEN / "input_join_2k2.dump")
 
 
 def test_check(capsys):
@@ -231,6 +237,17 @@ def test_verify(capsys):
     check_golden(
         capsys, "verify_taylor_2k2.txt", "verify", TAYLOR, "--confirm"
     )
+
+
+def test_verify_join_dump(capsys):
+    # the glued resolution of 2K2, whose `-` slots send it down the
+    # general route
+    H = read_hypergraph(TWO_K2)
+    glued, _ = glued_resolution(H, linear_width(H)[1])
+    text = (GOLDEN / "input_join_2k2.dump").read_text()
+    assert write_complex_dump(glued) == text
+    assert dumpio._block_columns(*dumpio._read(text)[:2]) is None
+    check_golden(capsys, "verify_join_2k2.txt", "verify", JOIN, "--confirm")
 
 
 def test_verify_flags_mutilation(capsys, tmp_path):

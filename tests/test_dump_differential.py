@@ -1,8 +1,14 @@
-"""The dump parser against the pairwise face scan and Fraction orientation.
+"""The dump parser against its first reader, the pairwise face scan and
+Fraction orientation.
 
-`oracle_orient` is the orientation step as it was written first: every
-(dim - 1)-cell is tested against every dim-cell by `_below`, and each
-cell's signs come from a dense Fraction nullspace (`fraction_nullspace`).
+`oracle_read_cells` and `oracle_layout` are the reader as it was written
+first: a dict {blocks: (dim, label)} with a frozenset per label, laid
+out per dimension in a second walk.  The parser's reader (`dumpio._read`)
+must give the same keys, masks and vertices, or the same error text and
+line.  `oracle_orient` is the orientation step as it was written first:
+every (dim - 1)-cell is tested against every dim-cell by `_below`, and
+each cell's signs come from a dense Fraction nullspace
+(`fraction_nullspace`).
 The parser orients a dump of products of simplices by the block rule
 (`dumpio._block_columns`); any other dump finds faces by holder bitsets
 and carries signs across ridges shared by two faces, falling back to the
@@ -38,13 +44,109 @@ from cointerval import (
     verify_resolution,
     write_complex_dump,
 )
-from cointerval import dumpio
-from cointerval.complexes import _layout
-from cointerval.dumpio import _read_cells
+from cointerval import complexes, dumpio
+from cointerval.hypergraph import _int_tokens
 
 from graphs import copath, strand_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def oracle_read_cells(text):
+    r"""The dump's cells as {blocks: (dim, label)}, checked line by line;
+    lines break at `\n`, `\r\n` and `\r`."""
+    cells = {}
+    arity = None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) != 3:
+            raise ParseError("expected `dim | blocks | label`", lineno)
+        try:
+            (dim,) = _int_tokens(parts[0])
+        except ValueError:
+            raise ParseError(f"bad dimension {parts[0]!r}", lineno) from None
+        blocks = []
+        for btxt in parts[1].split(";"):
+            btxt = btxt.strip()
+            if btxt == "-" or not btxt:
+                blocks.append(())
+                continue
+            try:
+                block = tuple(_int_tokens(btxt))
+            except ValueError:
+                raise ParseError(f"bad block {btxt!r}", lineno) from None
+            if any(
+                block[i] >= block[i + 1] for i in range(len(block) - 1)
+            ):
+                raise ParseError(
+                    f"block {block} is not strictly increasing", lineno
+                )
+            blocks.append(block)
+        blocks = tuple(blocks)
+        if arity is None:
+            arity = len(blocks)
+        elif len(blocks) != arity:
+            raise ParseError(
+                f"cell has {len(blocks)} blocks, expected {arity}", lineno
+            )
+        try:
+            label = frozenset(_int_tokens(parts[2]))
+        except ValueError:
+            raise ParseError(f"bad label {parts[2]!r}", lineno) from None
+        if not label:
+            raise ParseError("empty label", lineno)
+        if blocks in cells:
+            raise ParseError(f"duplicate cell {blocks}", lineno)
+        if dim < 0:
+            raise ParseError(f"negative dimension {dim}", lineno)
+        if dim >= complexes.CELL_LIMIT:
+            raise BudgetError(
+                f"a cell of dimension {dim} needs more than "
+                f"{complexes.CELL_LIMIT} cells"
+            )
+        cells[blocks] = (dim, label)
+        if len(cells) > complexes.CELL_LIMIT:
+            raise BudgetError(
+                f"the dump has more than {complexes.CELL_LIMIT} cells"
+            )
+    return cells
+
+
+def oracle_layout(cells):
+    """Keys (sorted, per dimension 0..top), label masks and ascending
+    label vertices of {cell: (dim, label)}."""
+    top = max((dim for dim, _label in cells.values()), default=-1)
+    keys = {d: [] for d in range(top + 1)}
+    for cell, (dim, _label) in cells.items():
+        keys[dim].append(cell)
+    for dim_cells in keys.values():
+        dim_cells.sort()
+    verts = sorted(frozenset().union(*(lab for _d, lab in cells.values())))
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    masks = {
+        d: [sum(bit[v] for v in cells[c][1]) for c in dim_cells]
+        for d, dim_cells in keys.items()
+    }
+    return keys, masks, verts
+
+
+def read_outcome(read, text):
+    """('ok', (keys, masks, vertices)), ('error', message, line) or
+    ('budget', message)."""
+    try:
+        return ("ok", read(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    except BudgetError as exc:
+        return ("budget", str(exc))
+
+
+def oracle_read(text):
+    return oracle_layout(oracle_read_cells(text))
 
 
 def fraction_nullspace(rows, ncols):
@@ -160,7 +262,7 @@ def outcome(parse, text):
 
 
 def oracle_parse(text):
-    return oracle_orient(_read_cells(text))
+    return oracle_orient(oracle_read_cells(text))
 
 
 def interval_complement(rng, n):
@@ -217,7 +319,7 @@ def _line(dim, blocks, label):
 def mutations(text, rng):
     """Seeded corruptions of a dump, each named after what it does."""
     lines = text.splitlines()
-    cells = _read_cells(text)
+    cells = oracle_read_cells(text)
     rows = [(key, dim, label) for key, (dim, label) in cells.items()]
     out = []
     i = rng.randrange(len(lines))
@@ -281,6 +383,79 @@ def test_parser_matches_oracle_on_mutations():
         assert sum(part in m for m in messages) >= 5, part
 
 
+def test_reader_matches_oracle_on_dumps_and_mutations():
+    rng = random.Random(2025)
+    dumps = source_dumps() + block_rule_dumps()
+    seen = set()
+    for name, text in dumps:
+        got = read_outcome(dumpio._read, text)
+        assert got[0] == "ok", name
+        assert got == read_outcome(oracle_read, text), name
+        for kind, mutated in mutations(text, rng):
+            got = read_outcome(dumpio._read, mutated)
+            assert got == read_outcome(oracle_read, mutated), (name, kind)
+            seen.add((kind, got[0]))
+    # the reader accepts the poset corruptions and refuses a repeated line
+    assert seen == {("drop", "ok"), ("shift", "ok"), ("shrink", "ok"),
+                    ("deeper", "ok"), ("duplicate", "error")}
+
+
+# One text per case; a case that fails does so on its last line, after
+# a cell, a comment and a blank line.
+READER_LINES = [
+    "# a comment\n0 | 1 | 1  # and a trailing one\n#\n",
+    "\n   \n\t\n0 | 1 | 1\n\n \t \n0 | 2 | 2\n",
+    "0 | 1 | 1\r\n0 | 2 | 2\r\n1 | 1 2 | 1 2\r\n",
+    "0 | 1 | 1\r0 | 2 | 2\r1 | 1 2 | 1 2\r",
+    "0\t|\t1\t|\t1\n0 |\t2 | 2\t\n",
+    "0 | 1 ; - | 1\n0 | - ; 2 | 2\n1 | 1 ; 2 | 1 2\n0 | ; 3 | 3\n",
+    "0 | -1 | -1\n0 | 2 | 2\n1 | -1 2 | -1 2\n",
+    "+0 | 1 | 1", "0 | +3 | 3", "0 | 1 | +1", "0 | 1 2 | 1 +2",
+    "1_0 | 1 | 1", "0 | 1_0 | 10", "0 | 1 | 1_0",
+    "\uff10 | 1 | 1", "0 | \uff11 | 1", "0 | 1 | \uff11",
+    "- 3 | 1 | 1", "0 | - 3 | 3", "0 | 1 | - 3",
+    "--3 | 1 | 1", "0 | --3 | 3", "0 | 1 | --3",
+    "0 | - - | 1", "0 | -- | 1", "0 | 1 - | 1",
+    "x | 1 | 1", "0 1 | 1 | 1", " | 1 | 1", "0 | x | 1", "0 | 1 | x",
+    "0 | 1", "0 | 1 | 1 | 1", "0 1 1",
+]
+READER_CELLS = [
+    "0 | 2 1 | 1 2", "0 | 1 1 | 1", "0 | 3 ; 2 2 | 2 3",
+    "0 | 2 1 ; x | 1", "0 | x ; 2 1 | 1", "0 | 2 1 | x",
+    "0 | 7 | 7\n0 | 1 ; 2 | 1 2", "0 | 7 | 7\n0 | ; | 1",
+    "0 | 7 | 7\n0 | 1 ; x | x", "0 | 7 | 7\n0 | 8 ; 9 | x",
+    "0 | 7 | 7", "1 | 7 | 7", "0 | 1 2 | 1 2\n1 | 1 2 | 1 2",
+    "-1 | 1 | 1", "-1 | 7 | 7", "-1 | 1 | ",
+    f"{complexes.CELL_LIMIT} | 1 2 | 1 2",
+    f"{complexes.CELL_LIMIT - 1} | 1 2 | 1 2",
+    f"{10 ** 30} | 1 2 | 1 2",
+    "0 | 1 |", "0 | 1 | ", "0 | 1 | # a comment",
+    "0 | 1 | 1 1", "1 | 1 2 | 2 1 2 1", "0 | 1 | 3 1 2 1 3",
+    "1 | 1 2 | 1 2\n0 | 2 | 2\n0 | 1 | 1",
+    "0 | 3 | 3\n2 | 1 2 3 | 1 2 3\n0 | 1 | 1",
+    "2 | 1 ; 2 3 4 | 1 2 3 4\n0 | 1 ; 2 | 1 2\n1 | 1 ; 2 3 | 1 2 3",
+]
+
+
+@pytest.mark.parametrize("last", READER_LINES + READER_CELLS)
+def test_reader_matches_oracle_line_by_line(last):
+    for text in (last, "0 | 7 | 7\n# comment\n\n" + last):
+        got = read_outcome(dumpio._read, text)
+        assert got == read_outcome(oracle_read, text)
+
+
+def test_reader_counts_cells_like_the_oracle(monkeypatch):
+    monkeypatch.setattr(complexes, "CELL_LIMIT", 3)
+    lines = ["0 | 1 | 1", "0 | 2 | 2", "1 | 1 2 | 1 2", "0 | 3 | 3"]
+    for k in range(len(lines) + 1):
+        text = "\n".join(lines[:k])
+        got = read_outcome(dumpio._read, text)
+        assert got == read_outcome(oracle_read, text)
+        assert got[0] == ("budget" if k == 4 else "ok")
+    got = read_outcome(dumpio._read, "3 | 1 | 1")
+    assert got == ("budget", "a cell of dimension 3 needs more than 3 cells")
+
+
 def block_rule_dumps():
     """Dumps of products of simplices: every complex of `strand_corpus`
     (block complexes of small cointerval graphs and copath(4..9), seeded
@@ -297,7 +472,7 @@ def test_block_rule_gives_the_holder_columns():
     dumps = block_rule_dumps()
     assert len(dumps) >= 400
     for name, text in dumps:
-        keys, masks, _verts = _layout(_read_cells(text))
+        keys, masks, _verts = dumpio._read(text)
         got = dumpio._block_columns(keys, masks)
         assert got is not None, name
         assert got == dumpio._holder_columns(keys, masks), name
@@ -349,7 +524,7 @@ def test_irregular_dumps_take_the_holder_route(holder_calls):
          "((1,), (3, 4))"),
     ]
     for i, (mutated, expected) in enumerate(cases, start=1):
-        keys, masks, _verts = _layout(_read_cells(mutated))
+        keys, masks, _verts = dumpio._read(mutated)
         assert dumpio._block_columns(keys, masks) is None
         got = outcome(parse_complex_dump, mutated)
         assert holder_calls["_holder_columns"] == i
@@ -556,7 +731,9 @@ def test_round_trip_verifies_like_the_built_complex():
             assert got.passed
 
 
-DUMP_CHARS = st.sampled_from(list("0123 |;-#\n") + ["12", " - ", " ; "])
+DUMP_CHARS = st.sampled_from(
+    list("0123 |;-#\n\t\r+_") + ["12", " - ", " ; ", "\r\n", "x"]
+)
 
 
 @st.composite
@@ -589,3 +766,4 @@ def test_any_text_parses_or_raises_parse_error(text):
     if got[0] == "ok":
         assert isinstance(parse_complex_dump(text), LabeledComplex)
     assert got == outcome(oracle_parse, text)
+    assert read_outcome(dumpio._read, text) == read_outcome(oracle_read, text)

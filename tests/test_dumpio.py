@@ -94,6 +94,27 @@ def test_parse_rejects_malformed():
     assert list(parse_complex_dump("0 | -1 | -1\n").all_cells()) == [((-1,),)]
 
 
+def test_lines_break_only_where_open_breaks_them():
+    # `\n`, `\r\n` and `\r` end a line
+    Y = parse_complex_dump("0 | 1 | 1\r\n0 | 2 | 2\r1 | 1 2 | 1 2\n")
+    assert list(Y.all_cells()) == [((1,),), ((2,),), ((1, 2),)]
+    # other ASCII controls are whitespace inside their line
+    Y = parse_complex_dump("0 |\v1\f| 1\x1c\n0\x1d| 2 |\x1e2\x1f\n")
+    assert list(Y.all_cells()) == [((1,),), ((2,),)]
+    with pytest.raises(ParseError, match="line 2: bad block 'x'"):
+        parse_complex_dump("0 | 1 | 1\v\n0 | x | 2\n")
+    # non-ASCII ones are neither breaks nor whitespace
+    for sep in ("\x85", "\u2028", "\u2029"):
+        with pytest.raises(ParseError, match="line 1: "):
+            parse_complex_dump(f"0 | 1 | 1{sep}0 | 2 | 2\n")
+        with pytest.raises(ParseError, match="line 1: bad label"):
+            parse_complex_dump(f"0 | 1 | 1{sep}\n")
+        with pytest.raises(ParseError, match="line 2: bad block"):
+            parse_complex_dump(f"0 | 1 | 1\n0 | {sep}- | 1\n")
+        # inside a comment they are text like any other
+        assert len(parse_complex_dump(f"0 | 1 | 1 # {sep} x\n")) == 1
+
+
 def test_parse_rejects_broken_posets():
     # a 1-cell with three vertices below it: kernel dimension 2
     bad = "0 | 1 | 1\n0 | 2 | 2\n0 | 3 | 3\n1 | 1 2 3 | 1 2 3\n"

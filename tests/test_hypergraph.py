@@ -583,6 +583,29 @@ def test_parse_errors_carry_line_numbers():
     assert H.edge_list() == [(-1, 0)]
 
 
+def test_lines_break_only_where_open_breaks_them():
+    # `\n`, `\r\n` and `\r` end a line
+    H = parse_hypergraph("2 3\r\n1 2\r2 3\n")
+    assert H.edge_list() == [(1, 2), (2, 3)]
+    # other ASCII controls are whitespace inside their line
+    H = parse_hypergraph("2\v3\f\n\x1c1\x1d2\x1e\n2\x1f3\n")
+    assert H.edge_list() == [(1, 2), (2, 3)]
+    with pytest.raises(ParseError, match="line 3"):
+        parse_hypergraph("2 3\n1 2\v\n2 x\n")
+    # non-ASCII ones are neither breaks nor whitespace
+    for sep in ("\x85", "\u2028", "\u2029"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_hypergraph(f"2 3\n1 2{sep}2 3\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_hypergraph(f"2 3\n1 2{sep}\n")
+        with pytest.raises(ParseError, match="line 1"):
+            parse_hypergraph(f"2 3{sep}\n1 2\n")
+        # inside a comment they are text like any other
+        assert parse_hypergraph(f"2 3 # {sep} x\n1 2\n").edge_list() == [
+            (1, 2)
+        ]
+
+
 HYPERGRAPH_CHUNKS = st.sampled_from(
     list("0123 -#\n") + ["vertices:", "12", "501", " 1 2\n", "x"]
 )
