@@ -19,9 +19,10 @@ vertex is known.
 A dump whose every cell is a product of simplices (no empty block,
 dimension `block_dim`) with all its one-vertex deletions present, each
 labeled inside it, is oriented by the block rule (`_block_columns`):
-each cell gets an integer code, so a deletion is one XOR and one
-lookup, signed as `block_boundary` signs it and flipped so that each
-cell's first face is +1, which is the column the kernel gives.
+each cell gets an integer code packing the ids of its distinct blocks,
+so a deletion is one addition and one lookup, signed as
+`block_boundary` signs it and flipped so that each cell's first face
+is +1, which is the column the kernel gives.
 Any other dump takes the general route (`_holder_columns`).  Faces are
 found with one holder bitset per (block slot, value) pair and
 dimension, not by testing every pair of cells.  Signs are carried from
@@ -36,8 +37,8 @@ raise BudgetError while the lines are read.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import lt
+from itertools import chain, combinations
+from operator import lshift, lt
 
 from . import complexes
 from ._kernels import _members, nullspace_rational
@@ -154,9 +155,14 @@ def _read(text):
     vertices = sorted(vertices)
     bit = dict(zip(vertices, (1 << k for k in range(len(vertices)))))
     get = bit.__getitem__
-    keys, masks = {}, {}
-    for dim in range(max(rows, default=-1) + 1):
-        dim_rows = rows.get(dim, [])
+    # the dimensions no line declares share one empty list, so a lone
+    # cell of dimension up to CELL_LIMIT costs no list per dimension;
+    # the cells above such a gap have no faces, and `_orient` refuses
+    # the dump before any list is filed in a complex
+    empty = []
+    keys = dict.fromkeys(range(max(rows, default=-1) + 1), empty)
+    masks = dict.fromkeys(keys, empty)
+    for dim, dim_rows in rows.items():
         dim_rows.sort()  # by blocks, which no two rows share
         keys[dim] = [blocks for blocks, _label in dim_rows]
         masks[dim] = dim_masks = []
@@ -204,9 +210,14 @@ def _block_columns(keys, masks):
     down by componentwise containment are then exactly its deletions,
     the faces the holder search finds.
 
-    Each cell gets the code `complexes._filed` uses: block i's values
-    as bits at offset i * stride, so deleting v from block i is
-    `code ^ bits[i][v]`, one lookup of an int per deletion.
+    The shape is checked first.  Each distinct block then gets an id,
+    and a cell's code packs its blocks' ids, slot i at bit offset
+    i * width, so codes stay a few words wide whatever values the dump
+    uses.  `dels[b]` holds b's id and the ids of b without each vertex;
+    deleting a vertex of block b in slot i swaps b's id for the smaller
+    block's at that offset: one lookup of an int per deletion.  The
+    smaller blocks come out of `combinations` last vertex dropped first,
+    so their `block_boundary` signs alternate from the last one's.
 
     A cell's flip (+-1) is its parsed orientation over
     `block_boundary`'s.  Face f enters with its `block_boundary` sign
@@ -216,24 +227,31 @@ def _block_columns(keys, masks):
     as the propagation and the rational kernel do, so the columns are
     theirs entry for entry.
     """
+    if not all(keys.values()):  # the cells above an empty dimension
+        return None
     cells = list(chain.from_iterable(keys.values()))
-    values = set(chain.from_iterable(chain.from_iterable(cells)))
-    stride = len(values)
     arity = len(cells[0]) if cells else 0
-    # bits[i](v): the bit of value v in block slot i
-    bits = [
-        dict(zip(values, (1 << i * stride + k for k in range(stride))))
-        .__getitem__
-        for i in range(arity)
-    ]
-    codes = {}
     for dim, dim_keys in keys.items():
         size = dim + arity  # the vertex count of a product of simplices
-        dim_codes = codes[dim] = []
         for cell in dim_keys:
             if sum(map(len, cell)) != size or not all(cell):
                 return None
-            dim_codes.append(sum(map(sum, map(map, bits, cell))))
+    blocks = set(chain.from_iterable(cells))
+    bid = dict(zip(blocks, range(len(blocks))))
+    get = bid.get
+    dels = {}
+    for block, k in bid.items():
+        if len(block) > 1:
+            drop = [*map(get, combinations(block, len(block) - 1))]
+            if None in drop:  # no cell has that block, so no such face
+                return None
+            dels[block] = k, drop
+    width = len(blocks).bit_length()
+    shifts = [i * width for i in range(arity)]
+    codes = {
+        dim: [sum(map(lshift, map(get, cell), shifts)) for cell in dim_keys]
+        for dim, dim_keys in keys.items()
+    }
     flips = [1] * len(keys.get(0, ()))  # a vertex's augmentation is +1
     columns = {}
     for dim in range(1, len(keys)):
@@ -245,16 +263,19 @@ def _block_columns(keys, masks):
             outside = ~mask
             col = []
             offset = 0
-            for block, bit in zip(cell, bits):
-                if len(block) > 1:
-                    sign = -1 if offset & 1 else 1
-                    for v in block:
-                        f = ids.get(code ^ bit(v))
+            for block, shift in zip(cell, shifts):
+                last = len(block) - 1
+                if last:
+                    k, drop = dels[block]
+                    base = code - (k << shift)
+                    sign = -1 if (offset + last) & 1 else 1
+                    for d in drop:
+                        f = ids.get(base + (d << shift))
                         if f is None or below[f] & outside:
                             return None
                         col.append((f, sign * flips[f]))
                         sign = -sign
-                    offset += len(block) - 1
+                    offset += last
             col.sort()
             flip = col[0][1]
             cell_flips.append(flip)
@@ -276,6 +297,9 @@ def _holder_columns(keys, masks):
     """
     bits, columns, holders = {}, {}, {}
     for dim, dim_keys in keys.items():
+        if not dim_keys:  # the first cells above it have no faces
+            holders = {}
+            continue
         pairs = _pair_bits(dim_keys, bits)
         if dim:
             every = (1 << len(keys[dim - 1])) - 1

@@ -1,14 +1,15 @@
-"""The dump parser against its first reader, the pairwise face scan and
+r"""The dump parser against its first reader, the pairwise face scan and
 Fraction orientation.
 
 `oracle_read_cells` and `oracle_layout` are the reader as it was written
 first: a dict {blocks: (dim, label)} with a frozenset per label, laid
-out per dimension in a second walk.  The parser's reader (`dumpio._read`)
-must give the same keys, masks and vertices, or the same error text and
-line.  `oracle_orient` is the orientation step as it was written first:
-every (dim - 1)-cell is tested against every dim-cell by `_below`, and
-each cell's signs come from a dense Fraction nullspace
-(`fraction_nullspace`).
+out per dimension in a second walk, with lines now broken only at `\n`,
+`\r\n` and `\r`.  The parser's reader (`dumpio._read`) must give the
+same keys, masks and vertices, or the same error text and line, on text
+without non-ASCII whitespace (see `oracle_read_cells`).  `oracle_orient`
+is the orientation step as it was written first: every (dim - 1)-cell
+is tested against every dim-cell by `_below`, and each cell's signs come
+from a dense Fraction nullspace (`fraction_nullspace`).
 The parser orients a dump of products of simplices by the block rule
 (`dumpio._block_columns`); any other dump finds faces by holder bitsets
 and carries signs across ridges shared by two faces, falling back to the
@@ -54,7 +55,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def oracle_read_cells(text):
     r"""The dump's cells as {blocks: (dim, label)}, checked line by line;
-    lines break at `\n`, `\r\n` and `\r`."""
+    lines break at `\n`, `\r\n` and `\r`.
+
+    Unlike `dumpio._read`, it strips non-ASCII whitespace (`str.strip`)
+    from the ends of lines and fields, so it accepts `0 | 1 | 1\u00a0`,
+    which the parser refuses; no text compared with it here holds any.
+    """
     cells = {}
     arity = None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")

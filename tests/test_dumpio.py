@@ -1,3 +1,7 @@
+import re
+import time
+import tracemalloc
+
 import pytest
 
 from cointerval import (
@@ -16,6 +20,7 @@ from cointerval import (
     verify_resolution,
     write_complex_dump,
 )
+from cointerval import complexes, dumpio
 
 
 def roundtrip(X):
@@ -113,6 +118,54 @@ def test_lines_break_only_where_open_breaks_them():
             parse_complex_dump(f"0 | 1 | 1\n0 | {sep}- | 1\n")
         # inside a comment they are text like any other
         assert len(parse_complex_dump(f"0 | 1 | 1 # {sep} x\n")) == 1
+    # nor is non-ASCII whitespace stripped at the end of a line or field
+    for space in ("\xa0", "\u3000"):
+        with pytest.raises(ParseError, match="line 1: bad label"):
+            parse_complex_dump(f"0 | 1 | 1{space}\n")
+        with pytest.raises(ParseError, match="line 1: bad block"):
+            parse_complex_dump(f"0 |{space} 1 | 1\n")
+
+
+def test_wide_dumps_parse_in_small_memory():
+    # 100 edges, each cell with 20 block slots and new values in every
+    # group: 300 cells of products of simplices in 69 KB of text.  Codes
+    # with a bit per (slot, value) offset held 117 MB at peak here, and
+    # grow as the square of slots times values.
+    lines = []
+    for v in range(0, 2100, 21):
+        rest = " ; ".join(map(str, range(v + 2, v + 21)))
+        label = " ".join(map(str, range(v, v + 21)))
+        lines += [f"0 | {v} ; {rest} | {label}",
+                  f"0 | {v + 1} ; {rest} | {label}",
+                  f"1 | {v} {v + 1} ; {rest} | {label}"]
+    text = "\n".join(lines)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        X = parse_complex_dump(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2
+    assert peak < 16 * 2**20
+    assert X.f_vector() == (200, 100)
+    cell = ((0, 1), *((v,) for v in range(2, 21)))
+    assert X.boundary(cell) == [
+        (((0,), *cell[1:]), 1), (((1,), *cell[1:]), -1)
+    ]
+    keys, masks, _verts = dumpio._read(text)
+    assert dumpio._block_columns(keys, masks) is not None
+
+
+def test_a_lone_high_dimension_is_refused_in_time():
+    # the dimensions between the two cells are laid out as one shared
+    # empty list, not one list each
+    top = complexes.CELL_LIMIT - 1
+    start = time.perf_counter()
+    refusal = f"cell ((1, 2),) of dimension {top} has no faces"
+    with pytest.raises(ParseError, match=re.escape(refusal)):
+        parse_complex_dump(f"0 | 1 | 1\n{top} | 1 2 | 1 2\n")
+    assert time.perf_counter() - start < 0.25
 
 
 def test_parse_rejects_broken_posets():

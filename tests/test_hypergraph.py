@@ -604,6 +604,10 @@ def test_lines_break_only_where_open_breaks_them():
         assert parse_hypergraph(f"2 3 # {sep} x\n1 2\n").edge_list() == [
             (1, 2)
         ]
+    # nor is non-ASCII whitespace stripped at the end of a line
+    for space in ("\xa0", "\u3000"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_hypergraph(f"2 3\n1 2{space}\n")
 
 
 HYPERGRAPH_CHUNKS = st.sampled_from(
