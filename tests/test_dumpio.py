@@ -129,8 +129,10 @@ def test_lines_break_only_where_open_breaks_them():
 def test_wide_dumps_parse_in_small_memory():
     # 100 edges, each cell with 20 block slots and new values in every
     # group: 300 cells of products of simplices in 69 KB of text.  Codes
-    # with a bit per (slot, value) offset held 117 MB at peak here, and
-    # grow as the square of slots times values.
+    # with a bit per value at offset slot * number of values would hold
+    # 117 MB at peak here, growing as the square of slots times values;
+    # the input stays small so that such codes fail the bound rather
+    # than exhaust memory.
     lines = []
     for v in range(0, 2100, 21):
         rest = " ; ".join(map(str, range(v + 2, v + 21)))
