@@ -41,11 +41,21 @@ def _flags(bits):
 def _members(bits):
     """Positions of the set bits of a non-negative int, ascending.
 
-    A sparse mask (fewer than one set bit in 16) is walked one set bit
-    at a time, `rfind` skipping the zeros between them, so a wide bitset
-    with few members is cheap; a denser one has its ones picked out of
-    `_flags` all at once.
+    A mask of at most 64 bits is walked one set bit at a time by
+    isolating its lowest (`bits & -bits`), each step on a small int.  A
+    wider one costs time linear in its width, where that walk would cost
+    the width at every step: a sparse one (fewer than one set bit in
+    16) is walked on its binary digits, `rfind` skipping the zeros
+    between set bits, so a wide bitset with few members is cheap; a
+    denser one has its ones picked out of `_flags` all at once.
     """
+    if bits.bit_length() <= 64:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
     if bits.bit_count() * 16 < bits.bit_length():
         digits = bin(bits)
         top = len(digits) - 1

@@ -40,8 +40,9 @@ boundary rule (part complexes, hand-built ones); `covers.join` and
 from __future__ import annotations
 
 import functools
+import itertools
 
-from ._kernels import _members, _picked, pack_gf2
+from ._kernels import _flags, _members, _picked, pack_gf2
 from .errors import BudgetError, PreconditionError
 from .homology import _assert_squares_to_zero
 from .hypergraph import Hypergraph
@@ -196,7 +197,7 @@ class LabeledComplex:
         label = self._labels.get(mask)
         if label is None:
             label = self._labels[mask] = frozenset(
-                _picked(self._vertices, mask)
+                itertools.compress(self._vertices, _flags(mask))
             )
         return label
 
@@ -352,6 +353,10 @@ class LabeledComplex:
         return LabeledComplex(keys, masks, self._vertices, columns)
 
 
+# each byte with its eight bits in reverse order
+_FLIP = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def union_closure(masks):
     """Every union of a nonempty set of the masks, sorted by size and
     then by ascending bit list.
@@ -359,9 +364,12 @@ def union_closure(masks):
     The closure grows one generator at a time: the unions that use g are
     g itself and g joined to every union found before it.  Among masks
     of one size, comparing ascending bit lists is comparing the masks
-    with their bits reversed, larger first.  Raises BudgetError as soon
-    as the closure holds more than CELL_LIMIT masks: k generators with
-    disjoint masks have 2^k - 1 unions.
+    with their bits reversed, larger first.  The bits are reversed over
+    whole bytes, each byte flipped by a table (`_FLIP`) and the byte
+    order turned; padding to whole bytes shifts every reversed mask by
+    the same amount, which keeps their order.  Raises BudgetError as
+    soon as the closure holds more than CELL_LIMIT masks: k generators
+    with disjoint masks have 2^k - 1 unions.
     """
     out = set()
     for g in set(masks):
@@ -371,10 +379,12 @@ def union_closure(masks):
             raise BudgetError(
                 f"the lcm lattice has more than {CELL_LIMIT} elements"
             )
-    fmt = f"0{max(out, default=0).bit_length()}b"
-    return sorted(
-        out, key=lambda m: (m.bit_count(), -int(format(m, fmt)[::-1], 2))
-    )
+    size = (max(out, default=0).bit_length() + 7) // 8
+    ordered = sorted(out, reverse=True, key=lambda m: int.from_bytes(
+        m.to_bytes(size, "little").translate(_FLIP), "big"
+    ))
+    ordered.sort(key=int.bit_count)  # stable: ties keep the reversed order
+    return ordered
 
 
 def block_dim(blocks):

@@ -118,10 +118,14 @@ def _split_by_sign(columns):
     coefficient is not a unit."""
     out = []
     for col in columns:
-        plus = [r for r, c in col if c == 1]
-        minus = [r for r, c in col if c == -1]
-        if len(plus) + len(minus) != len(col):
-            return None
+        plus, minus = [], []
+        for r, c in col:
+            if c == 1:
+                plus.append(r)
+            elif c == -1:
+                minus.append(r)
+            else:
+                return None
         out.append((plus, minus))
     return out
 

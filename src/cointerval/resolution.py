@@ -109,9 +109,9 @@ class BettiTable:
         return all(j == i + d for i, j in self.coarse())
 
     def sorted_entries(self):
+        # the (i, alpha) pairs are distinct, so b never decides the order
         return sorted(
-            ((i, tuple(sorted(alpha)), b) for (i, alpha), b in self.entries.items()),
-            key=lambda t: (t[0], t[1]),
+            (i, tuple(sorted(alpha)), b) for (i, alpha), b in self.entries.items()
         )
 
 
@@ -329,8 +329,9 @@ def verify_minimal(X):
     for dim in range(1, X.max_dim() + 1):
         below = X._masks[dim - 1]
         for col, mask in zip(X.columns(dim), X._masks[dim]):
-            if any(below[face] == mask for face, _c in col):
-                return False
+            for face, _c in col:
+                if below[face] == mask:
+                    return False
     return True
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cointerval import Hypergraph, LabeledComplex, build_complex, taylor_complex
-from cointerval._kernels import _members, _picked
+from cointerval._kernels import _flags, _members, _picked
 
 
 def all_graphs(d, vertices):
@@ -83,3 +83,20 @@ def refusal(call, *args):
     with pytest.raises(ValueError) as err:
         call(*args)
     return type(err.value), str(err.value)
+
+
+def members_oracle(bits):
+    """`_kernels._members` before its walk of narrow ints: a sparse mask
+    (fewer than one set bit in 16) read off its binary digits by `rfind`,
+    a denser one picked out of `_flags`, whatever its width."""
+    if bits.bit_count() * 16 < bits.bit_length():
+        digits = bin(bits)
+        top = len(digits) - 1
+        out = []
+        i = digits.rfind("1")
+        while i > 1:
+            out.append(top - i)
+            i = digits.rfind("1", 2, i)
+        return out
+    flags = _flags(bits)
+    return list(itertools.compress(range(len(flags)), flags))

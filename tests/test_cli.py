@@ -250,6 +250,26 @@ def test_verify_join_dump(capsys):
     check_golden(capsys, "verify_join_2k2.txt", "verify", JOIN, "--confirm")
 
 
+def test_verify_on_wide_labels_stays_linear(capsys, tmp_path):
+    # an edge whose ends are labeled by 20,000 vertices each: every label
+    # is walked in time linear in its width, so the lead certificate and
+    # the label readout stay far inside the bound
+    a = " ".join(map(str, range(1, 20_001)))
+    b = " ".join(map(str, range(2, 20_002)))
+    ab = " ".join(map(str, range(1, 20_002)))
+    dump = tmp_path / "wide.dump"
+    dump.write_text(f"0 | 1 | {a}\n0 | 2 | {b}\n1 | 1 2 | {ab}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(dump), "--confirm")
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert out == (
+        "cells: 3\nresult: pass\n"
+        "acyclic: pass (3 degrees checked, 0 empty, fields GF(2), Q)\n"
+        "minimal: yes\n"
+    )
+
+
 def test_verify_flags_mutilation(capsys, tmp_path):
     lines = (GOLDEN / "input_taylor_2k2.dump").read_text().splitlines()
     mutilated = tmp_path / "bad.dump"

@@ -180,15 +180,19 @@ def frontier_closure(gens):
 
 
 def test_union_closure_matches_the_frontier_loop():
+    # the order reverses whole bytes, so the widest mask is put either
+    # side of a byte boundary as well as inside a byte
     rng = random.Random(5914)
-    for width in (5, 9, 14):
+    for width in (5, 7, 8, 9, 14, 15, 16, 17, 24, 25):
         for count in (1, 2, 4, 8, 14):
             for _ in range(6):
                 gens = [rng.getrandbits(width) | 1 << rng.randrange(width)
                         for _ in range(count)]
+                gens[0] |= 1 << width - 1
                 assert union_closure(gens) == frontier_closure(gens), gens
-    # every mask of a width at once: the order alone is under test
-    for width in (5, 9, 14):
+    # every mask of a width at once: the order alone is under test (past
+    # 16 bits the closure is over CELL_LIMIT)
+    for width in (5, 7, 8, 9, 14, 15, 16):
         everything = [1 << k for k in range(width)]
         assert union_closure(everything) == frontier_closure(everything)
     assert union_closure([]) == []

@@ -26,6 +26,7 @@ from cointerval import (
     build_complex,
     homology_ranks,
 )
+from cointerval import homology
 from cointerval._kernels import (
     _members,
     nullspace_rational,
@@ -34,9 +35,15 @@ from cointerval._kernels import (
     rank_packed,
 )
 from cointerval.complexes import block_boundary, block_dim
-from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC
+from cointerval.homology import (
+    ACYCLIC,
+    EMPTY,
+    NOT_ACYCLIC,
+    _assert_squares_to_zero,
+    _split_by_sign,
+)
 
-from graphs import strict_downset
+from graphs import members_oracle, strict_downset
 
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -183,6 +190,24 @@ def test_members_matches_a_per_bit_walk():
         masks.append(mask)
     for mask in masks:
         assert _members(mask) == bits_of(mask), mask.bit_length()
+
+
+def test_members_matches_its_former_body():
+    # every int below 2^12, and either side of the 64-bit walk
+    masks = list(range(1 << 12))
+    rng = random.Random(6412)
+    for width in (63, 64, 65):
+        top = 1 << width - 1
+        masks += [top, top | 1, (1 << width) - 1, top | 1 << 31 | 1 << 32]
+        masks += [top | rng.getrandbits(width - 1) for _ in range(50)]
+        masks += [top | 1 << rng.randrange(width - 1) for _ in range(20)]
+    # wide ints, sparse and dense, on both of the former paths
+    for width in (100, 1_000, 20_000):
+        top = 1 << width - 1
+        masks += [top | 1, (1 << width) - 1, top | rng.getrandbits(width)]
+        masks.append(top | sum(1 << rng.randrange(width) for _ in range(5)))
+    for mask in masks:
+        assert _members(mask) == members_oracle(mask), mask
 
 
 def test_members_on_a_wide_sparse_mask_costs_its_members():
@@ -377,6 +402,68 @@ def test_flipped_sign_raises(copath5):
     Y = flipped_sign(sorted(build_complex(copath5).all_cells()))
     with pytest.raises(PreconditionError):
         Y.downset(Y.mask({1, 2, 3, 4, 5}))
+
+
+def split_oracle(columns):
+    """`homology._split_by_sign` before its one loop per column: two
+    comprehensions per column, None unless they hold every entry."""
+    out = []
+    for col in columns:
+        plus = [r for r, c in col if c == 1]
+        minus = [r for r, c in col if c == -1]
+        if len(plus) + len(minus) != len(col):
+            return None
+        out.append((plus, minus))
+    return out
+
+
+def augmented_columns(X):
+    """The columns `_checked` hands to the check: the builder's, and the
+    augmentation in dimension 0; none of them checked yet."""
+    return {0: [((0, 1),)] * len(X.cells(0)), **X._column_rule()}
+
+
+def test_sign_split_matches_its_former_body(copath5, k4_3):
+    for H in (copath5, k4_3):
+        columns = augmented_columns(build_complex(H))
+        for cols in columns.values():
+            assert _split_by_sign(cols) == split_oracle(cols)
+    assert _split_by_sign([]) == split_oracle([]) == []
+    assert _split_by_sign([(), ((3, -1),)]) == [([], []), ([], [3])]
+    for bad in ([((0, 1), (1, 2))], [((0, 1),), ((1, -1), (2, 0))],
+                [((0, -2),)], [((0, 1),), ((1, -1),), ((2, 3),)]):
+        assert _split_by_sign(bad) is split_oracle(bad) is None
+
+
+def squares_error(keys, columns):
+    with pytest.raises(PreconditionError) as err:
+        _assert_squares_to_zero(keys, columns)
+    return str(err.value)
+
+
+def test_squares_check_raises_as_with_the_former_split(copath5, monkeypatch):
+    # a flipped sign keeps every coefficient +-1: the sorted route
+    # finds the cell and the exact sum names it
+    X = flipped_sign(sorted(build_complex(copath5).all_cells()))
+    unit = (X._keys, augmented_columns(X))
+    # a doubled 2-cell column has no unit split: every 3-cell is summed
+    Y = build_complex(copath5)
+    doubled = augmented_columns(Y)
+    doubled[2][0] = tuple((f, 2 * c) for f, c in doubled[2][0])
+    assert _split_by_sign(doubled[2]) is None
+    non_unit = (Y._keys, doubled)
+    got = [squares_error(*unit), squares_error(*non_unit)]
+    assert got[0] == (
+        "boundary does not square to zero at ((1,), (2, 3, 4, 5)): "
+        "{((1,), (4, 5)): -2, ((1,), (3, 5)): 2, ((1,), (3, 4)): -2}"
+    )
+    # ((1,), (2, 3, 4)) is the doubled face of ((1,), (2, 3, 4, 5))
+    assert got[1] == (
+        "boundary does not square to zero at ((1,), (2, 3, 4, 5)): "
+        "{((1,), (3, 4)): -1, ((1,), (2, 4)): 1, ((1,), (2, 3)): -1}"
+    )
+    monkeypatch.setattr(homology, "_split_by_sign", split_oracle)
+    assert [squares_error(*unit), squares_error(*non_unit)] == got
 
 
 def test_flipped_sign_raises_under_optimize():

@@ -33,9 +33,10 @@ from cointerval import (
     verify_resolution,
     write_complex_dump,
 )
-from cointerval import _kernels, cli, complexes
+from cointerval import _kernels, cli, complexes, resolution
 from cointerval._kernels import _members
 from cointerval.complexes import block_boundary
+from cointerval.covers import join
 from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC, acyclicity_status
 from cointerval.resolution import (
     HOCHSTER_VERTEX_LIMIT,
@@ -46,7 +47,13 @@ from cointerval.resolution import (
     verify_minimal,
 )
 
-from graphs import copath, strand_corpus, strict_downset
+from graphs import (
+    copath,
+    members_oracle,
+    random_graph,
+    strand_corpus,
+    strict_downset,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -676,6 +683,45 @@ def test_lattice_order_is_size_then_sorted_members(proof_corpus):
         closed = set(lattice)
         assert all(a | b in closed for a in lattice for b in lattice), name
         assert set(X.masks(0)) <= closed, name
+
+
+def minimal_oracle(X):
+    """`verify_minimal` before its plain loop: one `any` per cell."""
+    for dim in range(1, X.max_dim() + 1):
+        below = X._masks[dim - 1]
+        for col, mask in zip(X.columns(dim), X._masks[dim]):
+            if any(below[face] == mask for face, _c in col):
+                return False
+    return True
+
+
+def test_certificate_and_minimality_match_their_former_bodies(
+    proof_corpus, monkeypatch
+):
+    rng = random.Random(2512)
+    corpus = list(proof_corpus)
+    corpus += [(f"copath{n}", build_complex(copath(n))) for n in range(4, 11)]
+    for i in range(12):
+        H = random_graph(rng, 2, range(1, rng.randrange(3, 8)), 0.5)
+        if H.edges:
+            corpus.append((f"taylor_seeded{i}", taylor_complex(H)))
+    corpus.append(("join", join([
+        build_complex(copath(5)),
+        taylor_complex(Hypergraph(2, range(6, 10), [(6, 7), (8, 9)])),
+    ])))
+    for name in ("input_taylor_2k2.dump", "input_join_2k2.dump"):
+        corpus.append((name, read_complex_dump(GOLDEN / name)))
+    got = [(_certified(X, X.lattice_masks()), verify_minimal(X))
+           for _name, X in corpus]
+    # the certificate reads label members through `_members`
+    monkeypatch.setattr(resolution, "_members", members_oracle)
+    for (name, X), (bits, minimal) in zip(corpus, got):
+        assert _certified(X, X.lattice_masks()) == bits, name
+        assert minimal_oracle(X) == minimal, name
+    # both answers of each come up
+    assert {minimal for _bits, minimal in got} == {True, False}
+    assert any(bits == 0 for bits, _m in got)
+    assert any(bits > 0 for bits, _m in got)
 
 
 @pytest.fixture
