@@ -34,7 +34,6 @@ from .homology import (
     GF32003,
     QQ,
     Field,
-    acyclicity_status,
     homology_ranks,
 )
 from .hypergraph import (
@@ -104,7 +103,6 @@ __all__ = [
     "PreconditionError",
     "QQ",
     "VerificationReport",
-    "acyclicity_status",
     "betti_from_cells",
     "betti_from_downset_homology",
     "betti_from_faces",

@@ -140,14 +140,20 @@ def cmd_betti(args):
         if "cellular" in methods:
             tables["cellular"] = betti_from_downset_homology(X, fld)
     lines = []
+    printed = []  # (table, its lines) for each distinct table
     for method in methods:
         if len(methods) > 1:
             lines.append(f"method: {method}")
-        lines.extend(_table_lines(tables[method]))
+        table = tables[method]
+        for seen, seen_lines in printed:
+            if table == seen:
+                break
+        else:
+            seen_lines = _table_lines(table)
+            printed.append((table, seen_lines))
+        lines.extend(seen_lines)
     if args.method == "all":
-        first, *rest = tables.values()
-        agree = all(t == first for t in rest)  # equal entries dicts
-        lines.append("AGREE" if agree else "DISAGREE")
+        lines.append("AGREE" if len(printed) == 1 else "DISAGREE")
     return lines
 
 

@@ -235,10 +235,6 @@ class LabeledComplex:
         keys = self._keys
         return tuple(len(keys.get(d, ())) for d in range(self.max_dim() + 1))
 
-    def vertex_labels(self):
-        """Labels of the 0-cells (the generators of the resolved ideal)."""
-        return {self.label_of(m) for m in self.masks(0)}
-
     def lattice_masks(self):
         """The lcm lattice: every union of vertex labels, as label bitmasks.
 

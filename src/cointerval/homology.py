@@ -188,19 +188,5 @@ def _boundary_rank(X, p, k, bits):
     return _kernels.rank_mod(_picked(X.columns(k), bits), p)
 
 
-EMPTY = "empty"
 ACYCLIC = "acyclic"
 NOT_ACYCLIC = "not-acyclic"
-
-
-def acyclicity_status(X, field):
-    """'acyclic', 'not-acyclic', or 'empty' for the empty complex.
-
-    The empty complex gets its own status: its reduced homology is a
-    single copy of the field in degree -1, so lumping it with either
-    answer would be wrong.
-    """
-    if X.is_empty:
-        return EMPTY
-    ranks = homology_ranks(X, field)
-    return ACYCLIC if not any(ranks) else NOT_ACYCLIC

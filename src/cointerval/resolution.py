@@ -29,7 +29,10 @@ The verification and Hochster sweeps cut a downset as an id selection
 complex's own columns; no downset is built as a complex.  The strand
 route cuts none: it ranks only the blocks of the checked columns
 between cells of one label, and on a minimal complex there are none.
-A label is made only for a failing degree or a nonzero Betti number.
+A label is made only for a failing degree.  Every route hands its
+Betti numbers to `BettiTable` as label masks with the vertex tuple of
+the complex it read; the table makes its printed rows from the masks,
+once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from . import _kernels, complexes
-from ._kernels import _members
+from ._kernels import _members, _picked
 from .complexes import (
     _filed,
     _holders,
@@ -52,7 +55,6 @@ from .errors import BudgetError, PreconditionError
 from .homology import (
     ACYCLIC,
     DEFAULT_FIELDS,
-    EMPTY,
     GF2,
     NOT_ACYCLIC,
     homology_ranks,
@@ -62,57 +64,126 @@ HOCHSTER_VERTEX_LIMIT = 12  # up to 2^n unions of edges swept
 TAYLOR_EDGE_LIMIT = 12  # 2^|E| - 1 Taylor cells guard
 
 
-@dataclass
 class BettiTable:
-    """Sparse table of graded Betti numbers beta_{i, alpha}."""
+    """Sparse table of graded Betti numbers beta_{i, alpha}.
 
-    entries: dict = ()
+    A table holds its entries as label masks: the label vertices in
+    ascending order, and {(i, mask): b} with bit k of a mask standing for
+    the k-th vertex and no zero b.  The routes build it from the masks
+    and the vertex tuple of the complex they read (`from_masks`);
+    `BettiTable(entries)` takes a mapping or (key, value) pairs as
+    dict() does, each key (i, alpha) with alpha any iterable of
+    vertices, and drops zero entries.
 
-    def __post_init__(self):
-        # a mapping or (key, value) pairs, as dict() takes them; each
-        # alpha is frozen before the keys meet, so a set is accepted
-        pairs = self.entries
-        if hasattr(pairs, "keys"):
-            pairs = pairs.items()
-        frozen = {(i, frozenset(alpha)): b for (i, alpha), b in pairs}
-        self.entries = {key: int(b) for key, b in frozen.items() if b}
+    The rows (i, alpha as an ascending tuple, b) are made once, on the
+    first `sorted_entries` or comparison across vertex sets, and kept;
+    `entries`, keyed by (i, frozenset(alpha)), is made afresh on each
+    read.  Two tables are equal when their rows are: tables on the same
+    vertices compare their masks, and tables read on different vertex
+    sets (Hochster's on all vertices of H, the block routes' on its
+    support) their rows, which hold the vertices themselves.  A table is
+    never equal to a dict, and it is unhashable.
+    """
+
+    __slots__ = ("_vertices", "_masks", "_rows")
+    __hash__ = None
+
+    def __init__(self, entries=()):
+        if hasattr(entries, "keys"):
+            entries = entries.items()
+        pairs = [(i, tuple(alpha), b) for (i, alpha), b in entries]
+        verts = sorted({v for _i, alpha, _b in pairs for v in alpha})
+        bit = {v: 1 << k for k, v in enumerate(verts)}
+        masks = {}
+        for i, alpha, b in pairs:  # a later pair overrides, as in dict()
+            mask = 0
+            for v in alpha:
+                mask |= bit[v]
+            masks[(i, mask)] = int(b)
+        self._set(tuple(verts), masks)
+
+    @classmethod
+    def from_masks(cls, vertices, masks):
+        """The table of {(i, mask): b} on ascending `vertices`."""
+        table = cls.__new__(cls)
+        table._set(vertices, masks)
+        return table
+
+    def _set(self, vertices, masks):
+        self._vertices = vertices
+        self._masks = {key: b for key, b in masks.items() if b}
+        self._rows = None
+
+    def __repr__(self):
+        return f"BettiTable({self.entries!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        if self._vertices == other._vertices:  # the rows follow the masks
+            return self._masks == other._masks
+        return self._sorted() == other._sorted()
 
     def __bool__(self):
-        return bool(self.entries)
+        return bool(self._masks)
+
+    @property
+    def entries(self):
+        """{(i, frozenset(alpha)): b}, made on each read."""
+        verts = self._vertices
+        return {
+            (i, frozenset(_picked(verts, mask))): b
+            for (i, mask), b in self._masks.items()
+        }
 
     def get(self, i, alpha):
-        return self.entries.get((i, frozenset(alpha)), 0)
+        alpha = set(alpha)
+        mask = 0
+        for k, v in enumerate(self._vertices):
+            if v in alpha:
+                alpha.discard(v)
+                mask |= 1 << k
+        return 0 if alpha else self._masks.get((i, mask), 0)
 
     def coarse(self):
         """Collapse multidegrees to total degree: (i, j) -> beta."""
         out = {}
-        for (i, alpha), b in self.entries.items():
-            key = (i, len(alpha))
+        for (i, mask), b in self._masks.items():
+            key = (i, mask.bit_count())
             out[key] = out.get(key, 0) + b
         return out
 
     def totals(self):
         """beta_i summed over multidegrees, as a tuple indexed 0..pdim."""
-        if not self.entries:
-            return ()
-        pdim = max(i for i, _ in self.entries)
-        sums = [0] * (pdim + 1)
-        for (i, _alpha), b in self.entries.items():
+        sums = [0] * (self.pdim() + 1)
+        for (i, _mask), b in self._masks.items():
             sums[i] += b
         return tuple(sums)
 
     def pdim(self):
-        return max((i for i, _ in self.entries), default=-1)
+        return max((i for i, _ in self._masks), default=-1)
 
     def is_d_linear(self, d):
         """True when beta_{i,j} vanishes except on the line j = i + d."""
         return all(j == i + d for i, j in self.coarse())
 
     def sorted_entries(self):
-        # the (i, alpha) pairs are distinct, so b never decides the order
-        return sorted(
-            (i, tuple(sorted(alpha)), b) for (i, alpha), b in self.entries.items()
-        )
+        """The rows (i, alpha, b), alpha an ascending tuple, sorted."""
+        return list(self._sorted())
+
+    def _sorted(self):
+        rows = self._rows
+        if rows is None:
+            verts = self._vertices
+            # the (i, alpha) pairs are distinct, so b never decides the
+            # order; alpha is made from a list, since a tuple grown from
+            # an iterator keeps its larger block on the tuple free lists
+            # and raises peak RSS (0.6 MB over 120 Hochster tables)
+            rows = self._rows = tuple(sorted(
+                (i, tuple(_picked(verts, mask)), b)
+                for (i, mask), b in self._masks.items()
+            ))
+        return rows
 
 
 class Failure(tuple):
@@ -177,12 +248,11 @@ class VerificationReport:
         return not self.failures
 
     def summary(self):
-        skipped = self.statuses.count(EMPTY)
-        checked = len(self.statuses) - skipped
+        # no downset is empty (see verify_resolution), so none is skipped
         head = "pass" if self.passed else "FAIL"
         fields = ", ".join(str(f) for f in self.fields)
         lines = [
-            f"acyclic: {head} ({checked} degrees checked, {skipped} empty, "
+            f"acyclic: {head} ({len(self.statuses)} degrees checked, 0 empty, "
             f"fields {fields})"
         ]
         for alpha, fld in self.failures:
@@ -342,11 +412,11 @@ def betti_from_cells(X):
     graph does); then beta_{i, alpha} is the number of i-cells labeled
     alpha.
     """
-    entries = {}
-    for dim in X.dims():
-        for mask, count in collections.Counter(X.masks(dim)).items():
-            entries[(dim, X.label_of(mask))] = count
-    return BettiTable(entries)
+    betti = {}
+    for dim, masks in X._masks.items():
+        for mask, count in collections.Counter(masks).items():
+            betti[(dim, mask)] = count
+    return BettiTable.from_masks(X._vertices, betti)
 
 
 def betti_from_faces(H):
@@ -390,7 +460,7 @@ def betti_from_downset_homology(X, fld=GF2):
         raise PreconditionError(
             "complex does not support a resolution over " + str(fld)
         )
-    entries = {(0, lab): 1 for lab in X.vertex_labels()}
+    betti = dict.fromkeys(((0, mask) for mask in X._masks.get(0, ())), 1)
     lattice = set(report.lattice)
     counts = collections.Counter()  # (dim, alpha mask) -> cells labeled alpha
     blocks = {}  # (dim, alpha mask) -> nonzero columns of the alpha-block
@@ -406,10 +476,10 @@ def betti_from_downset_homology(X, fld=GF2):
                 blocks.setdefault((dim, mask), []).append(block)
     ranks = {key: _rank(cols, fld.char) for key, cols in blocks.items()}
     for (dim, mask), count in counts.items():
-        betti = count - ranks.get((dim, mask), 0) - ranks.get((dim + 1, mask), 0)
-        if betti:
-            entries[(dim, X.label_of(mask))] = betti
-    return BettiTable(entries)
+        betti[(dim, mask)] = (
+            count - ranks.get((dim, mask), 0) - ranks.get((dim + 1, mask), 0)
+        )
+    return BettiTable.from_masks(X._vertices, betti)
 
 
 def _rank(cols, p):
@@ -472,22 +542,22 @@ def betti_hochster(H, fld=GF2):
             f"{H.n} > {HOCHSTER_VERTEX_LIMIT} vertices"
         )
     ind = independence_complex(H)
-    entries = {}
+    betti = {}
     for amask in union_closure(ind.mask(e) for e in H.edges):
         size = amask.bit_count()
         sets = ind._select(amask)
         if not sets:
             # no independent vertices at all: one unit of homology in
             # degree -1 (only reachable for 1-graphs)
-            entries[(size - 1, ind.label_of(amask))] = 1
+            betti[(size - 1, amask)] = 1
             continue
         ranks = homology_ranks(ind, fld, sets)
         for degree, rank in enumerate(ranks):
             if rank:
                 i = size - degree - 2
                 if i >= 0:
-                    entries[(i, ind.label_of(amask))] = rank
-    return BettiTable(entries)
+                    betti[(i, amask)] = rank
+    return BettiTable.from_masks(ind._vertices, betti)
 
 
 def cube_betti(H, V=None):

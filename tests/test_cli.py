@@ -10,8 +10,10 @@ import pytest
 
 import cointerval
 from cointerval import (
+    BettiTable,
     BudgetError,
     Hypergraph,
+    cli,
     complexes,
     dumpio,
     find_strongly_stable_labeling,
@@ -138,6 +140,81 @@ def test_betti_all_builds_the_block_complex_once(capsys, monkeypatch):
         "--field=q",
     )
     assert len(grown) == 1
+
+
+BETTI_ROUTES = {
+    "faces": "betti_from_cells",
+    "cellular": "betti_from_downset_homology",
+    "hochster": "betti_hochster",
+}
+
+
+def _bumped_routes(monkeypatch, bumps):
+    """Route `cmd_betti` through wrappers that raise the first row's Betti
+    number of each table named in `bumps` by that many; returns the
+    {method: table} that each route handed back."""
+    tables = {}
+    for method, name in BETTI_ROUTES.items():
+        def route(*args, method=method, real=getattr(cli, name)):
+            table = real(*args)
+            if bumps.get(method):
+                entries = dict(table.entries)
+                first = min(entries, key=lambda k: (k[0], sorted(k[1])))
+                entries[first] += bumps[method]
+                table = BettiTable(entries)
+            tables[method] = table
+            return table
+
+        monkeypatch.setattr(cli, name, route)
+    return tables
+
+
+@pytest.mark.parametrize("bumps", [
+    {"hochster": 1},  # faces and cellular agree
+    {"cellular": 1},  # faces and hochster agree
+    {"faces": 1, "hochster": 2},  # no two agree
+])
+def test_betti_all_prints_every_table_when_they_disagree(
+    capsys, monkeypatch, bumps
+):
+    tables = _bumped_routes(monkeypatch, bumps)
+    code, out, err = run(capsys, "betti", COPATH5, "--method=all")
+    assert code == 0 and err == ""
+    golden = (GOLDEN / "betti_copath5_all.txt").read_text().splitlines()
+    want = []
+    for method in BETTI_ROUTES:
+        want.append(f"method: {method}")
+        lines = cli._table_lines(tables[method])
+        # an untouched table prints as in the golden, a bumped one not
+        start = golden.index(f"method: {method}") + 1
+        assert (lines == golden[start:start + len(lines)]) == (
+            method not in bumps
+        )
+        want.extend(lines)
+    want.append("DISAGREE")
+    assert out.splitlines() == want
+
+
+def test_betti_all_formats_each_distinct_table_once(capsys, monkeypatch):
+    formatted = []
+    real = cli._table_lines
+
+    def counted(table):
+        formatted.append(table)
+        return real(table)
+
+    monkeypatch.setattr(cli, "_table_lines", counted)
+    check_golden(
+        capsys, "betti_copath5_all.txt", "betti", COPATH5, "--method=all"
+    )
+    assert len(formatted) == 1
+    for bumps, distinct in (({"cellular": 1}, 2), ({"faces": 1, "hochster": 2}, 3)):
+        formatted.clear()
+        with monkeypatch.context() as patch:
+            _bumped_routes(patch, bumps)
+            code, out, _err = run(capsys, "betti", COPATH5, "--method=all")
+        assert code == 0 and out.endswith("DISAGREE\n")
+        assert len(formatted) == distinct, bumps
 
 
 def test_betti_faces_requires_cointerval(capsys):

@@ -131,7 +131,7 @@ def test_nested_views_and_membership(copath5):
 
 def frozenset_lcm_lattice(X):
     """The lcm lattice closed on frozenset labels (the former method)."""
-    gens = sorted(X.vertex_labels(), key=sorted)
+    gens = sorted({X.label(c) for c in X.cells(0)}, key=sorted)
     closure = set(gens)
     frontier = set(gens)
     while frontier:

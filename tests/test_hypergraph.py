@@ -22,9 +22,9 @@ from cointerval import (
     interval_representation,
     parse_hypergraph,
 )
-from cointerval.hypergraph import VERTEX_LIMIT, _nested_layers
+from cointerval.hypergraph import VERTEX_LIMIT, _nested_layers, _rests
 
-from graphs import all_graphs, random_graph, refusal
+from graphs import all_graphs, copath, random_graph, refusal
 
 
 def borel_closure(n, gens):
@@ -288,6 +288,23 @@ def test_labeling_search_matches_every_layer_oracle(monkeypatch):
         found += want is not None
     assert 0 < found < seen and refused > 0
     assert count == 4513  # the 12-vertex Borel graph comes last
+
+
+def _rests_oracle(H):
+    """The search's edges without each vertex, as it first built them:
+    one scan of every edge per vertex."""
+    return {v: [frozenset(e).difference((v,)) for e in H.edges if v in e]
+            for v in H.vertices}
+
+
+def test_rests_are_filed_in_edge_order():
+    # the same lists in the same order, so the search's layers and its
+    # witnesses do not move
+    corpus = list(_labeling_corpus())
+    corpus += [shuffled(random.Random(n), copath(n)) for n in (10, 40)]
+    assert {H.d for H in corpus} == {2, 3}
+    for H in corpus:
+        assert _rests(H) == _rests_oracle(H), H
 
 
 @functools.cache

@@ -1,3 +1,4 @@
+import builtins
 import copy
 import itertools
 import math
@@ -37,7 +38,7 @@ from cointerval import _kernels, cli, complexes, resolution
 from cointerval._kernels import _members
 from cointerval.complexes import block_boundary
 from cointerval.covers import join
-from cointerval.homology import ACYCLIC, EMPTY, NOT_ACYCLIC, acyclicity_status
+from cointerval.homology import ACYCLIC, NOT_ACYCLIC
 from cointerval.resolution import (
     HOCHSTER_VERTEX_LIMIT,
     TAYLOR_EDGE_LIMIT,
@@ -255,13 +256,11 @@ def verify_every_field(X, fields):
     )
     for mask in report.lattice:
         sub = X.downset(mask)
-        if sub.is_empty:
-            report.statuses.append(EMPTY)
-            continue
+        assert not sub.is_empty, mask  # a lattice element holds a vertex
         status = ACYCLIC
         for fld in fields:
-            status = acyclicity_status(sub, fld)
-            if status != ACYCLIC:
+            if any(homology_ranks(sub, fld)):
+                status = NOT_ACYCLIC
                 report.failures.append((X.label_of(mask), fld))
                 break
         report.statuses.append(status)
@@ -456,9 +455,7 @@ def eliminate_everything(X, fields, fail_fast=False):
     report.lattice, report.vertices = X.lattice_masks(), X._vertices
     for mask in report.lattice:
         sub = X.downset(mask)
-        if sub.is_empty:
-            report.statuses.append(EMPTY)
-            continue
+        assert not sub.is_empty, mask  # a lattice element holds a vertex
         ranks = {fld: homology_ranks(sub, fld) for fld in fields}
         bad = [fld for fld in fields if any(ranks[fld])]
         if bad:
@@ -794,7 +791,7 @@ def test_selections_are_the_downset_ids(proof_corpus):
 def betti_by_fresh_downsets(X, fields):
     """{field: beta_{i, alpha}} as reduced homology of strict downsets,
     each built afresh as a complex of its own (the route's oracle)."""
-    entries = {fld: {(0, lab): 1 for lab in X.vertex_labels()}
+    entries = {fld: {(0, X.label(c)): 1 for c in X.cells(0)}
                for fld in fields}
     for mask in X.lattice_masks():
         _sets, sub = strict_downset(X, mask)
@@ -838,21 +835,35 @@ def test_downset_route_keeps_its_tables(proof_corpus):
 
 
 def test_labels_are_made_only_for_nonzero_ranks(copath5, two_k2,
-                                                labels_made):
-    # vertex labels for beta_0, then one label per nonzero (alpha, degree)
+                                                labels_made, monkeypatch):
+    # no route makes a label: a table holds label masks, and reading its
+    # entries makes one label per nonzero (i, alpha), on each read
+    made = []
+
+    def counted(items=()):
+        made.append(label := builtins.frozenset(items))
+        return label
+
+    def read_entries(table):
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(resolution, "frozenset", counted, raising=False)
+            entries = table.entries
+        assert all(entries.values())
+        assert sorted(map(sorted, made)) == sorted(
+            sorted(alpha) for _i, alpha in entries
+        )
+        return entries
+
+    tables = []
     for H in (copath5, copath(6), *interval_complements(3)):
         X = build_complex(H)
         for fld in (GF2, QQ):
-            labels_made.clear()
-            table = betti_from_downset_homology(X, fld)
-            assert sorted(labels_made) == sorted(
-                X.mask(alpha) for _i, alpha in table.entries
-            ), (H, fld)
-    # Hochster's sweep labels only the alphas it enters in the table
+            tables.append(betti_from_downset_homology(X, fld))
+        tables.append(betti_from_cells(X))
     for H in (copath5, two_k2, copath(6)):
-        bit = {v: 1 << k for k, v in enumerate(H.vertices)}
-        labels_made.clear()
-        table = betti_hochster(H)
-        assert sorted(labels_made) == sorted(
-            sum(bit[v] for v in alpha) for _i, alpha in table.entries
-        ), H
+        tables.append(betti_hochster(H))
+    assert labels_made == []
+    for table in tables:
+        assert len(read_entries(table)) == len(table.sorted_entries()) > 0
+        assert len(read_entries(table)) == len(made)
