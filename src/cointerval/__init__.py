@@ -50,7 +50,6 @@ from .resolution import (
     VerificationReport,
     betti_from_cells,
     betti_from_downset_homology,
-    betti_from_faces,
     betti_hochster,
     cube_betti,
     independence_complex,
@@ -105,7 +104,6 @@ __all__ = [
     "VerificationReport",
     "betti_from_cells",
     "betti_from_downset_homology",
-    "betti_from_faces",
     "betti_hochster",
     "build_complex",
     "burnside_count",

@@ -3,15 +3,24 @@
 The kernels take a matrix as a sequence of sparse columns, each a
 sequence of (row, value) pairs with Python-int values; rows may be any
 non-negative ints (a selection's columns keep the row ids of the
-complex they were picked from), and rank does not depend on which rows
-are empty.  Everything is exact:
+complex they were picked from).  Each reduces its columns left to right
+and returns the pivot rows: the leading (largest) row of every nonzero
+reduced column, in the order they were found.  They are distinct, so
+their count is the rank; `homology.homology_ranks` also reads the rows
+themselves, to clear the columns of the boundary below.  Everything is
+exact:
 
   GF(2)  each column packed into one int bitmask (`pack_gf2`), xor
-         elimination on the packed columns (`rank_packed`); the
+         elimination on the packed columns (`pivot_rows_packed`); the
          package ranks GF(2) this way;
-  GF(p)  sparse column reduction with dict columns, each pivot scaled
-         to lead 1 (`rank_mod`; Python ints, so no overflow for any
-         prime p, 2 included, where it is independent of the xor);
+  GF(p)  sparse column reduction with dict columns (`pivot_rows_mod`;
+         Python ints, so no overflow for any prime p, 2 included, where
+         it is independent of the xor).  A new pivot keeps its entries
+         as they are: the multiple of it to subtract is the entry on
+         its lead times the inverse of its lead, and that inverse is
+         the lead itself when the lead is 1 or p - 1, as on the +-1
+         columns of a cell complex, so no pivot is scaled and no
+         inverse computed there;
   Q      the same reduction over the integers (p = 0): a column is
          scaled by the pivot's lead, the pivot subtracted, and the
          result divided by the gcd of its entries.
@@ -74,9 +83,10 @@ def _picked(seq, bits):
     return list(itertools.compress(seq, _flags(bits)))
 
 
-def rank_mod(cols, p):
-    """Rank over GF(p), or over Q for p == 0, of sparse integer columns."""
-    return len(_reduce(cols, p))
+def pivot_rows_mod(cols, p):
+    """Pivot rows over GF(p), or over Q for p == 0, of sparse integer
+    columns: the lead row of each nonzero reduced column."""
+    return list(_reduce(cols, p))
 
 
 def nullspace_rational(cols):
@@ -104,16 +114,14 @@ def _reduce(cols, p):
             lead = max(vec)
             piv = pivots.get(lead)
             if piv is None:
-                if p:
-                    inv = pow(vec[lead], -1, p)
-                    vec = {r: v * inv % p for r, v in vec.items()}
-                else:
-                    vec = _primitive(vec)
-                pivots[lead] = vec
+                pivots[lead] = vec if p else _primitive(vec)
                 break
             f = vec[lead]
-            if not p:
-                c = piv[lead]
+            c = piv[lead]
+            if p:
+                if c != 1:  # p - 1 is its own inverse
+                    f = f * (c if c == p - 1 else pow(c, -1, p)) % p
+            else:
                 g = gcd(c, f)
                 c //= g
                 f //= g
@@ -149,9 +157,9 @@ def pack_gf2(cols):
     return out
 
 
-def rank_packed(masks):
-    """Rank over GF(2) of columns packed by `pack_gf2`; elimination is
-    then just xor."""
+def pivot_rows_packed(masks):
+    """Pivot rows over GF(2) of columns packed by `pack_gf2`;
+    elimination is then just xor."""
     pivots = {}
     for mask in masks:
         while mask:
@@ -161,4 +169,4 @@ def rank_packed(masks):
                 pivots[lead] = mask
                 break
             mask ^= other
-    return len(pivots)
+    return list(pivots)

@@ -8,9 +8,22 @@ again, so the selected columns are the selection's boundary matrices.
 The complex checks once that consecutive boundaries compose to zero
 and raises PreconditionError if not; no selection is re-checked.
 Ranks are exact: xor elimination over GF(2) on the columns the complex
-packed once (`LabeledComplex.packed_columns`, `_kernels.rank_packed`),
-and one sparse column reduction for every other field, mod p for odd p
-and over the integers for characteristic zero (`_kernels.rank_mod`).
+packed once (`LabeledComplex.packed_columns`,
+`_kernels.pivot_rows_packed`), and one sparse column reduction for
+every other field, mod p for odd p and over the integers for
+characteristic zero (`_kernels.pivot_rows_mod`).
+
+The boundaries are ranked from the top dimension down, with clearing
+(Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014): a k-cell that is the
+pivot row of a reduced column of the boundary above is never handed to
+a kernel.  That column is a combination of (k+1)-boundaries, so a
+cycle; its lead, the cleared cell, has an invertible coefficient, and
+its other rows are selected k-cells of lower id, because a selection
+is closed under faces.  So the boundary of the cleared cell lies in the
+span of the boundaries of lower-id selected cells; the id-order
+reduction would take its column to zero, and it adds no pivot.  The
+rank is the same over any field, with fewer and cheaper columns: the
+dropped ones are exactly those that would have reduced to zero.
 """
 
 from __future__ import annotations
@@ -158,34 +171,42 @@ def _boundary_of_boundary(col, below):
 def homology_ranks(X, field, sets=None):
     """Reduced homology ranks of X over the field in degrees 0..dim(X).
 
-    With `sets`, an id selection of X ({dim: id bitset}, as
-    `LabeledComplex._select` gives), those of the selected cells
-    instead; an empty selection has no degrees.  Ranks read X's checked
-    columns (`columns`, over GF(2) `packed_columns`), picked by the
-    selection; in degree 0 the augmentation sends every vertex to the
-    empty face, so its rank is 1 over every field and the ranks come
-    out reduced.
+    With `sets`, an id selection of X ({dim: id bitset}) that is closed
+    under faces (`LabeledComplex._select` gives one), those of the
+    selected cells instead; an empty selection has no degrees.  The
+    boundary d_k is ranked on the selected k-cells that are not pivot
+    rows of the reduced d_{k+1} (clearing, see the module docstring),
+    reading X's checked columns (`columns`, over GF(2)
+    `packed_columns`); its pivot rows clear the columns of d_{k-1}.  In
+    degree 0 the augmentation sends every vertex to the empty face, so
+    its rank is 1 over every field and the ranks come out reduced.
     """
     if sets is None:
         if X.is_empty:
             raise PreconditionError("homology of the empty complex is degree -1")
         sets = X._sets
     top = max(sets, default=-1)
-    rk = [_boundary_rank(X, field.char, k, sets.get(k)) for k in range(top + 2)]
+    p = field.char
+    rk = [0] * (top + 2)
+    rk[0] = 1 if sets.get(0) else 0
+    cleared = 0
+    for k in range(top, 0, -1):
+        bits = sets.get(k, 0) & ~cleared
+        if not bits:
+            cleared = 0
+            continue
+        if p == 2:
+            rows = _kernels.pivot_rows_packed(_picked(X.packed_columns(k), bits))
+        else:
+            rows = _kernels.pivot_rows_mod(_picked(X.columns(k), bits), p)
+        rk[k] = len(rows)
+        cleared = 0
+        for r in rows:
+            cleared |= 1 << r
     return [
         sets.get(k, 0).bit_count() - rk[k] - rk[k + 1]
         for k in range(top + 1)
     ]
-
-
-def _boundary_rank(X, p, k, bits):
-    if not bits:
-        return 0
-    if not k:
-        return 1
-    if p == 2:
-        return _kernels.rank_packed(_picked(X.packed_columns(k), bits))
-    return _kernels.rank_mod(_picked(X.columns(k), bits), p)
 
 
 ACYCLIC = "acyclic"

@@ -48,7 +48,6 @@ from .complexes import (
     _filed,
     _holders,
     _lex_subsets,
-    build_complex,
     union_closure,
 )
 from .errors import BudgetError, PreconditionError
@@ -419,19 +418,6 @@ def betti_from_cells(X):
     return BettiTable.from_masks(X._vertices, betti)
 
 
-def betti_from_faces(H):
-    """Betti numbers of the edge ideal by counting cells per label.
-
-    Valid because the complex of a cointerval graph supports a minimal
-    resolution: beta_{i, alpha} is the number of i-cells labeled alpha.
-    """
-    if not H.is_cointerval():
-        raise PreconditionError(
-            "face counting needs a cointerval graph as labeled"
-        )
-    return betti_from_cells(build_complex(H))
-
-
 def betti_from_downset_homology(X, fld=GF2):
     """Betti numbers from the degree-alpha strands of the resolution.
 
@@ -484,8 +470,8 @@ def betti_from_downset_homology(X, fld=GF2):
 
 def _rank(cols, p):
     if p == 2:
-        return _kernels.rank_packed(_kernels.pack_gf2(cols))
-    return _kernels.rank_mod(cols, p)
+        return len(_kernels.pivot_rows_packed(_kernels.pack_gf2(cols)))
+    return len(_kernels.pivot_rows_mod(cols, p))
 
 
 def independence_complex(H):

@@ -1,6 +1,8 @@
 import pytest
 
-from cointerval import Hypergraph
+from cointerval import Hypergraph, build_complex
+
+from graphs import scrambled_complex
 
 ACCEPTANCE_KEY = pytest.StashKey()
 
@@ -43,3 +45,17 @@ def two_k2():
 @pytest.fixture
 def k4_3():
     return Hypergraph(3, range(1, 5), [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+
+
+@pytest.fixture
+def scrambled():
+    # the complement of the path 2-3-...-7 plus the dominating vertex 1,
+    # a cointerval graph; 60 of its 111 degrees are left to elimination
+    H = Hypergraph(
+        2, range(1, 8),
+        [(1, j) for j in range(2, 8)]
+        + [(i, j) for i in range(2, 8) for j in range(i + 2, 8)],
+    )
+    X = build_complex(H)
+    cells = {c: (X.dim(c), X.label(c)) for c in X.all_cells()}
+    return scrambled_complex(cells, seed=0)

@@ -1,5 +1,6 @@
 """Test-graph generators, a corpus of complexes that resolve, a
-strict-downset cutter and a refusal probe, shared by the test modules."""
+shuffled-id complex builder, a strict-downset cutter and a refusal probe,
+shared by the test modules."""
 
 import itertools
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from cointerval import Hypergraph, LabeledComplex, build_complex, taylor_complex
 from cointerval._kernels import _flags, _members, _picked
+from cointerval.complexes import block_boundary
 
 
 def all_graphs(d, vertices):
@@ -36,6 +38,19 @@ def random_graph(rng, d, vertices, p):
     ])
 
 
+def planted_2k2(rng, n, p):
+    """A random 2-graph on n vertices with an induced 2K2 planted on four
+    of them, so never cointerval."""
+    a, b, c, d = rng.sample(range(1, n + 1), 4)
+    edges = {
+        e for e in itertools.combinations(range(1, n + 1), 2)
+        if rng.random() < p
+    }
+    edges |= {tuple(sorted((a, b))), tuple(sorted((c, d)))}
+    edges -= {tuple(sorted(q)) for q in ((a, c), (a, d), (b, c), (b, d))}
+    return Hypergraph(2, range(1, n + 1), edges)
+
+
 def strand_corpus():
     """Complexes that support resolutions over every field: the block
     complexes of every cointerval 2-graph and 3-graph on at most five
@@ -54,6 +69,26 @@ def strand_corpus():
         if H.edges:
             out.append((f"taylor_seeded{i}", taylor_complex(H)))
     return out
+
+
+def scrambled_complex(cells, seed):
+    """A block complex whose cell ids follow a seeded shuffle.
+
+    Acyclicity does not depend on the order of the cells, but the lead
+    matching of `verify_resolution` does: under a shuffled order leads
+    collide, so some acyclic downsets go to exact elimination.  Each
+    cell is keyed (rank, blocks), so sorting the keys sorts by rank.
+    """
+    order = sorted(cells)
+    random.Random(seed).shuffle(order)
+    rank = {c: i for i, c in enumerate(order)}
+
+    def boundary(key):
+        return [((rank[f], f), s) for f, s in block_boundary(key[1])]
+
+    return LabeledComplex.from_cells(
+        {(rank[c], c): dim_label for c, dim_label in cells.items()}, boundary
+    )
 
 
 def strict_downset(X, mask):

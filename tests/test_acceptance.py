@@ -10,16 +10,14 @@ import itertools
 import random
 import time
 
-import pytest
-
 from cointerval import (
     GF2,
     GF3,
     GF32003,
     QQ,
     Hypergraph,
+    betti_from_cells,
     betti_from_downset_homology,
-    betti_from_faces,
     betti_hochster,
     build_complex,
     burnside_count,
@@ -30,7 +28,6 @@ from cointerval import (
     fold,
     glued_resolution,
     homology_ranks,
-    join,
     linear_width,
     restrict_to_graph,
     staircase_volume,
@@ -86,7 +83,7 @@ def test_criterion_1_worked_resolution(acceptance, capsys, tmp_path):
         H = Hypergraph(
             2, range(1, 6), [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)]
         )
-        table = betti_from_faces(H)
+        table = betti_from_cells(build_complex(H))
         fine = {
             (i, " ".join(map(str, a))): b for i, a, b in table.sorted_entries()
         }
@@ -105,7 +102,7 @@ def test_criterion_2_triple_agreement(acceptance):
             G = cointerval_labeled(H)
             if G is not None:
                 X = build_complex(G)
-                faces = betti_from_faces(G)
+                faces = betti_from_cells(X)
                 for fld in (GF2, QQ):
                     assert betti_from_downset_homology(X, fld) == faces
                     assert betti_hochster(G, fld) == faces

@@ -52,6 +52,7 @@ COPATH5 = str(GOLDEN / "input_copath5.txt")
 TWO_K2 = str(GOLDEN / "input_2k2.txt")
 TAYLOR = str(GOLDEN / "input_taylor_2k2.dump")
 JOIN = str(GOLDEN / "input_join_2k2.dump")
+NONCOINTERVAL = str(GOLDEN / "input_noncointerval.dump")
 
 
 def test_check(capsys):
@@ -325,6 +326,26 @@ def test_verify_join_dump(capsys):
     assert write_complex_dump(glued) == text
     assert dumpio._block_columns(*dumpio._read(text)[:2]) is None
     check_golden(capsys, "verify_join_2k2.txt", "verify", JOIN, "--confirm")
+
+
+@pytest.mark.parametrize("field", ["3", "32003"])
+def test_verify_fails_over_an_odd_prime(capsys, field):
+    # the complex of a non-cointerval 2-graph: the lead matching leaves
+    # 11 of its 38 degrees open, and elimination over the prime fails 8
+    # of them, in homological degrees 0 and 1
+    H = Hypergraph(2, range(1, 7), [
+        (1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 4), (3, 6), (5, 6)
+    ])
+    assert not H.is_cointerval()
+    X = cointerval.build_complex(H)
+    assert write_complex_dump(X) == pathlib.Path(NONCOINTERVAL).read_text()
+    report = cointerval.verify_resolution(X, (cli._FIELDS[field], cointerval.QQ))
+    assert report.eliminated == 11 and len(report.failures) == 8
+    assert {f.degree for f in report.failures} == {0, 1}
+    check_golden(
+        capsys, f"verify_noncointerval_f{field}.txt",
+        "verify", NONCOINTERVAL, "--field", field, "--confirm",
+    )
 
 
 def test_verify_on_wide_labels_stays_linear(capsys, tmp_path):

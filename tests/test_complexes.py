@@ -14,7 +14,7 @@ from cointerval import (
     homology_ranks,
     join,
 )
-from cointerval.complexes import block_boundary, block_dim
+from cointerval.complexes import block_boundary
 
 from graphs import refusal, strict_downset
 

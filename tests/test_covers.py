@@ -21,7 +21,6 @@ from cointerval import (
     linear_width,
     part_complex,
     taylor_complex,
-    verify_resolution,
 )
 from cointerval import cli, complexes
 from cointerval.casestudy import net_graph

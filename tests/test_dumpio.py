@@ -8,8 +8,6 @@ from cointerval import (
     GF2,
     GF3,
     QQ,
-    Cover,
-    Hypergraph,
     ParseError,
     build_complex,
     glued_resolution,

@@ -1,12 +1,13 @@
-"""Every name the package imports is used, and every private name the
-package binds (module level, class body or `self` attribute) is read
-somewhere in it: deletions leave no dead imports, no orphaned helpers and
-no attribute that nothing reads."""
+"""Every name the package or its tests import is used, and every private
+name the package binds (module level, class body or `self` attribute) is
+read somewhere in it: deletions leave no dead imports, no orphaned
+helpers and no attribute that nothing reads."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cointerval"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(tree):
@@ -94,21 +95,34 @@ def unread_privates(trees):
     return sorted(found)
 
 
-def _package_trees():
-    files = sorted(PACKAGE.glob("*.py"))
-    assert files, PACKAGE
+def _trees(directory):
+    files = sorted(directory.glob("*.py"))
+    assert files, directory
     return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in files
     }
 
 
-def test_package_has_no_unused_imports():
-    found = [
+def _package_trees():
+    return _trees(PACKAGE)
+
+
+def _unused_in(trees):
+    return [
         f"{name}:{line} {unused}"
-        for name, tree in _package_trees().items()
+        for name, tree in trees.items()
         for line, unused in unused_imports(tree)
     ]
+
+
+def test_package_has_no_unused_imports():
+    found = _unused_in(_package_trees())
+    assert found == [], f"imported but never used: {found}"
+
+
+def test_tests_have_no_unused_imports():
+    found = _unused_in(_trees(TESTS))
     assert found == [], f"imported but never used: {found}"
 
 

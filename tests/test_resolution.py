@@ -22,7 +22,6 @@ from cointerval import (
     PreconditionError,
     betti_from_cells,
     betti_from_downset_homology,
-    betti_from_faces,
     betti_hochster,
     build_complex,
     cube_betti,
@@ -84,7 +83,7 @@ COPATH5_TABLE = {
 
 
 def test_worked_example_fine_table(copath5):
-    table = betti_from_faces(copath5)
+    table = betti_from_cells(build_complex(copath5))
     assert table.entries == COPATH5_TABLE
     assert table.totals() == (7, 11, 6, 1)
     assert table.pdim() == 3
@@ -98,15 +97,10 @@ def test_worked_example_fine_table(copath5):
 def test_three_methods_agree(copath5, k4_3):
     for H in (copath5, k4_3):
         X = build_complex(H)
-        faces = betti_from_faces(H)
+        faces = betti_from_cells(X)
         for fld in (GF2, QQ):
             assert betti_from_downset_homology(X, fld) == faces
             assert betti_hochster(H, fld) == faces
-
-
-def test_betti_from_faces_needs_cointerval(two_k2):
-    with pytest.raises(PreconditionError):
-        betti_from_faces(two_k2)
 
 
 def test_hochster_handles_any_graph(two_k2):
@@ -161,7 +155,7 @@ def test_taylor_always_resolves_but_rarely_minimal():
     assert not report.minimal  # all four top-dimensional labels coincide
     assert not verify_minimal(T)
     # yet the Betti numbers it reports are the true (minimal) ones
-    assert betti_from_downset_homology(T) == betti_from_faces(K3)
+    assert betti_from_downset_homology(T) == betti_from_cells(build_complex(K3))
 
 
 def test_taylor_of_2k2_is_minimal(two_k2):
@@ -179,7 +173,7 @@ def test_downset_betti_rejects_non_resolution(two_k2):
 
 def test_cube_betti(copath5):
     assert cube_betti(copath5) == 1
-    assert cube_betti(copath5, (1, 2, 4)) == betti_from_faces(copath5).get(
+    assert cube_betti(copath5, (1, 2, 4)) == betti_from_cells(build_complex(copath5)).get(
         1, {1, 2, 4}
     )
     K4 = Hypergraph(2, range(1, 5), itertools.combinations(range(1, 5), 2))
@@ -199,7 +193,7 @@ def test_independence_complex(two_k2):
 
 
 def test_betti_table_formatting(copath5):
-    table = betti_from_faces(copath5)
+    table = betti_from_cells(build_complex(copath5))
     assert "1 | 1 2 4 | 2" in cli._table_lines(table)
     assert table.coarse()[(3, 5)] == 1
     empty = BettiTable({})
@@ -216,7 +210,7 @@ def test_betti_table_formatting(copath5):
 
 
 def test_coarse_collapse(copath5):
-    coarse = betti_from_faces(copath5).coarse()
+    coarse = betti_from_cells(build_complex(copath5)).coarse()
     assert coarse == {(0, 2): 7, (1, 3): 11, (2, 4): 6, (3, 5): 1}
 
 
@@ -270,16 +264,17 @@ def verify_every_field(X, fields):
 
 @pytest.fixture
 def q_rank_calls(monkeypatch):
-    """Column counts of the rank calls over Q (`rank_mod` with p == 0)."""
+    """Column counts of the kernel calls over Q (`pivot_rows_mod` with
+    p == 0)."""
     calls = []
-    real = _kernels.rank_mod
+    real = _kernels.pivot_rows_mod
 
     def counted(cols, p):
         if p == 0:
             calls.append(len(cols))
         return real(cols, p)
 
-    monkeypatch.setattr(_kernels, "rank_mod", counted)
+    monkeypatch.setattr(_kernels, "pivot_rows_mod", counted)
     return calls
 
 
@@ -303,40 +298,6 @@ def test_q_after_a_passing_prime_is_skipped(copath5, q_rank_calls):
         q_rank_calls.clear()
 
 
-def scrambled_complex(cells, seed):
-    """A block complex whose cell ids follow a seeded shuffle.
-
-    Acyclicity does not depend on the order of the cells, but the lead
-    matching of `verify_resolution` does: under a shuffled order leads
-    collide, so some acyclic downsets go to exact elimination.  Each
-    cell is keyed (rank, blocks), so sorting the keys sorts by rank.
-    """
-    order = sorted(cells)
-    random.Random(seed).shuffle(order)
-    rank = {c: i for i, c in enumerate(order)}
-
-    def boundary(key):
-        return [((rank[f], f), s) for f, s in block_boundary(key[1])]
-
-    return LabeledComplex.from_cells(
-        {(rank[c], c): dim_label for c, dim_label in cells.items()}, boundary
-    )
-
-
-@pytest.fixture
-def scrambled():
-    # the complement of the path 2-3-...-7 plus the dominating vertex 1,
-    # a cointerval graph; 60 of its 111 degrees are left to elimination
-    H = Hypergraph(
-        2, range(1, 8),
-        [(1, j) for j in range(2, 8)]
-        + [(i, j) for i in range(2, 8) for j in range(i + 2, 8)],
-    )
-    X = build_complex(H)
-    cells = {c: (X.dim(c), X.label(c)) for c in X.all_cells()}
-    return scrambled_complex(cells, seed=0)
-
-
 def test_q_first_or_alone_still_eliminates(copath5, scrambled,
                                            q_rank_calls):
     # on degrees the lead matching leaves open
@@ -358,23 +319,23 @@ def test_minimal_complexes_are_read_by_counting(copath5, monkeypatch):
     route ranks nothing and cuts no downset.  A Taylor complex is not
     minimal, and the route eliminates its blocks."""
     calls = []
-    real_mod, real_packed = _kernels.rank_mod, _kernels.rank_packed
+    real_mod, real_packed = _kernels.pivot_rows_mod, _kernels.pivot_rows_packed
     real_select = LabeledComplex._select
 
     def counted_mod(cols, p):
-        calls.append("rank_mod")
+        calls.append("pivot_rows_mod")
         return real_mod(cols, p)
 
     def counted_packed(masks):
-        calls.append("rank_packed")
+        calls.append("pivot_rows_packed")
         return real_packed(masks)
 
     def counted_select(self, mask):
         calls.append("_select")
         return real_select(self, mask)
 
-    monkeypatch.setattr(_kernels, "rank_mod", counted_mod)
-    monkeypatch.setattr(_kernels, "rank_packed", counted_packed)
+    monkeypatch.setattr(_kernels, "pivot_rows_mod", counted_mod)
+    monkeypatch.setattr(_kernels, "pivot_rows_packed", counted_packed)
     monkeypatch.setattr(LabeledComplex, "_select", counted_select)
     X = build_complex(copath(8))
     for fld in (GF2, QQ):
@@ -382,15 +343,15 @@ def test_minimal_complexes_are_read_by_counting(copath5, monkeypatch):
         assert calls == [], fld
         assert table == betti_from_cells(X), fld
     T = taylor_complex(copath5)
-    for fld, kernel in ((GF2, "rank_packed"), (QQ, "rank_mod")):
+    for fld, kernel in ((GF2, "pivot_rows_packed"), (QQ, "pivot_rows_mod")):
         calls.clear()
-        assert betti_from_downset_homology(T, fld) == betti_from_faces(copath5)
+        assert betti_from_downset_homology(T, fld) == betti_from_cells(build_complex(copath5))
         assert kernel in calls, fld
 
 
 def test_a_second_prime_field_still_runs(scrambled, monkeypatch):
     seen = []
-    real, real_packed = _kernels.rank_mod, _kernels.rank_packed
+    real, real_packed = _kernels.pivot_rows_mod, _kernels.pivot_rows_packed
 
     def counted(cols, p):
         seen.append(p)
@@ -400,8 +361,8 @@ def test_a_second_prime_field_still_runs(scrambled, monkeypatch):
         seen.append(2)
         return real_packed(masks)
 
-    monkeypatch.setattr(_kernels, "rank_mod", counted)
-    monkeypatch.setattr(_kernels, "rank_packed", counted_packed)
+    monkeypatch.setattr(_kernels, "pivot_rows_mod", counted)
+    monkeypatch.setattr(_kernels, "pivot_rows_packed", counted_packed)
     report = verify_resolution(scrambled, (GF2, GF3))
     assert report.passed and report.eliminated >= 21
     assert seen.count(3) >= 21 and seen.count(2) >= 21
