@@ -16,14 +16,19 @@ characteristic zero (`_kernels.pivot_rows_mod`).
 The boundaries are ranked from the top dimension down, with clearing
 (Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014): a k-cell that is the
 pivot row of a reduced column of the boundary above is never handed to
-a kernel.  That column is a combination of (k+1)-boundaries, so a
+a kernel.  That column is a combination of columns of d_{k+1}, so a
 cycle; its lead, the cleared cell, has an invertible coefficient, and
 its other rows are selected k-cells of lower id, because a selection
 is closed under faces.  So the boundary of the cleared cell lies in the
-span of the boundaries of lower-id selected cells; the id-order
-reduction would take its column to zero, and it adds no pivot.  The
-rank is the same over any field, with fewer and cheaper columns: the
-dropped ones are exactly those that would have reduced to zero.
+span of the boundaries of lower-id selected cells, and by induction on
+the id in that of the uncleared ones among them: the id-order reduction
+would take its column to zero, and it adds no pivot.  The rank is the
+same over any field, with fewer and cheaper columns: the dropped ones
+are exactly those that would have reduced to zero.  This
+is the argument `resolution._certified` makes for its cleared cells,
+with the pivots found in place of the leads.  It needs a selection
+closed under faces: `LabeledComplex._select` cuts one, and the whole
+complex is one.
 """
 
 from __future__ import annotations
@@ -192,15 +197,14 @@ def homology_ranks(X, field, sets=None):
     cleared = 0
     for k in range(top, 0, -1):
         bits = sets.get(k, 0) & ~cleared
+        cleared = 0
         if not bits:
-            cleared = 0
             continue
         if p == 2:
             rows = _kernels.pivot_rows_packed(_picked(X.packed_columns(k), bits))
         else:
             rows = _kernels.pivot_rows_mod(_picked(X.columns(k), bits), p)
         rk[k] = len(rows)
-        cleared = 0
         for r in rows:
             cleared |= 1 << r
     return [
