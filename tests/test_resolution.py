@@ -103,6 +103,17 @@ def test_three_methods_agree(copath5, k4_3):
             assert betti_hochster(H, fld) == faces
 
 
+def test_betti_from_faces_needs_cointerval(two_k2):
+    # counting cells per label is wrong off the cointerval class ...
+    assert betti_from_cells(build_complex(two_k2)) != betti_hochster(two_k2)
+    # ... so the faces route refuses such input before building the complex
+    args = cli._parser().parse_args(
+        ["betti", str(GOLDEN / "input_2k2.txt"), "--method=faces"]
+    )
+    with pytest.raises(PreconditionError):
+        args.fn(args)
+
+
 def test_hochster_handles_any_graph(two_k2):
     table = betti_hochster(two_k2)
     assert table.entries == {
