@@ -50,10 +50,7 @@ def _perm_line(H, cert):
 
 
 def _table_lines(table):
-    return [
-        f"{i} | {' '.join(map(str, alpha))} | {b}"
-        for i, alpha, b in table.sorted_entries()
-    ] or ["(no entries)"]
+    return table.lines() or ["(no entries)"]
 
 
 def _fvec(values):

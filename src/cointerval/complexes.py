@@ -18,9 +18,7 @@ cell's and that the boundary squares to zero; nothing is read off a
 complex that fails.  Over GF(2) the checked columns are also packed,
 once, into one int each.  A downset is an id selection ({dim: id bitset},
 `_select`): the lattice sweeps read ranks straight off it and the
-complex's columns.  `downset` builds a complex of its own from a
-selection, on the same vertices, its columns renumbered onto the
-selected faces.
+complex's columns, and no downset is built as a complex.
 
 The builders differ only in how they find cells and columns.  A
 complex of products of simplices is met in sort order and filed by
@@ -42,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from ._kernels import _flags, _members, _picked, pack_gf2
+from ._kernels import _flags, _members, pack_gf2
 from .errors import BudgetError, PreconditionError
 from .homology import _assert_squares_to_zero
 from .hypergraph import Hypergraph
@@ -106,8 +104,7 @@ class LabeledComplex:
     Cells, dimensions and labels are read off keys and masks, so the
     columns are made only for `boundary`, `columns` or a downset.  An
     id selection ({dim: id bitset}, `_select`) picks the cells of a
-    downset; the lattice sweeps read ranks straight off it, and
-    `downset` turns one into a complex of its own.
+    downset; the lattice sweeps read ranks straight off it.
     """
 
     def __init__(self, keys, masks, vertices, columns):
@@ -324,30 +321,6 @@ class LabeledComplex:
                 sets[dim] = keep
         return sets
 
-    def downset(self, mask):
-        """Cells whose label lies inside a label mask.
-
-        A complex of its own, on the same vertices so that label masks
-        carry over, built from `_select(mask)`: its columns are this
-        complex's checked ones, renumbered onto the selected faces.
-        """
-        sets = self._select(mask)
-        keys = {d: _picked(self._keys[d], bits) for d, bits in sets.items()}
-        masks = {d: _picked(self._masks[d], bits) for d, bits in sets.items()}
-        checked = self._checked
-
-        def columns():
-            out = {}
-            for d in range(1, len(sets)):
-                new = {f: i for i, f in enumerate(_members(sets[d - 1]))}
-                out[d] = [
-                    tuple((new[f], c) for f, c in col)
-                    for col in _picked(checked[d], sets[d])
-                ]
-            return out
-
-        return LabeledComplex(keys, masks, self._vertices, columns)
-
 
 # each byte with its eight bits in reverse order
 _FLIP = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -363,7 +336,9 @@ def union_closure(masks):
     with their bits reversed, larger first.  The bits are reversed over
     whole bytes, each byte flipped by a table (`_FLIP`) and the byte
     order turned; padding to whole bytes shifts every reversed mask by
-    the same amount, which keeps their order.  Raises BudgetError as
+    the same amount, which keeps their order.  The reversed masks are
+    compared as those bytes: all have the same length, so they compare
+    as the big-endian ints they spell.  Raises BudgetError as
     soon as the closure holds more than CELL_LIMIT masks: k generators
     with disjoint masks have 2^k - 1 unions.
     """
@@ -376,9 +351,10 @@ def union_closure(masks):
                 f"the lcm lattice has more than {CELL_LIMIT} elements"
             )
     size = (max(out, default=0).bit_length() + 7) // 8
-    ordered = sorted(out, reverse=True, key=lambda m: int.from_bytes(
-        m.to_bytes(size, "little").translate(_FLIP), "big"
-    ))
+    ordered = sorted(
+        out, reverse=True,
+        key=lambda m: m.to_bytes(size, "little").translate(_FLIP),
+    )
     ordered.sort(key=int.bit_count)  # stable: ties keep the reversed order
     return ordered
 

@@ -31,8 +31,12 @@ polytope, and checked over the integers (`_propagated_signs`).  Only a
 cell they leave open goes to the exact rational kernel
 (`_kernels.nullspace_rational`, integer elimination on the faces' own
 sparse columns), to find its signs or name the rejection.  More than
-`complexes.CELL_LIMIT` cells, or a dimension that needs that many,
-raise BudgetError while the lines are read.
+`complexes.CELL_LIMIT` cells, or a dimension that needs that many, and
+more than `hypergraph.VERTEX_LIMIT` distinct label vertices or block
+values, raise BudgetError while the lines are read: a dump written from
+a complex built from a hypergraph has its label vertices and block
+values among the hypergraph's vertices (or, in a Taylor dump, its
+at most `resolution.TAYLOR_EDGE_LIMIT` edge indices).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from operator import lshift, lt
 
-from . import complexes
+from . import complexes, hypergraph
 from ._kernels import _members, nullspace_rational
 from .complexes import _AUG_COLUMN, LabeledComplex, _holders
 from .errors import BudgetError, ParseError
@@ -75,10 +79,15 @@ def _read(text):
     each dimension is then sorted once, and labels become masks once
     every vertex is known.  The token rule (`_plain`) is tested once per
     line, and per field only to name the field a line breaks it in.
+    More than `hypergraph.VERTEX_LIMIT` distinct label vertices, or
+    distinct block values, raise BudgetError as the lines are read,
+    before any mask is made.
     """
     rows = {}  # dim -> [(blocks, label)]
     seen = set()
     vertices = set()
+    values = set()  # the values of the distinct blocks
+    limit = hypergraph.VERTEX_LIMIT
     arity = None
     parsed = {}  # slot text -> its block; dumps repeat their slots
     for lineno, line in _lines(text):
@@ -113,6 +122,7 @@ def _read(text):
                         f"block {block} is not strictly increasing", lineno
                     )
                 parsed[slot] = block
+                values.update(block)
             blocks.append(block)
         blocks = tuple(blocks)
         if arity is None:
@@ -148,6 +158,14 @@ def _read(text):
                 f"the dump has more than {complexes.CELL_LIMIT} cells"
             )
         vertices.update(label)
+        if len(vertices) > limit:
+            raise BudgetError(
+                f"the dump has more than {limit} distinct label vertices"
+            )
+        if len(values) > limit:
+            raise BudgetError(
+                f"the dump has more than {limit} distinct block values"
+            )
         dim_rows = rows.get(dim)
         if dim_rows is None:
             dim_rows = rows[dim] = []

@@ -74,14 +74,16 @@ class BettiTable:
     dict() does, each key (i, alpha) with alpha any iterable of
     vertices, and drops zero entries.
 
-    The rows (i, alpha as an ascending tuple, b) are made once, on the
-    first `sorted_entries` or comparison across vertex sets, and kept;
-    `entries`, keyed by (i, frozenset(alpha)), is made afresh on each
-    read.  Two tables are equal when their rows are: tables on the same
-    vertices compare their masks, and tables read on different vertex
-    sets (Hochster's on all vertices of H, the block routes' on its
-    support) their rows, which hold the vertices themselves.  A table is
-    never equal to a dict, and it is unhashable.
+    The entries are sorted once, on first need, each keyed by (i, the
+    positions of alpha's vertices as an ascending tuple): the vertices
+    ascend, so that is the order of (i, alpha) for any vertices and any
+    width.  `sorted_entries` and the printed rows (`lines`) read that
+    order; `entries`, keyed by (i, frozenset(alpha)), is made afresh on
+    each read.  Two tables are equal when their rows are: tables on the
+    same vertices compare their masks, and tables read on different
+    vertex sets (Hochster's on all vertices of H, the block routes' on
+    its support) their `sorted_entries`, which hold the vertices
+    themselves.  A table is never equal to a dict, and it is unhashable.
     """
 
     __slots__ = ("_vertices", "_masks", "_rows")
@@ -121,7 +123,7 @@ class BettiTable:
             return NotImplemented
         if self._vertices == other._vertices:  # the rows follow the masks
             return self._masks == other._masks
-        return self._sorted() == other._sorted()
+        return self.sorted_entries() == other.sorted_entries()
 
     def __bool__(self):
         return bool(self._masks)
@@ -168,20 +170,32 @@ class BettiTable:
 
     def sorted_entries(self):
         """The rows (i, alpha, b), alpha an ascending tuple, sorted."""
-        return list(self._sorted())
+        verts = self._vertices
+        # alpha is made from a list: a tuple grown from an iterator keeps
+        # its larger block on the tuple free lists and raises peak RSS
+        return [
+            (i, tuple([verts[k] for k in pos]), b)
+            for i, pos, b in self._sorted()
+        ]
+
+    def lines(self):
+        """The rows as printed, `i | alpha | b` with alpha's vertices
+        joined by spaces, in the order of `sorted_entries`; each vertex
+        is made text once."""
+        text = [str(v) for v in self._vertices]
+        return [
+            f"{i} | {' '.join([text[k] for k in pos])} | {b}"
+            for i, pos, b in self._sorted()
+        ]
 
     def _sorted(self):
         rows = self._rows
         if rows is None:
-            verts = self._vertices
-            # the (i, alpha) pairs are distinct, so b never decides the
-            # order; alpha is made from a list, since a tuple grown from
-            # an iterator keeps its larger block on the tuple free lists
-            # and raises peak RSS (0.6 MB over 120 Hochster tables)
-            rows = self._rows = tuple(sorted(
-                (i, tuple(_picked(verts, mask)), b)
+            # (i, alpha) pairs are distinct, so b never decides the order
+            rows = self._rows = sorted(
+                (i, tuple(_members(mask)), b)
                 for (i, mask), b in self._masks.items()
-            ))
+            )
         return rows
 
 
@@ -357,26 +371,40 @@ def _certified(X, lattice):
     duplicate (two live vertices among them), a live cell whose column
     is empty or whose lead is not +-1, or no live vertex is left unset;
     its downset goes to exact elimination.
+
+    The positions whose alpha holds a label are found once per label,
+    bottom-up, from those of the label of the cell's first face: the
+    complex checked that a face's label lies inside its cell's, so
+    only the holders of the bits the cell adds (one on a block cell)
+    are ANDed in.  A vertex starts from the empty face, whose label is
+    empty and held everywhere.
     """
     everywhere = (1 << len(lattice)) - 1
     holders = _holders(lattice)
-    inside = {}  # label mask -> positions whose alpha contains the label
-
-    def live_at(mask, cleared):
-        where = inside.get(mask)
-        if where is None:
-            where = everywhere
-            for k in _members(mask):
-                where &= holders.get(k, 0)
-            inside[mask] = where
-        return where & ~cleared
+    inside = {0: everywhere}  # label mask -> positions whose alpha holds it
+    wheres = []  # per dimension, each cell's entry of `inside`
+    below = [0]  # the face labels one dimension down
+    for dim in range(X.max_dim() + 1):
+        masks = X._masks[dim]
+        dim_wheres = []
+        for col, mask in zip(X.columns(dim), masks):
+            where = inside.get(mask)
+            if where is None:
+                face = below[col[0][0]] if col else 0
+                where = inside[face]
+                for k in _members(mask & ~face):
+                    where &= holders.get(k, 0)
+                inside[mask] = where
+            dim_wheres.append(where)
+        wheres.append(dim_wheres)
+        below = masks
 
     unsettled = 0
     cleared = {}
     for dim in range(X.max_dim(), -1, -1):
         seen = {}
-        for i, (col, mask) in enumerate(zip(X.columns(dim), X._masks[dim])):
-            live = live_at(mask, cleared.get(i, 0))
+        for i, (col, where) in enumerate(zip(X.columns(dim), wheres[dim])):
+            live = where & ~cleared.get(i, 0)
             if not live:
                 continue
             if not col:

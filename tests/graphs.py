@@ -1,6 +1,6 @@
 """Test-graph generators, a corpus of complexes that resolve, a
-shuffled-id complex builder, a strict-downset cutter and a refusal probe,
-shared by the test modules."""
+shuffled-id complex builder, downset and strict-downset cutters and a
+refusal probe, shared by the test modules."""
 
 import itertools
 import random
@@ -89,6 +89,33 @@ def scrambled_complex(cells, seed):
     return LabeledComplex.from_cells(
         {(rank[c], c): dim_label for c, dim_label in cells.items()}, boundary
     )
+
+
+def downset(X, mask):
+    """The cells of X whose label lies inside a label mask, as a complex
+    of their own.
+
+    Built from `X._select(mask)`, on X's vertices so that label masks
+    carry over: the selected keys and masks, and X's checked columns
+    renumbered onto the selected faces.  Like every complex it checks
+    its own columns, on first use.
+    """
+    sets = X._select(mask)
+    keys = {d: _picked(X._keys[d], bits) for d, bits in sets.items()}
+    masks = {d: _picked(X._masks[d], bits) for d, bits in sets.items()}
+    checked = X._checked
+
+    def columns():
+        out = {}
+        for d in range(1, len(sets)):
+            new = {f: i for i, f in enumerate(_members(sets[d - 1]))}
+            out[d] = [
+                tuple((new[f], c) for f, c in col)
+                for col in _picked(checked[d], sets[d])
+            ]
+        return out
+
+    return LabeledComplex(keys, masks, X._vertices, columns)
 
 
 def strict_downset(X, mask):

@@ -37,7 +37,7 @@ from cointerval import (
 from cointerval.casestudy import counterexample_search, net_graph
 from cointerval.cli import main
 
-from graphs import all_graphs
+from graphs import all_graphs, downset
 
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
 
@@ -273,6 +273,6 @@ def test_criterion_8_property_suites(acceptance):
             if X.is_empty:
                 continue
             for mask in X.lattice_masks():
-                sub = X.downset(mask)
+                sub = downset(X, mask)
                 ranks = {fld: tuple(homology_ranks(sub, fld)) for fld in ALL_FIELDS}
                 assert len(set(ranks.values())) == 1, (X.label_of(mask), ranks)

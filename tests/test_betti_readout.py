@@ -4,7 +4,8 @@ Every route hands `BettiTable` label masks and the vertex tuple of the
 complex it read.  The oracle here is the former readout, kept
 test-local: each nonzero entry turned into a label (`label_of`), the
 table keyed by frozensets, its rows sorted from those frozensets and
-printed by `cli._table_lines`.  Both readouts share the routes'
+printed by the former formatter (`table_lines_oracle`), which made each
+row's text from its tuple of vertices.  Both readouts share the routes'
 arithmetic, so any difference is in the readout.
 """
 
@@ -87,6 +88,15 @@ class FrozenTable:
         )
 
 
+def table_lines_oracle(table):
+    """`cli._table_lines` before the rows were printed from masks: each
+    row's alpha, a tuple of vertices, made text one vertex at a time."""
+    return [
+        f"{i} | {' '.join(map(str, alpha))} | {b}"
+        for i, alpha, b in table.sorted_entries()
+    ] or ["(no entries)"]
+
+
 def cells_oracle(X):
     entries = {}
     for dim in X.dims():
@@ -152,7 +162,7 @@ def assert_same_readout(table, oracle, where):
     for d in range(1, 5):
         assert table.is_d_linear(d) == oracle.is_d_linear(d), where
     assert table.sorted_entries() == oracle.sorted_entries(), where
-    assert cli._table_lines(table) == cli._table_lines(oracle), where
+    assert cli._table_lines(table) == table_lines_oracle(oracle), where
 
 
 def small_graphs():
@@ -248,6 +258,48 @@ def test_tables_on_other_vertex_sets_compare_by_their_rows():
     assert betti_hochster(H) == betti_from_cells(X) == (
         betti_from_downset_homology(X)
     )
+
+
+def test_printed_rows_match_the_former_formatter_on_every_route():
+    # 9 < 10 but "10" < "9"; negative vertices; an isolated vertex, so
+    # Hochster's table is read on more vertices than the block routes'
+    H = Hypergraph(2, [-3, -2, -1, 0, 9, 10, 11], [
+        (-3, -1), (-3, 0), (-3, 9), (-3, 10), (-2, 0), (-2, 9), (-2, 10),
+        (-1, 9), (-1, 10), (0, 10),
+    ])
+    assert H.is_cointerval() and H.support() != H.vertices
+    X = build_complex(H)
+    tables = [betti_from_cells(X), betti_from_downset_homology(X, GF3),
+              betti_hochster(H, QQ), betti_from_cells(taylor_complex(H))]
+    # 500 label vertices: one 500-vertex edge, and the Taylor complex of
+    # two 499-vertex edges, whose rows are ordered past position 255
+    wide = Hypergraph(500, range(1, 501), [tuple(range(1, 501))])
+    tables += [betti_from_cells(build_complex(wide)),
+               betti_from_downset_homology(build_complex(wide))]
+    two = Hypergraph(499, range(1, 501), [range(1, 500), range(2, 501)])
+    T = taylor_complex(two)
+    tables += [betti_from_cells(T), betti_from_downset_homology(T)]
+    # tables built from entries, and from wide random masks
+    tables.append(BettiTable({(0, (10,)): 1, (0, (9,)): 2, (1, (-1, 9)): 3}))
+    tables.append(BettiTable())
+    rng = random.Random(2811)
+    for width in (9, 10, 300, 500):
+        verts = tuple(sorted(rng.sample(range(-600, 600), width)))
+        masks = {(rng.randrange(4), rng.getrandbits(width)): rng.randrange(3)
+                 for _ in range(60)}
+        tables.append(BettiTable.from_masks(verts, masks))
+    for table in tables:
+        lines = cli._table_lines(table)
+        assert lines == table_lines_oracle(table), lines[:3]
+        assert lines == table_lines_oracle(FrozenTable(table.entries))
+    assert table_lines_oracle(tables[0])[:4] == [
+        "0 | -3 -1 | 1", "0 | -3 0 | 1", "0 | -3 9 | 1", "0 | -3 10 | 1",
+    ]
+    assert cli._table_lines(tables[6]) == [
+        "0 | " + " ".join(map(str, range(1, 500))) + " | 1",
+        "0 | " + " ".join(map(str, range(2, 501))) + " | 1",
+        "1 | " + " ".join(map(str, range(1, 501))) + " | 1",
+    ]
 
 
 def test_public_constructor_keeps_its_semantics():

@@ -25,7 +25,7 @@ from cointerval import (
 )
 from cointerval.complexes import block_boundary, block_dim
 
-from graphs import all_graphs
+from graphs import all_graphs, downset
 
 
 def scan_block_cells(H):
@@ -210,7 +210,7 @@ def test_flipped_sign_in_builder_columns_raises(monkeypatch, copath5):
     )
     Y = build_complex(copath5)
     with pytest.raises(PreconditionError):
-        Y.downset(Y.mask({1, 2, 3, 4, 5}))
+        downset(Y, Y.mask({1, 2, 3, 4, 5}))
 
 
 def test_missing_face_in_builder_columns_raises(monkeypatch, copath5):

@@ -348,15 +348,22 @@ def test_verify_fails_over_an_odd_prime(capsys, field):
     )
 
 
+def _wide_dump(path, width):
+    """An edge whose ends are labeled 1..width - 1 and 2..width, and the
+    edge labeled by all `width` vertices."""
+    a = " ".join(map(str, range(1, width)))
+    b = " ".join(map(str, range(2, width + 1)))
+    ab = " ".join(map(str, range(1, width + 1)))
+    path.write_text(f"0 | 1 | {a}\n0 | 2 | {b}\n1 | 1 2 | {ab}\n")
+    return path
+
+
 def test_verify_on_wide_labels_stays_linear(capsys, tmp_path):
-    # an edge whose ends are labeled by 20,000 vertices each: every label
-    # is walked in time linear in its width, so the lead certificate and
-    # the label readout stay far inside the bound
-    a = " ".join(map(str, range(1, 20_001)))
-    b = " ".join(map(str, range(2, 20_002)))
-    ab = " ".join(map(str, range(1, 20_002)))
-    dump = tmp_path / "wide.dump"
-    dump.write_text(f"0 | 1 | {a}\n0 | 2 | {b}\n1 | 1 2 | {ab}\n")
+    # an edge whose ends are labeled by VERTEX_LIMIT - 1 vertices each,
+    # the widest labels a dump may have: every label is walked in time
+    # linear in its width, so the lead certificate and the label readout
+    # stay far inside the bound
+    dump = _wide_dump(tmp_path / "wide.dump", VERTEX_LIMIT)
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", str(dump), "--confirm")
     assert time.perf_counter() - start < 2.0
@@ -366,6 +373,62 @@ def test_verify_on_wide_labels_stays_linear(capsys, tmp_path):
         "acyclic: pass (3 degrees checked, 0 empty, fields GF(2), Q)\n"
         "minimal: yes\n"
     )
+
+
+# `verify` in a fresh interpreter that reports its peak RSS in kB on
+# stderr: VmHWM, since Linux carries the high-water mark of the process
+# that started it into ru_maxrss across exec
+_VERIFY_RSS = (
+    "import resource, sys\n"
+    "from cointerval.cli import main\n"
+    "code = main(['verify', sys.argv[1]])\n"
+    "try:\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        rss = int(status.read().split('VmHWM:')[1].split()[0])\n"
+    "except OSError:\n"
+    "    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "    rss //= 1024 if sys.platform == 'darwin' else 1\n"
+    "print(f'rss_kb {rss}', file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_verify_refuses_dumps_past_the_vertex_budget(tmp_path):
+    # without the budget these took 243 MB (40,000 one-vertex labels)
+    # and 12 s and 486 MB (20,000 block values on the holder route) to
+    # read; the wide labels are those that `verify` once accepted
+    lines = {
+        "labels.dump": "".join(f"0 | {i} | {i}\n" for i in range(40_000)),
+        "values.dump": "".join(f"0 | {i} ; - | 1\n" for i in range(20_000))
+        + "1 | 0 1 ; - | 1\n",
+    }
+    paths = [tmp_path / name for name in lines]
+    for path in paths:
+        path.write_text(lines[path.name])
+    paths.append(_wide_dump(tmp_path / "wide.dump", 20_001))
+    paths.append(_wide_dump(tmp_path / "wider.dump", 40_001))
+    env = dict(os.environ)
+    src = str(pathlib.Path(cointerval.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    for path in paths:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", _VERIFY_RSS, str(path)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert time.perf_counter() - start < 5.0, path.name
+        assert proc.returncode == 4 and proc.stdout == "", path.name
+        err, rss = proc.stderr.rsplit("rss_kb ", 1)
+        what = "block values" if path.name == "values.dump" else (
+            "label vertices"
+        )
+        assert err == (
+            f"error: the dump has more than {VERTEX_LIMIT} distinct {what}\n"
+        ), path.name
+        # in kilobytes; a fresh interpreter holds about 20 MB
+        assert int(rss) < 80_000, (path.name, rss)
 
 
 def test_verify_flags_mutilation(capsys, tmp_path):

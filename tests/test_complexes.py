@@ -16,7 +16,7 @@ from cointerval import (
 )
 from cointerval.complexes import block_boundary
 
-from graphs import refusal, strict_downset
+from graphs import downset, refusal, strict_downset
 
 
 def test_block_cells_worked_example(copath5):
@@ -112,7 +112,7 @@ def test_lcm_lattice_union_closed(copath5):
 def test_downsets(copath5):
     X = build_complex(copath5)
     alpha = frozenset({1, 2, 4})
-    le = X.downset(X.mask(alpha))
+    le = downset(X, X.mask(alpha))
     _sets, lt = strict_downset(X, X.mask(alpha))
     assert set(le.all_cells()) - set(lt.all_cells()) == {
         c for c in le.all_cells() if le.label(c) == alpha

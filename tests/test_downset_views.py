@@ -25,7 +25,7 @@ from cointerval import (
 from cointerval._kernels import _members
 from cointerval.complexes import union_closure
 
-from graphs import strict_downset
+from graphs import downset, strict_downset
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
@@ -78,7 +78,7 @@ def test_views_match_fresh_complexes(corpus):
             ):
                 sets, view = (
                     strict_downset(X, mask) if strict
-                    else (X._select(mask), X.downset(mask))
+                    else (X._select(mask), downset(X, mask))
                 )
                 new = fresh(X, keep)
                 where = (name, sorted(alpha))
@@ -108,11 +108,11 @@ def test_views_match_fresh_complexes(corpus):
 def test_nested_views_and_membership(copath5):
     X = build_complex(copath5)
     alpha = frozenset({1, 2, 4, 5})
-    V = X.downset(X.mask(alpha))
+    V = downset(X, X.mask(alpha))
     for beta in X.lattice_masks():
         inner = X.label_of(beta) & alpha
-        assert list(V.downset(beta).all_cells()) == list(
-            X.downset(X.mask(inner)).all_cells()
+        assert list(downset(V, beta).all_cells()) == list(
+            downset(X, X.mask(inner)).all_cells()
         )
     assert list(strict_downset(V, X.mask(alpha))[1].all_cells()) == list(
         strict_downset(X, X.mask(alpha))[1].all_cells()
@@ -126,7 +126,7 @@ def test_nested_views_and_membership(copath5):
     # a vertex outside every label has no bit, so it widens no downset
     wide = alpha | {99}
     assert X.mask(wide) == X.mask(alpha)
-    assert list(X.downset(X.mask(wide)).all_cells()) == list(V.all_cells())
+    assert list(downset(X, X.mask(wide)).all_cells()) == list(V.all_cells())
 
 
 def frozenset_lcm_lattice(X):
@@ -161,7 +161,7 @@ def test_lcm_lattice_matches_frozenset_closure(corpus):
         assert all(isinstance(a, frozenset) for a in lattice)
         # a view's lattice is closed over its own vertex labels only
         for alpha in lattice[:: max(1, len(lattice) // 5)]:
-            V = X.downset(X.mask(alpha))
+            V = downset(X, X.mask(alpha))
             assert [V.label_of(m) for m in V.lattice_masks()] == (
                 frozenset_lcm_lattice(V)
             ), (name, alpha)

@@ -8,6 +8,7 @@ from cointerval import (
     GF2,
     GF3,
     QQ,
+    BudgetError,
     ParseError,
     build_complex,
     glued_resolution,
@@ -18,7 +19,7 @@ from cointerval import (
     verify_resolution,
     write_complex_dump,
 )
-from cointerval import complexes, dumpio
+from cointerval import complexes, dumpio, hypergraph
 
 
 def roundtrip(X):
@@ -125,16 +126,17 @@ def test_lines_break_only_where_open_breaks_them():
 
 
 def test_wide_dumps_parse_in_small_memory():
-    # 100 edges, each cell with 20 block slots and new values in every
-    # group: 300 cells of products of simplices in 69 KB of text.  Codes
-    # with a bit per value at offset slot * number of values would hold
-    # 117 MB at peak here, growing as the square of slots times values;
-    # the input stays small so that such codes fail the bound rather
-    # than exhaust memory.
+    # 5 edges, each cell with 99 block slots and new values in every
+    # group: 15 cells of products of simplices on VERTEX_LIMIT values,
+    # the most a dump may use.  Codes with a bit per value at offset
+    # slot * number of values would hold about 150 MB at peak here,
+    # growing as the square of slots times values; the input stays
+    # small so that such codes fail the bound rather than exhaust memory.
+    width = 100
     lines = []
-    for v in range(0, 2100, 21):
-        rest = " ; ".join(map(str, range(v + 2, v + 21)))
-        label = " ".join(map(str, range(v, v + 21)))
+    for v in range(0, hypergraph.VERTEX_LIMIT, width):
+        rest = " ; ".join(map(str, range(v + 2, v + width)))
+        label = " ".join(map(str, range(v, v + width)))
         lines += [f"0 | {v} ; {rest} | {label}",
                   f"0 | {v + 1} ; {rest} | {label}",
                   f"1 | {v} {v + 1} ; {rest} | {label}"]
@@ -148,8 +150,8 @@ def test_wide_dumps_parse_in_small_memory():
         tracemalloc.stop()
     assert time.perf_counter() - start < 2
     assert peak < 16 * 2**20
-    assert X.f_vector() == (200, 100)
-    cell = ((0, 1), *((v,) for v in range(2, 21)))
+    assert X.f_vector() == (10, 5)
+    cell = ((0, 1), *((v,) for v in range(2, width)))
     assert X.boundary(cell) == [
         (((0,), *cell[1:]), 1), (((1,), *cell[1:]), -1)
     ]
@@ -166,6 +168,35 @@ def test_a_lone_high_dimension_is_refused_in_time():
     with pytest.raises(ParseError, match=re.escape(refusal)):
         parse_complex_dump(f"0 | 1 | 1\n{top} | 1 2 | 1 2\n")
     assert time.perf_counter() - start < 0.25
+
+
+def test_vertex_budget_counts_distinct_label_vertices_and_block_values(
+    monkeypatch,
+):
+    limit = hypergraph.VERTEX_LIMIT
+    # at the limit a dump is read: one label of `limit` vertices, and
+    # `limit` points labeled alike, each its own block value
+    wide = " ".join(map(str, range(limit)))
+    X = parse_complex_dump(f"0 | 1 | {wide}\n")
+    assert len(X._vertices) == limit
+    X = parse_complex_dump("".join(f"0 | {i} | 7\n" for i in range(limit)))
+    assert X.f_vector() == (limit,)
+    # one past it is refused, whatever the vertices repeat
+    with pytest.raises(BudgetError, match=f"more than {limit} distinct label"):
+        parse_complex_dump(f"0 | 1 | {wide}\n0 | 2 | 0 {limit}\n")
+    with pytest.raises(BudgetError, match=f"more than {limit} distinct block"):
+        parse_complex_dump(
+            "".join(f"0 | {i} | 7\n" for i in range(limit)) + "0 | -1 | 7\n"
+        )
+    # a parse error on the line that passes the budget comes first
+    with pytest.raises(ParseError, match="bad label"):
+        parse_complex_dump(
+            "".join(f"0 | {i} | 7\n" for i in range(limit)) + "0 | -1 | x\n"
+        )
+    # the limit is read when a dump is parsed
+    monkeypatch.setattr(hypergraph, "VERTEX_LIMIT", 3)
+    with pytest.raises(BudgetError, match="more than 3 distinct label"):
+        parse_complex_dump("0 | 1 | 1 2\n0 | 2 | 3 4\n")
 
 
 def test_parse_rejects_broken_posets():

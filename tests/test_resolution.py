@@ -33,9 +33,9 @@ from cointerval import (
     verify_resolution,
     write_complex_dump,
 )
-from cointerval import _kernels, cli, complexes, resolution
+from cointerval import _kernels, cli, complexes, hypergraph, resolution
 from cointerval._kernels import _members
-from cointerval.complexes import block_boundary
+from cointerval.complexes import _holders, block_boundary
 from cointerval.covers import join
 from cointerval.homology import ACYCLIC, NOT_ACYCLIC
 from cointerval.resolution import (
@@ -48,8 +48,11 @@ from cointerval.resolution import (
 )
 
 from graphs import (
+    all_graphs,
     copath,
+    downset,
     members_oracle,
+    planted_2k2,
     random_graph,
     strand_corpus,
     strict_downset,
@@ -260,7 +263,7 @@ def verify_every_field(X, fields):
         fields=tuple(fields), lattice=X.lattice_masks(), vertices=X._vertices
     )
     for mask in report.lattice:
-        sub = X.downset(mask)
+        sub = downset(X, mask)
         assert not sub.is_empty, mask  # a lattice element holds a vertex
         status = ACYCLIC
         for fld in fields:
@@ -426,7 +429,7 @@ def eliminate_everything(X, fields, fail_fast=False):
         return report
     report.lattice, report.vertices = X.lattice_masks(), X._vertices
     for mask in report.lattice:
-        sub = X.downset(mask)
+        sub = downset(X, mask)
         assert not sub.is_empty, mask  # a lattice element holds a vertex
         ranks = {fld: homology_ranks(sub, fld) for fld in fields}
         bad = [fld for fld in fields if any(ranks[fld])]
@@ -606,7 +609,7 @@ def test_certified_degrees_are_acyclic_over_every_field(proof_corpus):
         bits = _certified(X, [X.mask(alpha) for alpha in alphas])
         for pos, alpha in enumerate(alphas):
             if bits >> pos & 1:
-                sub = X.downset(X.mask(alpha))
+                sub = downset(X, X.mask(alpha))
                 assert not sub.is_empty, (name, alpha)
                 for fld in (GF2, GF3, QQ):
                     assert not any(homology_ranks(sub, fld)), (name, alpha)
@@ -693,6 +696,108 @@ def test_certificate_and_minimality_match_their_former_bodies(
     assert any(bits > 0 for bits, _m in got)
 
 
+def certified_oracle(X, lattice):
+    """`_certified` before the first-face rule: a label's positions are
+    an AND of one holder bitset per label vertex, memoised by label."""
+    everywhere = (1 << len(lattice)) - 1
+    holders = _holders(lattice)
+    inside = {}
+
+    def live_at(mask, cleared):
+        where = inside.get(mask)
+        if where is None:
+            where = everywhere
+            for k in _members(mask):
+                where &= holders.get(k, 0)
+            inside[mask] = where
+        return where & ~cleared
+
+    unsettled = 0
+    cleared = {}
+    for dim in range(X.max_dim(), -1, -1):
+        seen = {}
+        for i, (col, mask) in enumerate(zip(X.columns(dim), X._masks[dim])):
+            live = live_at(mask, cleared.get(i, 0))
+            if not live:
+                continue
+            if not col:
+                unsettled |= live
+                continue
+            lead, coeff = max(col)
+            if coeff not in (1, -1):
+                unsettled |= live
+                continue
+            hit = seen.get(lead, 0)
+            unsettled |= hit & live
+            seen[lead] = hit | live
+        cleared = seen
+    return cleared.get(0, 0) & ~unsettled
+
+
+def wide_label_dump(width):
+    """An edge whose ends are labeled 1..width - 1 and 2..width, and the
+    edge labeled by all `width` vertices."""
+    a = " ".join(map(str, range(1, width)))
+    b = " ".join(map(str, range(2, width + 1)))
+    ab = " ".join(map(str, range(1, width + 1)))
+    return f"0 | 1 | {a}\n0 | 2 | {b}\n1 | 1 2 | {ab}\n"
+
+
+def test_first_face_certificate_matches_the_per_vertex_oracle(proof_corpus):
+    # the proof corpus holds the scrambled-id fixture, planted faults,
+    # hand-built complexes with empty columns and dumps with holes
+    rng = random.Random(2810)
+    corpus = list(proof_corpus)
+    corpus += [(f"copath{n}", build_complex(copath(n))) for n in range(4, 13)]
+    for i in range(8):
+        H = planted_2k2(rng, rng.randrange(5, 10), 0.5)
+        corpus.append((f"planted{i}", build_complex(H)))
+    for i in range(12):
+        H = random_graph(rng, 2, range(1, rng.randrange(3, 8)), 0.5)
+        if H.edges:
+            corpus.append((f"taylor{i}", taylor_complex(H)))
+    corpus.append(("join", join([
+        build_complex(copath(5)),
+        taylor_complex(Hypergraph(2, range(6, 10), [(6, 7), (8, 9)])),
+    ])))
+    corpus.append(("join3", join([
+        build_complex(copath(4)),
+        build_complex(Hypergraph(2, range(5, 9), [(5, 7), (6, 8)])),
+        taylor_complex(Hypergraph(2, range(9, 12), [(9, 10), (10, 11)])),
+    ])))
+    for path in sorted(GOLDEN.glob("*.dump")):
+        corpus.append((path.name, read_complex_dump(path)))
+    corpus.append(("wide", parse_complex_dump(
+        wide_label_dump(hypergraph.VERTEX_LIMIT)
+    )))
+    certified = set()
+    for name, X in corpus:
+        lattice = X.lattice_masks()
+        bits = _certified(X, lattice)
+        assert bits == certified_oracle(X, lattice), name
+        everywhere = (1 << len(lattice)) - 1
+        certified.add(0 if not bits else 1 if bits == everywhere else 2)
+        if X.max_dim() <= 2 and len(X._vertices) <= 6:  # every subset too
+            alphas = list(range(1 << len(X._vertices)))
+            assert _certified(X, alphas) == certified_oracle(X, alphas), name
+    # none, some and all of the positions certified all come up
+    assert certified == {0, 1, 2}
+
+
+def test_first_face_certificate_on_every_small_two_graph():
+    # every 2-graph on 1..6, so every 2-graph on at most six vertices
+    # labeled from 1
+    count = 0
+    for H in all_graphs(2, range(1, 7)):
+        X = build_complex(H)
+        if X.is_empty:
+            continue
+        lattice = X.lattice_masks()
+        assert _certified(X, lattice) == certified_oracle(X, lattice), H
+        count += 1
+    assert count == 2 ** 15 - 1
+
+
 @pytest.fixture
 def labels_made(monkeypatch):
     made = []
@@ -742,7 +847,7 @@ def test_selections_are_the_downset_ids(proof_corpus):
             for strict in (False, True):
                 sets, view = (
                     strict_downset(X, mask) if strict
-                    else (X._select(mask), X.downset(mask))
+                    else (X._select(mask), downset(X, mask))
                 )
                 got = {d: _members(bits) for d, bits in sets.items()}
                 assert {
