@@ -29,10 +29,11 @@ blocks, so block tuples grow one vertex at a time and a branch is cut
 at its first non-edge; it stops with BudgetError past CELL_LIMIT cells.
 `resolution.independence_complex` grows independent sets as one-block
 cells with `_lex_subsets`, the growth of a last block, cut at each
-completed edge, and `resolution.taylor_complex` takes every set of edge
-indices.  `LabeledComplex.from_cells` takes cells, labels and a
-boundary rule (part complexes, hand-built ones); `covers.join` and
-`dumpio.parse_complex_dump` build joins and parsed dumps.
+completed edge, `resolution.taylor_complex` takes every set of edge
+indices, and `dumpio.parse_complex_dump` files a dump of products of
+simplices.  `LabeledComplex.from_cells` takes cells, labels and a
+boundary rule (part complexes, hand-built ones); `covers.join` builds
+joins, and the dump parser any other dump.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .hypergraph import Hypergraph
 
 # cells grown before build_complex refuses (also faces kept by
 # staircase.restrict_to_graph); `resolve` on copath(15), 98,305
-# cells, takes 2.1-3.6 s and 284 MB peak RSS (2 vCPUs, Python 3.11)
+# cells, takes 1.8-2.2 s and 327 MB peak RSS, and `verify` on its dump
+# 2.4-2.9 s and 321-325 MB (VmHWM; 2 vCPUs, Python 3.11)
 CELL_LIMIT = 100_000
 
 _AUG_COLUMN = ((0, 1),)  # a vertex's augmentation: once the empty face

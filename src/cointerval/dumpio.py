@@ -17,37 +17,41 @@ it sorts each dimension once and turns labels into bitmasks once every
 vertex is known.
 
 A dump whose every cell is a product of simplices (no empty block,
-dimension `block_dim`) with all its one-vertex deletions present, each
-labeled inside it, is oriented by the block rule (`_block_columns`):
-each cell gets an integer code packing the ids of its distinct blocks,
-so a deletion is one addition and one lookup, signed as
-`block_boundary` signs it and flipped so that each cell's first face
-is +1, which is the column the kernel gives.
+dimension `block_dim`) is filed as the builders file their complexes
+(`complexes._filed`): one bit per distinct block value, so a deletion
+is one xor and one lookup, signed as `block_boundary` signs it; the
+complex's one check (every deletion a cell labeled inside its cell, and
+the boundary squaring to zero) says whether the deletions are its
+faces.  Such a dump parses to the columns of the complex that wrote it.
 Any other dump takes the general route (`_holder_columns`).  Faces are
 found with one holder bitset per (block slot, value) pair and
 dimension, not by testing every pair of cells.  Signs are carried from
 face to face across ridges that lie in exactly two faces, as in any
-polytope, and checked over the integers (`_propagated_signs`).  Only a
-cell they leave open goes to the exact rational kernel
-(`_kernels.nullspace_rational`, integer elimination on the faces' own
-sparse columns), to find its signs or name the rejection.  More than
+polytope, and checked over the integers (`_propagated_signs`), so the
+first face of each cell is +1.  Only a cell they leave open goes to
+the exact rational kernel (`_kernels.nullspace_rational`, integer
+elimination on the faces' own sparse columns), to find its signs or
+name the rejection.  The two routes' columns differ by a +-1 change of
+basis, which no rank, check or printed line sees.  More than
 `complexes.CELL_LIMIT` cells, or a dimension that needs that many, and
 more than `hypergraph.VERTEX_LIMIT` distinct label vertices or block
 values, raise BudgetError while the lines are read: a dump written from
 a complex built from a hypergraph has its label vertices and block
-values among the hypergraph's vertices (or, in a Taylor dump, its
-at most `resolution.TAYLOR_EDGE_LIMIT` edge indices).
+values among the hypergraph's vertices (or, in a Taylor dump, its at
+most `resolution.TAYLOR_EDGE_LIMIT` edge indices).  So do cells x block
+slots x distinct block values past the product of the two limits: the
+bits that either route's codes or (slot, value) pairs hold.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain
 from operator import lshift, lt
 
 from . import complexes, hypergraph
 from ._kernels import _members, nullspace_rational
-from .complexes import _AUG_COLUMN, LabeledComplex, _holders
-from .errors import BudgetError, ParseError
+from .complexes import _AUG_COLUMN, LabeledComplex, _filed, _holders
+from .errors import BudgetError, ParseError, PreconditionError
 from .hypergraph import _SPACE, _lines, _plain, read_text
 
 
@@ -81,13 +85,15 @@ def _read(text):
     line, and per field only to name the field a line breaks it in.
     More than `hypergraph.VERTEX_LIMIT` distinct label vertices, or
     distinct block values, raise BudgetError as the lines are read,
-    before any mask is made.
+    before any mask is made, and so do cells x block slots x distinct
+    block values past `complexes.CELL_LIMIT` times that limit.
     """
     rows = {}  # dim -> [(blocks, label)]
     seen = set()
     vertices = set()
     values = set()  # the values of the distinct blocks
     limit = hypergraph.VERTEX_LIMIT
+    width = complexes.CELL_LIMIT * limit
     arity = None
     parsed = {}  # slot text -> its block; dumps repeat their slots
     for lineno, line in _lines(text):
@@ -166,6 +172,12 @@ def _read(text):
             raise BudgetError(
                 f"the dump has more than {limit} distinct block values"
             )
+        # the bits of the codes or (slot, value) pairs an orientation holds
+        if len(seen) * arity * len(values) > width:
+            raise BudgetError(
+                f"the dump's cells x block slots x distinct block values "
+                f"come to more than {width}"
+            )
         dim_rows = rows.get(dim)
         if dim_rows is None:
             dim_rows = rows[dim] = []
@@ -209,99 +221,39 @@ def _pair_bits(keys, bits):
 
 
 def _orient(keys, masks, verts):
-    """The complex of the dump's cells, its columns by the block rule
-    when every cell is a product of simplices (`_block_columns`) and by
-    holder search and sign propagation otherwise (`_holder_columns`).
-    Both give the same columns wherever the block rule applies."""
-    columns = _block_columns(keys, masks)
-    if columns is None:
-        columns = _holder_columns(keys, masks)
-    return LabeledComplex(keys, masks, verts, lambda: columns)
+    """The complex of the dump's cells.
 
-
-def _block_columns(keys, masks):
-    """Columns by one-vertex deletion, or None unless every cell allows it.
-
-    The rule applies when every cell has no empty block and dimension
-    `block_dim`, and every deletion `block_boundary` names is a cell
-    whose label lies inside the cell's.  A cell's faces one dimension
-    down by componentwise containment are then exactly its deletions,
-    the faces the holder search finds.
-
-    The shape is checked first.  Each distinct block then gets an id,
-    and a cell's code packs its blocks' ids, slot i at bit offset
-    i * width, so codes stay a few words wide whatever values the dump
-    uses.  `dels[b]` holds b's id and the ids of b without each vertex;
-    deleting a vertex of block b in slot i swaps b's id for the smaller
-    block's at that offset: one lookup of an int per deletion.  The
-    smaller blocks come out of `combinations` last vertex dropped first,
-    so their `block_boundary` signs alternate from the last one's.
-
-    A cell's flip (+-1) is its parsed orientation over
-    `block_boundary`'s.  Face f enters with its `block_boundary` sign
-    times f's flip: the boundary of the product of simplices, the one
-    kernel vector of its faces' columns up to scale, in parsed
-    coordinates.  The cell's flip then makes its first face by id +1,
-    as the propagation and the rational kernel do, so the columns are
-    theirs entry for entry.
+    A dump of products of simplices (no empty dimension or block, every
+    cell of dimension `block_dim`) is filed as the builders file theirs
+    (`complexes._filed`), one bit per distinct block value.  If its one
+    check passes, every deletion is a cell labeled inside its cell, and
+    the deletions are the faces.  Any other dump takes the holder route
+    (`_holder_columns`).
     """
-    if not all(keys.values()):  # the cells above an empty dimension
-        return None
     cells = list(chain.from_iterable(keys.values()))
     arity = len(cells[0]) if cells else 0
-    for dim, dim_keys in keys.items():
-        size = dim + arity  # the vertex count of a product of simplices
-        for cell in dim_keys:
-            if sum(map(len, cell)) != size or not all(cell):
-                return None
-    blocks = set(chain.from_iterable(cells))
-    bid = dict(zip(blocks, range(len(blocks))))
-    get = bid.get
-    dels = {}
-    for block, k in bid.items():
-        if len(block) > 1:
-            drop = [*map(get, combinations(block, len(block) - 1))]
-            if None in drop:  # no cell has that block, so no such face
-                return None
-            dels[block] = k, drop
-    width = len(blocks).bit_length()
-    shifts = [i * width for i in range(arity)]
-    codes = {
-        dim: [sum(map(lshift, map(get, cell), shifts)) for cell in dim_keys]
-        for dim, dim_keys in keys.items()
-    }
-    flips = [1] * len(keys.get(0, ()))  # a vertex's augmentation is +1
-    columns = {}
-    for dim in range(1, len(keys)):
-        below = masks[dim - 1]
-        ids = dict(zip(codes[dim - 1], range(len(below))))
-        cols = columns[dim] = []
-        cell_flips = []
-        for cell, code, mask in zip(keys[dim], codes[dim], masks[dim]):
-            outside = ~mask
-            col = []
-            offset = 0
-            for block, shift in zip(cell, shifts):
-                last = len(block) - 1
-                if last:
-                    k, drop = dels[block]
-                    base = code - (k << shift)
-                    sign = -1 if (offset + last) & 1 else 1
-                    for d in drop:
-                        f = ids.get(base + (d << shift))
-                        if f is None or below[f] & outside:
-                            return None
-                        col.append((f, sign * flips[f]))
-                        sign = -sign
-                    offset += last
-            col.sort()
-            flip = col[0][1]
-            cell_flips.append(flip)
-            cols.append(
-                tuple(col) if flip == 1 else tuple((f, -s) for f, s in col)
-            )
-        flips = cell_flips
-    return columns
+    if all(keys.values()) and all(
+        all(cell) and sum(map(len, cell)) == dim + arity
+        for dim, dim_keys in keys.items() for cell in dim_keys
+    ):
+        blocks = set(chain.from_iterable(cells))
+        values = sorted(set(chain.from_iterable(blocks)))
+        bit = dict(zip(values, (1 << k for k in range(len(values)))))
+        code = {block: sum(map(bit.get, block)) for block in blocks}
+        shifts = [i * len(values) for i in range(arity)]
+        X = _filed((
+            (cell, dim, mask, sum(map(lshift, map(code.get, cell), shifts)))
+            for dim, dim_keys in keys.items()
+            for cell, mask in zip(dim_keys, masks[dim])
+        ), verts, bit, len(values))
+        try:
+            X._checked  # raises unless every deletion is a face
+        except PreconditionError:
+            pass
+        else:
+            return X
+    columns = _holder_columns(keys, masks)
+    return LabeledComplex(keys, masks, verts, lambda: columns)
 
 
 def _holder_columns(keys, masks):

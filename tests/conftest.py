@@ -1,6 +1,6 @@
 import pytest
 
-from cointerval import Hypergraph, build_complex
+from cointerval import Hypergraph, build_complex, dumpio
 
 from graphs import scrambled_complex
 
@@ -59,3 +59,18 @@ def scrambled():
     X = build_complex(H)
     cells = {c: (X.dim(c), X.label(c)) for c in X.all_cells()}
     return scrambled_complex(cells, seed=0)
+
+
+@pytest.fixture
+def holder_calls(monkeypatch):
+    """Calls of the dump holder route and of its two sign finders, by
+    name: the route a parsed dump took."""
+    calls = {"_holder_columns": 0, "_propagated_signs": 0,
+             "_rational_signs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(dumpio, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(dumpio, name, counted)
+    return calls

@@ -1,6 +1,6 @@
 """Test-graph generators, a corpus of complexes that resolve, a
-shuffled-id complex builder, downset and strict-downset cutters and a
-refusal probe, shared by the test modules."""
+shuffled-id complex builder, downset and strict-downset cutters, a
+refusal probe and a wide dump, shared by the test modules."""
 
 import itertools
 import random
@@ -69,6 +69,18 @@ def strand_corpus():
         if H.edges:
             out.append((f"taylor_seeded{i}", taylor_complex(H)))
     return out
+
+
+def slotted_points(count, slots, values):
+    """Dump text of `count` distinct points labeled 1, each with `slots`
+    one-value block slots over `values` values: cells x slots x values
+    is what the dump width budget counts."""
+    return "".join(
+        "0 | " + " ; ".join(
+            str((c + s * (c // values + 1)) % values) for s in range(slots)
+        ) + " | 1\n"
+        for c in range(count)
+    )
 
 
 def scrambled_complex(cells, seed):

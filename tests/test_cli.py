@@ -15,7 +15,6 @@ from cointerval import (
     Hypergraph,
     cli,
     complexes,
-    dumpio,
     find_strongly_stable_labeling,
     format_hypergraph,
     glued_resolution,
@@ -31,7 +30,7 @@ from cointerval.covers import LINEAR_WIDTH_EDGE_LIMIT
 from cointerval.hypergraph import COINTERVAL_PLACEMENT_LIMIT, VERTEX_LIMIT
 from cointerval.resolution import HOCHSTER_VERTEX_LIMIT
 
-from graphs import all_graphs, random_graph
+from graphs import all_graphs, random_graph, slotted_points
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -50,6 +49,7 @@ def check_golden(capsys, name, *argv):
 
 COPATH5 = str(GOLDEN / "input_copath5.txt")
 TWO_K2 = str(GOLDEN / "input_2k2.txt")
+COPATH5_DUMP = str(GOLDEN / "input_copath5.dump")
 TAYLOR = str(GOLDEN / "input_taylor_2k2.dump")
 JOIN = str(GOLDEN / "input_join_2k2.dump")
 NONCOINTERVAL = str(GOLDEN / "input_noncointerval.dump")
@@ -317,15 +317,26 @@ def test_verify(capsys):
     )
 
 
-def test_verify_join_dump(capsys):
+def test_verify_block_dump(capsys, holder_calls):
+    # copath(5)'s block complex, a dump of two-block cells that the
+    # block route orients with the writer's signs
+    X = cointerval.build_complex(read_hypergraph(COPATH5))
+    assert write_complex_dump(X) == (GOLDEN / "input_copath5.dump").read_text()
+    check_golden(
+        capsys, "verify_copath5.txt", "verify", COPATH5_DUMP, "--confirm"
+    )
+    assert holder_calls["_holder_columns"] == 0
+
+
+def test_verify_join_dump(capsys, holder_calls):
     # the glued resolution of 2K2, whose `-` slots send it down the
     # general route
     H = read_hypergraph(TWO_K2)
     glued, _ = glued_resolution(H, linear_width(H)[1])
     text = (GOLDEN / "input_join_2k2.dump").read_text()
     assert write_complex_dump(glued) == text
-    assert dumpio._block_columns(*dumpio._read(text)[:2]) is None
     check_golden(capsys, "verify_join_2k2.txt", "verify", JOIN, "--confirm")
+    assert holder_calls["_holder_columns"] == 1
 
 
 @pytest.mark.parametrize("field", ["3", "32003"])
@@ -429,6 +440,38 @@ def test_verify_refuses_dumps_past_the_vertex_budget(tmp_path):
         ), path.name
         # in kilobytes; a fresh interpreter holds about 20 MB
         assert int(rss) < 80_000, (path.name, rss)
+
+
+def test_verify_refuses_dumps_past_the_width_budget(tmp_path):
+    # 20,000 points with 99 one-value slots over VERTEX_LIMIT values
+    # (11.6 MB): vertex-bit codes on the block route, or (slot, value)
+    # pair bits on the holder route that a `-` slot sends it to, hold
+    # cells x slots x values bits, and without the budget took 2.7-2.9 s
+    # and about 173 MB peak RSS either way
+    text = slotted_points(20_000, 99, VERTEX_LIMIT)
+    dash = "0 | - ; " + " ; ".join(["1"] * 98) + " | 1\n"
+    env = dict(os.environ)
+    src = str(pathlib.Path(cointerval.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    for name, dump in (("block.dump", text), ("dash.dump", dash + text)):
+        path = tmp_path / name
+        path.write_text(dump)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", _VERIFY_RSS, str(path)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert time.perf_counter() - start < 1.0, name
+        assert proc.returncode == 4 and proc.stdout == "", name
+        err, rss = proc.stderr.rsplit("rss_kb ", 1)
+        assert err == (
+            "error: the dump's cells x block slots x distinct block values "
+            f"come to more than {CELL_LIMIT * VERTEX_LIMIT}\n"
+        ), name
+        # in kilobytes; a fresh interpreter holds about 20 MB
+        assert int(rss) < 80_000, (name, rss)
 
 
 def test_verify_flags_mutilation(capsys, tmp_path):

@@ -10,13 +10,15 @@ without non-ASCII whitespace (see `oracle_read_cells`).  `oracle_orient`
 is the orientation step as it was written first: every (dim - 1)-cell
 is tested against every dim-cell by `_below`, and each cell's signs come
 from a dense Fraction nullspace (`fraction_nullspace`).
-The parser orients a dump of products of simplices by the block rule
-(`dumpio._block_columns`); any other dump finds faces by holder bitsets
-and carries signs across ridges shared by two faces, falling back to the
-integer-elimination rational kernel (`dumpio._holder_columns`).  On
-every dump here parser and oracle must give the same boundaries, or the
-same ParseError text, and the block rule must give the holder route's
-columns wherever it applies.
+The parser files a dump of products of simplices as the builders file
+theirs (`complexes._filed`), so it gets the columns of the complex that
+wrote it; any other dump finds faces by holder bitsets and carries
+signs across ridges shared by two faces, falling back to the
+integer-elimination rational kernel (`dumpio._holder_columns`), which
+makes each cell's first face +1 as the oracle does.  On every dump here
+parser and oracle must give the same boundaries in that gauge
+(`first_face_gauge`), or the same ParseError text, and the holder route
+must give the writer's columns in it wherever the block rule applies.
 """
 
 import itertools
@@ -255,6 +257,31 @@ def oracle_orient(cells):
     return LabeledComplex.from_cells(cells, boundaries.__getitem__)
 
 
+def first_face_gauge(columns):
+    """Checked columns ({dim: columns by id}, the augmentation in
+    dimension 0) with each cell's orientation flipped, dimension by
+    dimension, so that its first face by id enters with +1."""
+    out = {0: columns[0]}
+    flips = [1] * len(columns[0])  # a vertex's augmentation is +1
+    for dim in range(1, len(columns)):
+        cols = out[dim] = []
+        cell_flips = []
+        for col in columns[dim]:
+            col = sorted((f, s * flips[f]) for f, s in col)
+            cell_flips.append(col[0][1])
+            cols.append(tuple((f, s * col[0][1]) for f, s in col))
+        flips = cell_flips
+    return out
+
+
+def gauged_parse(text):
+    """The parsed dump, its columns in the first-face gauge."""
+    X = parse_complex_dump(text)
+    gauged = first_face_gauge(X._checked)
+    columns = {dim: cols for dim, cols in gauged.items() if dim}
+    return LabeledComplex(X._keys, X._masks, X._vertices, lambda: columns)
+
+
 def outcome(parse, text):
     """('ok', boundaries in cell order), ('error', message) or
     ('budget', message)."""
@@ -365,7 +392,7 @@ def mutations(text, rng):
 
 def test_parser_matches_oracle_on_written_dumps():
     for name, text in source_dumps():
-        got = outcome(parse_complex_dump, text)
+        got = outcome(gauged_parse, text)
         assert got[0] == "ok", (name, got)
         assert got == outcome(oracle_parse, text), name
 
@@ -376,7 +403,7 @@ def test_parser_matches_oracle_on_mutations():
     for name, text in source_dumps():
         for _round in range(6):
             for kind, mutated in mutations(text, rng):
-                got = outcome(parse_complex_dump, mutated)
+                got = outcome(gauged_parse, mutated)
                 assert got == outcome(oracle_parse, mutated), (name, kind)
                 seen.setdefault(kind, []).append(
                     got[1] if got[0] == "error" else "ok"
@@ -391,7 +418,9 @@ def test_parser_matches_oracle_on_mutations():
 
 def test_reader_matches_oracle_on_dumps_and_mutations():
     rng = random.Random(2025)
-    dumps = source_dumps() + block_rule_dumps()
+    dumps = source_dumps() + [
+        (name, text) for name, text, _X in block_rule_dumps()
+    ]
     seen = set()
     for name, text in dumps:
         got = read_outcome(dumpio._read, text)
@@ -463,39 +492,31 @@ def test_reader_counts_cells_like_the_oracle(monkeypatch):
 
 
 def block_rule_dumps():
-    """Dumps of products of simplices: every complex of `strand_corpus`
-    (block complexes of small cointerval graphs and copath(4..9), seeded
-    Taylor complexes), copath(10) and the golden Taylor dump."""
-    out = [(name, write_complex_dump(X)) for name, X in strand_corpus()]
-    out.append(("copath10", write_complex_dump(build_complex(copath(10)))))
-    out.append(
-        ("golden_taylor", (GOLDEN / "input_taylor_2k2.dump").read_text())
-    )
+    """(name, dump, the complex that wrote it) for dumps of products of
+    simplices: every complex of `strand_corpus` (block complexes of
+    small cointerval graphs and copath(4..9), seeded Taylor complexes),
+    copath(10) and the golden Taylor dump, written by 2K2's."""
+    out = [(name, write_complex_dump(X), X) for name, X in strand_corpus()]
+    X = build_complex(copath(10))
+    out.append(("copath10", write_complex_dump(X), X))
+    two_k2 = Hypergraph(2, range(1, 5), [(1, 2), (3, 4)])
+    out.append((
+        "golden_taylor", (GOLDEN / "input_taylor_2k2.dump").read_text(),
+        taylor_complex(two_k2),
+    ))
     return out
 
 
 def test_block_rule_gives_the_holder_columns():
     dumps = block_rule_dumps()
     assert len(dumps) >= 400
-    for name, text in dumps:
+    for name, text, X in dumps:
+        Y = parse_complex_dump(text)
+        assert list(Y.all_cells()) == list(X.all_cells()), name
+        assert Y._checked == X._checked, name
         keys, masks, _verts = dumpio._read(text)
-        got = dumpio._block_columns(keys, masks)
-        assert got is not None, name
-        assert got == dumpio._holder_columns(keys, masks), name
-
-
-@pytest.fixture
-def holder_calls(monkeypatch):
-    """Calls of the holder route and of its two sign finders, by name."""
-    calls = {"_holder_columns": 0, "_propagated_signs": 0,
-             "_rational_signs": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(dumpio, name)):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(dumpio, name, counted)
-    return calls
+        held = {0: Y._checked[0], **dumpio._holder_columns(keys, masks)}
+        assert held == first_face_gauge(X._checked), name
 
 
 def test_block_dumps_skip_the_holder_route(holder_calls):
@@ -530,8 +551,6 @@ def test_irregular_dumps_take_the_holder_route(holder_calls):
          "((1,), (3, 4))"),
     ]
     for i, (mutated, expected) in enumerate(cases, start=1):
-        keys, masks, _verts = dumpio._read(mutated)
-        assert dumpio._block_columns(keys, masks) is None
         got = outcome(parse_complex_dump, mutated)
         assert holder_calls["_holder_columns"] == i
         assert got == outcome(oracle_parse, mutated)

@@ -1,3 +1,4 @@
+import itertools
 import re
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ from cointerval import (
     GF3,
     QQ,
     BudgetError,
+    Hypergraph,
     ParseError,
     build_complex,
     glued_resolution,
@@ -19,7 +21,10 @@ from cointerval import (
     verify_resolution,
     write_complex_dump,
 )
-from cointerval import complexes, dumpio, hypergraph
+from cointerval import complexes, hypergraph
+from cointerval.resolution import independence_complex
+
+from graphs import slotted_points
 
 
 def roundtrip(X):
@@ -51,6 +56,21 @@ def test_join_roundtrip(two_k2):
     assert "- ; - ; 3 ; 4" in text  # vanished factors dump as empty slots
     Y = roundtrip(glued)
     assert verify_resolution(Y, fields=(GF2, GF3, QQ)).passed
+
+
+def test_written_dumps_parse_to_the_writers_columns(
+    copath5, k4_3, two_k2, holder_calls
+):
+    # the graphs of the proof corpus; each complex filed by one-vertex
+    # deletion comes back with its own columns, on the block route
+    planted = Hypergraph(2, range(1, 8), list(copath5.edges) + [(6, 7)])
+    k3 = Hypergraph(2, range(1, 4), itertools.combinations(range(1, 4), 2))
+    for H in (copath5, k4_3, two_k2, planted, k3):
+        for build in (build_complex, taylor_complex, independence_complex):
+            X = build(H)
+            Y = parse_complex_dump(write_complex_dump(X))
+            assert Y._checked == X._checked, (build.__name__, H)
+    assert holder_calls["_holder_columns"] == 0
 
 
 def test_parsed_signs_square_to_zero(copath5):
@@ -128,10 +148,10 @@ def test_lines_break_only_where_open_breaks_them():
 def test_wide_dumps_parse_in_small_memory():
     # 5 edges, each cell with 99 block slots and new values in every
     # group: 15 cells of products of simplices on VERTEX_LIMIT values,
-    # the most a dump may use.  Codes with a bit per value at offset
-    # slot * number of values would hold about 150 MB at peak here,
-    # growing as the square of slots times values; the input stays
-    # small so that such codes fail the bound rather than exhaust memory.
+    # the most a dump may use.  The block route's codes hold a bit per
+    # value in every slot, 99 x 500 bits a cell, and parse this dump in
+    # under 1 MB; the width budget bounds cells x slots x values, which
+    # is 742,500 here.
     width = 100
     lines = []
     for v in range(0, hypergraph.VERTEX_LIMIT, width):
@@ -152,11 +172,26 @@ def test_wide_dumps_parse_in_small_memory():
     assert peak < 16 * 2**20
     assert X.f_vector() == (10, 5)
     cell = ((0, 1), *((v,) for v in range(2, width)))
-    assert X.boundary(cell) == [
-        (((0,), *cell[1:]), 1), (((1,), *cell[1:]), -1)
+    # the block route: the writer's signs, not the first face's +1
+    assert X.boundary(cell) == complexes.block_boundary(cell) == [
+        (((1,), *cell[1:]), 1), (((0,), *cell[1:]), -1)
     ]
-    keys, masks, _verts = dumpio._read(text)
-    assert dumpio._block_columns(keys, masks) is not None
+
+
+def test_width_budget_counts_cells_slots_and_values():
+    # 99 one-value slots over VERTEX_LIMIT values: 1,010 points come to
+    # 49,995,000 <= CELL_LIMIT * VERTEX_LIMIT and are read, one more is
+    # refused on its line
+    limit = complexes.CELL_LIMIT * hypergraph.VERTEX_LIMIT
+    assert 1_010 * 99 * hypergraph.VERTEX_LIMIT <= limit
+    text = slotted_points(1_011, 99, hypergraph.VERTEX_LIMIT)
+    under = text[:text.rindex("0 |")]
+    start = time.perf_counter()
+    X = parse_complex_dump(under)
+    assert time.perf_counter() - start < 2
+    assert X.f_vector() == (1_010,)
+    with pytest.raises(BudgetError, match=f"values come to more than {limit}"):
+        parse_complex_dump(text)
 
 
 def test_a_lone_high_dimension_is_refused_in_time():
