@@ -15,31 +15,33 @@ their labels as bitmasks, and a builder's rule for the boundary
 columns.  On first use of its boundary, columns or downsets the
 complex checks, once, that faces are cells with labels inside their
 cell's and that the boundary squares to zero; nothing is read off a
-complex that fails.  Over GF(2) the checked columns are also packed,
-once, into one int each.  A downset is an id selection ({dim: id bitset},
-`_select`): the lattice sweeps read ranks straight off it and the
-complex's columns, and no downset is built as a complex.
+complex that fails, and one that passes drops the builder's rule.
+Over GF(2) the checked columns are also packed, once, into one int
+each.  A downset is an id selection ({dim: id bitset}, `_select`): the
+lattice sweeps read ranks straight off it and the complex's columns,
+and no downset is built as a complex.
 
-The builders differ only in how they find cells and columns.  A
-complex of products of simplices is met in sort order and filed by
-`_filed`, which ids the cells and derives the columns by one-vertex
-deletion.  `build_complex` grows the cells of a d-graph by downward
-closure (`_grow`): "every transversal is an edge" survives shrinking
-blocks, so block tuples grow one vertex at a time and a branch is cut
-at its first non-edge; it stops with BudgetError past CELL_LIMIT cells.
-`resolution.independence_complex` grows independent sets as one-block
-cells with `_lex_subsets`, the growth of a last block, cut at each
-completed edge, `resolution.taylor_complex` takes every set of edge
-indices, and `dumpio.parse_complex_dump` files a dump of products of
-simplices.  `LabeledComplex.from_cells` takes cells, labels and a
-boundary rule (part complexes, hand-built ones); `covers.join` builds
-joins, and the dump parser any other dump.
+The builders differ only in how they find cells and code them: each
+meets its products of simplices in sort order, and `_filed` ids them
+and derives the columns by one-vertex deletion (in a join, also a
+factor's vertex vanishing).  `build_complex` grows the cells of a
+d-graph by downward closure (`_grow`): "every transversal is an edge"
+survives shrinking blocks, so block tuples grow one vertex at a time
+and a branch is cut at its first non-edge; it stops with BudgetError
+past CELL_LIMIT cells.  `resolution.independence_complex` grows
+independent sets as one-block cells with `_lex_subsets`, cut at each
+completed edge, and `resolution.taylor_complex` takes every set of edge
+indices.  `_coded` codes cells keyed by blocks by their values for
+`LabeledComplex.remapped`, `covers.join` and a dump of products of
+simplices; the dump parser orients any other dump itself.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from itertools import chain
+from operator import lshift
 
 from ._kernels import _flags, _members, pack_gf2
 from .errors import BudgetError, PreconditionError
@@ -82,18 +84,6 @@ def _not_a_cell(face, cell, dim):
     )
 
 
-def _column(faces, pos, cell, dim):
-    """Signed faces as (face id, coefficient) pairs; `pos` ids the
-    cells one dimension down."""
-    acc = {}
-    for face, sign in faces:
-        i = pos.get(face)
-        if i is None:
-            raise _not_a_cell(face, cell, dim)
-        acc[i] = acc.get(i, 0) + sign
-    return tuple((i, c) for i, c in acc.items() if c)
-
-
 class LabeledComplex:
     """Finite labeled cell complex, stored by cell id.
 
@@ -121,49 +111,26 @@ class LabeledComplex:
             d: (1 << len(cells)) - 1 for d, cells in keys.items() if cells
         }
 
-    @classmethod
-    def from_cells(cls, cells, boundary):
-        """A complex from {cell: (dim, label)} and a boundary rule.
-
-        Cells are sorted within each dimension; `boundary(cell)` gives
-        signed faces as (cell, sign) pairs and is read when the columns
-        are first needed.
-        """
-        top = max((dim for dim, _label in cells.values()), default=-1)
-        keys = {d: [] for d in range(top + 1)}
-        for cell, (dim, _label) in cells.items():
-            keys[dim].append(cell)
-        for dim_cells in keys.values():
-            dim_cells.sort()
-        verts = sorted(set().union(*(lab for _d, lab in cells.values())))
-        bit = {v: 1 << k for k, v in enumerate(verts)}
-        masks = {
-            d: [sum(bit[v] for v in cells[c][1]) for c in dim_cells]
-            for d, dim_cells in keys.items()
-        }
-
-        def columns():
-            out = {}
-            for d in range(1, len(keys)):
-                pos = {face: i for i, face in enumerate(keys[d - 1])}
-                out[d] = [_column(boundary(c), pos, c, d) for c in keys[d]]
-            return out
-
-        return cls(keys, masks, verts, columns)
-
     def remapped(self, mapping):
         """Push block contents *and* labels through a vertex bijection.
 
         Shrink faces commute with the bijection, and the sign rule only
         sees block sizes and within-block positions, so the image is
-        again a valid block complex (on relabeled vertices).
+        again a valid block complex (on relabeled vertices), coded anew.
         """
-        return LabeledComplex.from_cells({
-            tuple(tuple(sorted(mapping[v] for v in b)) for b in cell): (
-                self.dim(cell), frozenset(mapping[v] for v in self.label(cell))
+        verts = sorted(mapping[v] for v in self._vertices)
+        bit = {v: 1 << k for k, v in enumerate(verts)}
+        to = [bit[mapping[v]] for v in self._vertices]
+        keys, masks = {}, {}
+        for d, cells in self._keys.items():
+            rows = sorted(
+                (tuple(tuple(sorted(map(mapping.__getitem__, b))) for b in c),
+                 sum(map(to.__getitem__, _members(mask))))
+                for c, mask in zip(cells, self._masks[d])
             )
-            for cell in self.all_cells()
-        }, block_boundary)
+            keys[d] = [key for key, _mask in rows]
+            masks[d] = [mask for _key, mask in rows]
+        return _coded(keys, masks, verts)
 
     # --- cells and labels ---------------------------------------------
     @functools.cached_property
@@ -253,7 +220,9 @@ class LabeledComplex:
         boundary squares to zero (augmentation included).  Label
         monotonicity makes every downset closed under faces, and the
         boundary of a subcomplex is the restriction of the parent's, so
-        neither check is needed again for an id selection.
+        neither check is needed again for an id selection.  Once the
+        columns pass, the builder's rule and what it holds are dropped;
+        a complex that fails keeps it, and raises again on the next read.
         """
         keys, masks, columns = self._keys, self._masks, self._column_rule()
         for d, cols in columns.items():
@@ -269,6 +238,7 @@ class LabeledComplex:
                         )
         checked = {0: [_AUG_COLUMN] * len(keys.get(0, ())), **columns}
         _assert_squares_to_zero(keys, checked)
+        self._column_rule = None
         return checked
 
     def columns(self, dim):
@@ -365,27 +335,6 @@ def block_dim(blocks):
     return sum(len(b) - 1 for b in blocks)
 
 
-def block_boundary(blocks):
-    """Signed faces of a product-of-simplices cell.
-
-    Deleting vertex v from block i carries the sign
-    (-1)^(sum of earlier block dimensions) * (-1)^(index of v in its
-    block); blocks of size one cannot shrink.  Composing twice cancels,
-    which the complex checks on first use of its columns.
-    """
-    out = []
-    offset = 0
-    for i, block in enumerate(blocks):
-        if len(block) >= 2:
-            base = -1 if offset & 1 else 1
-            for pos, v in enumerate(block):
-                face = blocks[:i] + (block[:pos] + block[pos + 1:],) + blocks[i + 1:]
-                sign = base if pos % 2 == 0 else -base
-                out.append((face, sign))
-        offset += len(block) - 1
-    return out
-
-
 def _grow(H, bit, stride):
     """Block cells of H grown by downward closure, in preorder.
 
@@ -467,15 +416,49 @@ def _lex_subsets(verts, bit, rests=None):
                 stack.append((block + (v,), mask | bit[v], nxt + 1))
 
 
-def _filed(cells, vertices, bit, stride):
+def _misshapen(keys):
+    """The first cell of {dim: cells} with an empty block or a dimension
+    other than its `block_dim`, or None."""
+    for dim, cells in keys.items():
+        for cell in cells:
+            if not all(cell) or sum(map(len, cell)) != dim + len(cell):
+                return cell
+    return None
+
+
+def _coded(keys, masks, vertices, factors=None):
+    """The complex of cells keyed by blocks, each dimension sorted,
+    filed by `_filed`: one bit per distinct block value, block i's at
+    offset i * stride, the stride being the number of values."""
+    blocks = set(chain.from_iterable(chain.from_iterable(keys.values())))
+    values = sorted(set(chain.from_iterable(blocks)))
+    bit = dict(zip(values, (1 << k for k in range(len(values)))))
+    code = {block: sum(map(bit.get, block)) for block in blocks}
+    first = next(chain.from_iterable(keys.values()), ())
+    shifts = [i * len(values) for i in range(len(first))]
+    return _filed((
+        (cell, dim, mask, sum(map(lshift, map(code.get, cell), shifts)))
+        for dim, dim_keys in keys.items()
+        for cell, mask in zip(dim_keys, masks[dim])
+    ), vertices, bit, len(values), factors)
+
+
+def _filed(cells, vertices, bit, stride, factors=None):
     """The complex of products of simplices met in sort order.
 
     `cells` yields (cell, dim, label mask, code) per cell, cells of a
     dimension in sort order; `code` packs block i's vertices (`bit`) at
-    offset i * stride.  The cells are filed per dimension, a cell's id
-    being its position, and the columns delete one vertex at a time:
-    the face without v in block i has code `code ^ bit[v] << i * stride`
-    and the sign of `block_boundary`.
+    offset i * stride.  A cell's id is its position in its dimension.
+    `factors` gives each join factor's (start, stop) block slots; by
+    default the whole key is one factor.
+
+    The columns walk the present factors (a vanished one has empty
+    slots).  Deleting v from block i is `code ^ bit[v] << i * stride`; a
+    factor whose pick is a vertex also vanishes, to `code` without its
+    slot bits.  The sign is (-1)^offset, the offset being v's index in
+    its block, plus the dimensions of the blocks before it, plus one per
+    present factor before it: the product rule, a vertex going to the
+    empty face.  The complex checks that composing twice cancels.
     """
     keys, masks, codes, ids = {}, {}, {}, {}
     for cell, dim, mask, code in cells:
@@ -487,6 +470,11 @@ def _filed(cells, vertices, bit, stride):
         dim_keys.append(cell)
         masks[dim].append(mask)
         codes[dim].append(code)
+    # (start, stop, slot mask, first shift) per factor
+    slots = [(0, None, -1, 0)] if factors is None else [
+        (a, b, ((1 << (b - a) * stride) - 1) << a * stride, a * stride)
+        for a, b in factors
+    ]
 
     def columns():
         out = {}
@@ -494,21 +482,35 @@ def _filed(cells, vertices, bit, stride):
             cols = out[dim] = []
             for cell, code in zip(keys[dim], codes[dim]):
                 col = []
-                shift = offset = 0
-                for j, block in enumerate(cell):
-                    if len(block) > 1:
-                        sign = -1 if offset & 1 else 1
-                        for v in block:
-                            face = ids.get(code ^ bit[v] << shift)
-                            if face is None:
-                                face = tuple(u for u in block if u != v)
-                                raise _not_a_cell(
-                                    cell[:j] + (face,) + cell[j + 1:], cell, dim
-                                )
-                            col.append((face, sign))
-                            sign = -sign
-                        offset += len(block) - 1
-                    shift += stride
+                offset = 0
+                for a, b, slot, shift in slots:
+                    if not code & slot:
+                        continue
+                    start = offset
+                    for block in cell[a:b]:
+                        if len(block) > 1:
+                            sign = -1 if offset & 1 else 1
+                            for v in block:
+                                face = ids.get(code ^ bit[v] << shift)
+                                if face is None:
+                                    # a stride of 0 codes one-block keys
+                                    j = shift // stride if stride else 0
+                                    face = tuple(u for u in block if u != v)
+                                    raise _not_a_cell(
+                                        cell[:j] + (face,) + cell[j + 1:],
+                                        cell, dim,
+                                    )
+                                col.append((face, sign))
+                                sign = -sign
+                            offset += len(block) - 1
+                        shift += stride
+                    if offset == start:  # the pick is a vertex
+                        face = ids.get(code & ~slot)
+                        if face is None:
+                            face = f"without {cell[a:b]}"
+                            raise _not_a_cell(face, cell, dim)
+                        col.append((face, -1 if offset & 1 else 1))
+                    offset += 1
                 cols.append(tuple(col))
         return out
 

@@ -8,7 +8,8 @@ by exhaustive search over edge subsets.
 
 A join is built straight into a `LabeledComplex`: each cell is keyed by
 its factors' block tuples side by side, empty where a factor vanished,
-so a join and its dump share keys and sort order.
+so a join and its dump share keys and sort order.  It is filed like
+every builder's complex (`complexes._filed`), over its factors' slots.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from . import complexes
 from ._kernels import _members
-from .complexes import LabeledComplex, build_complex
+from .complexes import _misshapen, build_complex
 from .errors import BudgetError, PreconditionError
 from .homology import DEFAULT_FIELDS
 from .hypergraph import (
@@ -53,61 +54,67 @@ def _family(name):
 
 
 def join(factors):
-    """Join of the given complexes (empty factors are dropped).
+    """Join of complexes of products of simplices (empty ones dropped).
 
     A join cell picks a cell or nothing from each factor, and something
     from at least one; its dimension is the sum of the picks' dim + 1,
     minus one, and its label the union of their labels.  Its key is the
     picks' block tuples concatenated, with empty blocks for a factor it
     picks nothing from, which is the block tuple its dump line holds.
-    The boundary follows the product rule over the factors, with a
-    picked vertex allowed to vanish (its augmentation term).  A factor
-    with empty blocks is a join itself and is refused.  The factors with
-    c_1, ..., c_m cells have (c_1 + 1) ... (c_m + 1) - 1 join cells;
-    more than `complexes.CELL_LIMIT` raise BudgetError before any is made.
+    Each factor's cells are taken in key order behind its vanished
+    entry, so the product meets the join keys in sort order, and they
+    are filed over the factors' block slots (`complexes._coded`).
+
+    A factor with empty blocks is a join itself (ValueError), and one
+    with a cell not of its `block_dim` is no product of simplices
+    (PreconditionError).  The factors with c_1, ..., c_m cells have
+    (c_1 + 1) ... (c_m + 1) - 1 join cells; more than
+    `complexes.CELL_LIMIT` raise BudgetError before any is made.  Each
+    factor is then checked, so one that fails is named as such.
     """
     factors = tuple(X for X in factors if not X.is_empty)
-    picks = [list(X.all_cells()) for X in factors]
-    if any(not block for cells in picks for cell in cells for block in cell):
-        raise ValueError(
-            "nested joins are not supported; join every factor in one call"
+    for X in factors:
+        cell = _misshapen(X._keys)
+        if cell is None:
+            continue
+        if not all(cell):
+            raise ValueError(
+                "nested joins are not supported; join every factor in one call"
+            )
+        raise PreconditionError(
+            f"cannot join a factor whose cell {cell} is not a product "
+            "of simplices of its dimension"
         )
-    size = math.prod(len(cells) + 1 for cells in picks) - 1
+    size = math.prod(len(X) + 1 for X in factors) - 1
     if size > complexes.CELL_LIMIT:
         raise BudgetError(
             f"the join has {size} > {complexes.CELL_LIMIT} cells"
         )
-    vanished = [((),) * len(cells[0]) for cells in picks]
-    # factor i's blocks sit at key[starts[i]:starts[i + 1]]
-    starts = list(itertools.accumulate(map(len, vanished), initial=0))
-    slots = list(zip(factors, starts, starts[1:], vanished))
-    cells = {}
-    for combo in itertools.product(*([v] + c for v, c in zip(vanished, picks))):
-        picked = [(X, c) for X, c in zip(factors, combo) if any(c)]
-        if picked:
-            cells[sum(combo, ())] = (
-                sum(X.dim(c) + 1 for X, c in picked) - 1,
-                frozenset().union(*(X.label(c) for X, c in picked)),
-            )
-
-    def boundary(key):
-        out = []
-        offset = 0
-        for X, a, b, empty in slots:
-            cell = key[a:b]
-            if not any(cell):
-                continue
-            dim = X.dim(cell)
-            sign = -1 if offset & 1 else 1
-            for face, s in X.boundary(cell):
-                out.append((key[:a] + face + key[b:], sign * s))
-            dropped = key[:a] + empty + key[b:]
-            if dim == 0 and any(dropped):
-                out.append((dropped, sign))
-            offset += dim + 1
-        return out
-
-    return LabeledComplex.from_cells(cells, boundary)
+    for X in factors:
+        X._checked  # raises unless the factor checks out
+    verts = sorted(set().union(*(X._vertices for X in factors)))
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    joined = [((), 0, 0)]  # (key, sum of the picks' dim + 1, label mask)
+    slots = []
+    for X in factors:
+        to = [bit[v] for v in X._vertices]
+        picks = sorted(
+            (key, d + 1, sum(map(to.__getitem__, _members(mask))))
+            for d in X.dims() for key, mask in zip(X.cells(d), X.masks(d))
+        )
+        start, arity = len(joined[0][0]), len(picks[0][0])
+        slots.append((start, start + arity))
+        picks.insert(0, (((),) * arity, 0, 0))
+        joined = [
+            (key + k, n + m, mask | b)
+            for key, n, mask in joined for k, m, b in picks
+        ]
+    keys = {d: [] for d in range(max(n for _k, n, _m in joined))}
+    masks = {d: [] for d in keys}
+    for key, n, mask in joined[1:]:
+        keys[n - 1].append(key)
+        masks[n - 1].append(mask)
+    return complexes._coded(keys, masks, verts, slots)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,15 @@ it sorts each dimension once and turns labels into bitmasks once every
 vertex is known.
 
 A dump whose every cell is a product of simplices (no empty block,
-dimension `block_dim`) is filed as the builders file their complexes
-(`complexes._filed`): one bit per distinct block value, so a deletion
-is one xor and one lookup, signed as `block_boundary` signs it; the
-complex's one check (every deletion a cell labeled inside its cell, and
-the boundary squaring to zero) says whether the deletions are its
-faces.  Such a dump parses to the columns of the complex that wrote it.
-Any other dump takes the general route (`_holder_columns`).  Faces are
-found with one holder bitset per (block slot, value) pair and
-dimension, not by testing every pair of cells.  Signs are carried from
+dimension `block_dim`) is coded and filed as the builders file their
+complexes (`complexes._coded`, `complexes._filed`): one bit per
+distinct block value, so a deletion is one xor and one lookup, signed
+by `_filed`'s rule; the complex's one check (every deletion a cell
+labeled inside its cell, and the boundary squaring to zero) says
+whether the deletions are its faces.  Such a dump parses to the columns
+of the complex that wrote it.  Any other dump takes the general route
+(`_holder_columns`).  Faces are found with one holder bitset per (block
+slot, value) pair and dimension, not by testing every pair of cells.  Signs are carried from
 face to face across ridges that lie in exactly two faces, as in any
 polytope, and checked over the integers (`_propagated_signs`), so the
 first face of each cell is +1.  Only a cell they leave open goes to
@@ -45,12 +45,13 @@ bits that either route's codes or (slot, value) pairs hold.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import lshift, lt
+from operator import lt
 
 from . import complexes, hypergraph
 from ._kernels import _members, nullspace_rational
-from .complexes import _AUG_COLUMN, LabeledComplex, _filed, _holders
+from .complexes import (
+    _AUG_COLUMN, LabeledComplex, _coded, _holders, _misshapen,
+)
 from .errors import BudgetError, ParseError, PreconditionError
 from .hypergraph import _SPACE, _lines, _plain, read_text
 
@@ -223,29 +224,13 @@ def _pair_bits(keys, bits):
 def _orient(keys, masks, verts):
     """The complex of the dump's cells.
 
-    A dump of products of simplices (no empty dimension or block, every
-    cell of dimension `block_dim`) is filed as the builders file theirs
-    (`complexes._filed`), one bit per distinct block value.  If its one
-    check passes, every deletion is a cell labeled inside its cell, and
-    the deletions are the faces.  Any other dump takes the holder route
-    (`_holder_columns`).
+    A dump of products of simplices (no empty dimension, no cell that
+    `complexes._misshapen` finds) is filed as the builders file theirs
+    (`complexes._coded`).  If its one check passes, the deletions are
+    the faces; any other dump takes the holder route (`_holder_columns`).
     """
-    cells = list(chain.from_iterable(keys.values()))
-    arity = len(cells[0]) if cells else 0
-    if all(keys.values()) and all(
-        all(cell) and sum(map(len, cell)) == dim + arity
-        for dim, dim_keys in keys.items() for cell in dim_keys
-    ):
-        blocks = set(chain.from_iterable(cells))
-        values = sorted(set(chain.from_iterable(blocks)))
-        bit = dict(zip(values, (1 << k for k in range(len(values)))))
-        code = {block: sum(map(bit.get, block)) for block in blocks}
-        shifts = [i * len(values) for i in range(arity)]
-        X = _filed((
-            (cell, dim, mask, sum(map(lshift, map(code.get, cell), shifts)))
-            for dim, dim_keys in keys.items()
-            for cell, mask in zip(dim_keys, masks[dim])
-        ), verts, bit, len(values))
+    if all(keys.values()) and _misshapen(keys) is None:
+        X = _coded(keys, masks, verts)
         try:
             X._checked  # raises unless every deletion is a face
         except PreconditionError:

@@ -1,15 +1,168 @@
-"""Test-graph generators, a corpus of complexes that resolve, a
-shuffled-id complex builder, downset and strict-downset cutters, a
-refusal probe and a wide dump, shared by the test modules."""
+"""Test-graph generators, a corpus of complexes that resolve, the
+generic complex builder (`from_cells`) with the block sign rule and the
+former tuple-keyed join as oracles, a shuffled-id complex builder,
+downset and strict-downset cutters, a refusal probe and a wide dump,
+shared by the test modules."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from cointerval import Hypergraph, LabeledComplex, build_complex, taylor_complex
+from cointerval import (
+    BudgetError,
+    Hypergraph,
+    LabeledComplex,
+    build_complex,
+    complexes,
+    join,
+    taylor_complex,
+)
 from cointerval._kernels import _flags, _members, _picked
-from cointerval.complexes import block_boundary
+from cointerval.complexes import _not_a_cell
+
+
+def block_boundary(blocks):
+    """Signed faces of a product-of-simplices cell: the sign rule of
+    `complexes._filed` for one factor, written out.
+
+    Deleting vertex v from block i carries the sign
+    (-1)^(sum of earlier block dimensions) * (-1)^(index of v in its
+    block); blocks of size one cannot shrink.
+    """
+    out = []
+    offset = 0
+    for i, block in enumerate(blocks):
+        if len(block) >= 2:
+            base = -1 if offset & 1 else 1
+            for pos, v in enumerate(block):
+                face = blocks[:i] + (block[:pos] + block[pos + 1:],) + blocks[i + 1:]
+                sign = base if pos % 2 == 0 else -base
+                out.append((face, sign))
+        offset += len(block) - 1
+    return out
+
+
+def _column(faces, pos, cell, dim):
+    """Signed faces as (face id, coefficient) pairs, equal faces summed;
+    `pos` ids the cells one dimension down."""
+    acc = {}
+    for face, sign in faces:
+        i = pos.get(face)
+        if i is None:
+            raise _not_a_cell(face, cell, dim)
+        acc[i] = acc.get(i, 0) + sign
+    return tuple((i, c) for i, c in acc.items() if c)
+
+
+def from_cells(cells, boundary):
+    """The generic builder: a complex from {cell: (dim, label)} and a
+    boundary rule.
+
+    Cells are sorted within each dimension; `boundary(cell)` gives
+    signed faces as (cell, sign) pairs and is read when the columns are
+    first needed, each face found by its key.  Every builder of the
+    package is compared with it, and hand-built or planted complexes are
+    made with it.
+    """
+    top = max((dim for dim, _label in cells.values()), default=-1)
+    keys = {d: [] for d in range(top + 1)}
+    for cell, (dim, _label) in cells.items():
+        keys[dim].append(cell)
+    for dim_cells in keys.values():
+        dim_cells.sort()
+    verts = sorted(set().union(*(lab for _d, lab in cells.values())))
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    masks = {
+        d: [sum(bit[v] for v in cells[c][1]) for c in dim_cells]
+        for d, dim_cells in keys.items()
+    }
+
+    def columns():
+        out = {}
+        for d in range(1, len(keys)):
+            pos = {face: i for i, face in enumerate(keys[d - 1])}
+            out[d] = [_column(boundary(c), pos, c, d) for c in keys[d]]
+        return out
+
+    return LabeledComplex(keys, masks, verts, columns)
+
+
+def former_join(factors):
+    """The join as it was built before it was filed over factor slots:
+    tuple keys, frozenset labels and a product-rule boundary that reads
+    each factor's `dim`, `label` and `boundary` per cell, through
+    `from_cells`."""
+    factors = tuple(X for X in factors if not X.is_empty)
+    picks = [list(X.all_cells()) for X in factors]
+    if any(not block for cells in picks for cell in cells for block in cell):
+        raise ValueError(
+            "nested joins are not supported; join every factor in one call"
+        )
+    size = math.prod(len(cells) + 1 for cells in picks) - 1
+    if size > complexes.CELL_LIMIT:
+        raise BudgetError(
+            f"the join has {size} > {complexes.CELL_LIMIT} cells"
+        )
+    vanished = [((),) * len(cells[0]) for cells in picks]
+    # factor i's blocks sit at key[starts[i]:starts[i + 1]]
+    starts = list(itertools.accumulate(map(len, vanished), initial=0))
+    slots = list(zip(factors, starts, starts[1:], vanished))
+    cells = {}
+    for combo in itertools.product(*([v] + c for v, c in zip(vanished, picks))):
+        picked = [(X, c) for X, c in zip(factors, combo) if any(c)]
+        if picked:
+            cells[sum(combo, ())] = (
+                sum(X.dim(c) + 1 for X, c in picked) - 1,
+                frozenset().union(*(X.label(c) for X, c in picked)),
+            )
+
+    def boundary(key):
+        out = []
+        offset = 0
+        for X, a, b, empty in slots:
+            cell = key[a:b]
+            if not any(cell):
+                continue
+            dim = X.dim(cell)
+            sign = -1 if offset & 1 else 1
+            for face, s in X.boundary(cell):
+                out.append((key[:a] + face + key[b:], sign * s))
+            dropped = key[:a] + empty + key[b:]
+            if dim == 0 and any(dropped):
+                out.append((dropped, sign))
+            offset += dim + 1
+        return out
+
+    return from_cells(cells, boundary)
+
+
+def same_complex(X, Y, where=None):
+    """Assert that two complexes are equal entry for entry: vertices,
+    keys, label masks and checked columns."""
+    assert X._vertices == Y._vertices, where
+    assert {d: list(k) for d, k in X._keys.items()} == {
+        d: list(k) for d, k in Y._keys.items()
+    }, where
+    assert X._masks == Y._masks, where
+    assert {d: X.columns(d) for d in X.dims()} == {
+        d: Y.columns(d) for d in Y.dims()
+    }, where
+
+
+def checked_join(factors):
+    """`join(factors)`, once it equals `former_join(factors)` exactly."""
+    J = join(factors)
+    same_complex(J, former_join(factors), factors)
+    return J
+
+
+def zero_sphere(a, b):
+    """Two points a and b: the strict downset of a segment below its
+    whole label."""
+    seg = build_complex(Hypergraph(1, [a, b], [(a,), (b,)]))
+    return strict_downset(seg, seg.mask({a, b}))[1]
 
 
 def all_graphs(d, vertices):
@@ -98,7 +251,7 @@ def scrambled_complex(cells, seed):
     def boundary(key):
         return [((rank[f], f), s) for f, s in block_boundary(key[1])]
 
-    return LabeledComplex.from_cells(
+    return from_cells(
         {(rank[c], c): dim_label for c, dim_label in cells.items()}, boundary
     )
 
@@ -148,7 +301,7 @@ def strict_downset(X, mask):
         cell: (dim, X.label(cell))
         for dim, bits in sets.items() for cell in _picked(X.cells(dim), bits)
     }
-    return sets, LabeledComplex.from_cells(cells, X.boundary)
+    return sets, from_cells(cells, X.boundary)
 
 
 def refusal(call, *args):

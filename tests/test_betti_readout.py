@@ -22,7 +22,6 @@ from cointerval import (
     QQ,
     BettiTable,
     Hypergraph,
-    LabeledComplex,
     PreconditionError,
     betti_from_cells,
     betti_from_downset_homology,
@@ -34,11 +33,11 @@ from cointerval import (
     taylor_complex,
     verify_resolution,
 )
-from cointerval.complexes import block_boundary, union_closure
+from cointerval.complexes import union_closure
 from cointerval.homology import homology_ranks
 from cointerval.resolution import _rank, independence_complex
 
-from graphs import all_graphs, copath, random_graph
+from graphs import all_graphs, block_boundary, copath, from_cells, random_graph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIELDS = (GF2, GF3, QQ)
@@ -181,7 +180,7 @@ def small_graphs():
 def shared_label_segment():
     """Two vertices with one label and the edge between them: a
     non-minimal resolution of (x1 x2) whose beta_0 counts one label."""
-    return LabeledComplex.from_cells({
+    return from_cells({
         ((1,),): (0, frozenset({1, 2})),
         ((2,),): (0, frozenset({1, 2})),
         ((1, 2),): (1, frozenset({1, 2})),

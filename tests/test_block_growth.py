@@ -5,7 +5,7 @@ LabeledComplex keys, label masks and one-vertex-deletion columns
 straight from that growth.  The oracle here is the enumeration it replaced:
 every support subset times every composition into d blocks, kept when
 all transversals are edges, built by the generic route (cells, labels
-and `block_boundary` through `LabeledComplex.from_cells`).  Cells must
+and `block_boundary` through the tests' `from_cells`).  Cells must
 agree in the same order, and the two complexes' keys, masks, holders
 and checked columns entry for entry.
 """
@@ -23,9 +23,9 @@ from cointerval import (
     build_complex,
     complexes,
 )
-from cointerval.complexes import block_boundary, block_dim
+from cointerval.complexes import block_dim
 
-from graphs import all_graphs, downset
+from graphs import all_graphs, block_boundary, downset, from_cells
 
 
 def scan_block_cells(H):
@@ -105,7 +105,7 @@ EDGE_CASES = [
 
 def assert_same_index(H):
     grown = build_complex(H)
-    oracle = LabeledComplex.from_cells({
+    oracle = from_cells({
         b: (block_dim(b), frozenset(itertools.chain(*b)))
         for b in scan_block_cells(H)
     }, block_boundary)

@@ -1,12 +1,13 @@
 """Every builder's index against the generic one from the same cells.
 
-`build_complex`, `join` and `parse_complex_dump` hand `LabeledComplex`
-keys, label masks and columns of their own making.  Each is compared
-here, entry for entry, with the complex `LabeledComplex.from_cells`
-builds from the same cells and labels and a boundary rule: `block_boundary` for
-block complexes, the complex's own `boundary` otherwise.  Joins are
-also checked against the order the former tuple-keyed join sorted its
-cells in, and against their own dumps.
+`build_complex`, `remapped`, `join` and `parse_complex_dump` hand
+`LabeledComplex` keys, label masks and columns of their own making.
+Each is compared here, entry for entry, with the complex the tests'
+generic builder (`graphs.from_cells`) builds from the same cells and
+labels and a boundary rule: `block_boundary` for block complexes, the
+complex's own `boundary` otherwise.  Joins are also checked against the
+former tuple-keyed join (`graphs.former_join`), its sort order, and
+their own dumps.
 """
 
 import itertools
@@ -15,9 +16,9 @@ from pathlib import Path
 
 from cointerval import (
     Hypergraph,
-    LabeledComplex,
     build_complex,
     glued_resolution,
+    independence_complex,
     join,
     linear_width,
     parse_complex_dump,
@@ -25,9 +26,14 @@ from cointerval import (
     taylor_complex,
     write_complex_dump,
 )
-from cointerval.complexes import block_boundary
 
-from graphs import copath
+from graphs import (
+    block_boundary,
+    copath,
+    former_join,
+    from_cells,
+    same_complex,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,7 +53,7 @@ def seeded_2graphs(count, seed=23):
 def glued_covers(count):
     """(factors, glued join) for seeded 2-graphs of linear width >= 2."""
     out = []
-    for H in seeded_2graphs(40):
+    for H in seeded_2graphs(200):
         k, cover = linear_width(H)
         if k < 2:
             continue
@@ -64,7 +70,7 @@ def glued_covers(count):
 
 def generic(X, boundary=None):
     cells = {c: (X.dim(c), X.label(c)) for c in X.all_cells()}
-    return LabeledComplex.from_cells(cells, boundary or X.boundary)
+    return from_cells(cells, boundary or X.boundary)
 
 
 def checked_columns(X):
@@ -73,13 +79,7 @@ def checked_columns(X):
 
 
 def assert_same_index(X, boundary=None, where=None):
-    a, b = X, generic(X, boundary)
-    assert a._vertices == b._vertices, where
-    assert {d: list(k) for d, k in a._keys.items()} == {
-        d: list(k) for d, k in b._keys.items()
-    }, where
-    assert a._masks == b._masks, where
-    assert checked_columns(a) == checked_columns(b), where
+    same_complex(X, generic(X, boundary), where)
 
 
 def test_block_builders_match_generic_index():
@@ -187,3 +187,30 @@ def test_join_of_a_single_factor_keeps_its_keys(copath5):
     J = join([X])
     assert list(J.all_cells()) == list(X.all_cells())
     assert checked_columns(J) == checked_columns(X)
+
+
+def test_glued_joins_equal_the_former_join():
+    covers = glued_covers(30)
+    assert len(covers) == 30
+    for factors, glued in covers:
+        same_complex(glued, former_join(factors), factors)
+
+
+def test_checked_complexes_hold_no_column_rule(two_k2, copath5):
+    # once the columns pass the check, the builder's rule and what it
+    # holds (codes, ids, a dump's columns) are dropped
+    X = build_complex(copath5)
+    glued, _report = glued_resolution(two_k2, linear_width(two_k2)[1])
+    built = [
+        X,
+        X.remapped({v: 6 - v for v in copath5.vertices}),
+        taylor_complex(two_k2),
+        independence_complex(two_k2),
+        glued,
+        join([build_complex(copath5), taylor_complex(two_k2)]),
+        parse_complex_dump(write_complex_dump(X)),  # the block route
+        parse_complex_dump(write_complex_dump(glued)),  # the holder route
+    ]
+    for Y in built:
+        Y.columns(Y.max_dim())
+        assert Y._column_rule is None

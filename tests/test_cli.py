@@ -49,6 +49,7 @@ def check_golden(capsys, name, *argv):
 
 COPATH5 = str(GOLDEN / "input_copath5.txt")
 TWO_K2 = str(GOLDEN / "input_2k2.txt")
+NET_COMPLEMENT = str(GOLDEN / "input_net_complement.txt")
 COPATH5_DUMP = str(GOLDEN / "input_copath5.dump")
 TAYLOR = str(GOLDEN / "input_taylor_2k2.dump")
 JOIN = str(GOLDEN / "input_join_2k2.dump")
@@ -263,6 +264,12 @@ def test_embed_out_to_a_directory_exits_2(capsys, tmp_path):
 
 def test_decompose(capsys):
     check_golden(capsys, "decompose_2k2.txt", "decompose", TWO_K2)
+
+
+def test_decompose_joins_factors_of_positive_dimension(capsys):
+    # the net's complement: its two parts' complexes are no single cells
+    check_golden(capsys, "decompose_net_complement.txt",
+                 "decompose", NET_COMPLEMENT, "--field", "3")
 
 
 def test_casestudy(capsys):

@@ -6,7 +6,6 @@ import pytest
 from cointerval import (
     GF2,
     Hypergraph,
-    LabeledComplex,
     PreconditionError,
     build_complex,
     contractibility_certificate,
@@ -14,9 +13,8 @@ from cointerval import (
     homology_ranks,
     join,
 )
-from cointerval.complexes import block_boundary
 
-from graphs import downset, refusal, strict_downset
+from graphs import block_boundary, downset, from_cells, refusal, strict_downset
 
 
 def test_block_cells_worked_example(copath5):
@@ -72,7 +70,7 @@ def flipped_triangle():
             faces = [(face, -sign), *rest]
         return faces
 
-    return LabeledComplex.from_cells(cells, boundary), top
+    return from_cells(cells, boundary), top
 
 
 def test_boundary_is_read_only_after_the_check():
@@ -81,12 +79,12 @@ def test_boundary_is_read_only_after_the_check():
     for cell in (top, ((1, 2),)):
         with pytest.raises(PreconditionError, match="square to zero"):
             bad.boundary(cell)
-    # a join checks each factor on its first boundary read, so the
-    # error names the factor's cell, not a join cell holding it
-    J = join([bad, build_complex(Hypergraph(1, [4], [(4,)]))])
+        assert bad._column_rule is not None  # kept to raise again
+    # a join checks each factor when it is built, so the error names
+    # the factor's cell, not a join cell holding it
     with pytest.raises(PreconditionError,
                        match=r"square to zero at \(\(1, 2, 3\),\):"):
-        J.columns(1)
+        join([bad, build_complex(Hypergraph(1, [4], [(4,)]))])
 
 
 def test_boundary_squares_to_zero(copath5, k4_3):

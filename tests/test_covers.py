@@ -19,6 +19,7 @@ from cointerval import (
     homology_ranks,
     join,
     linear_width,
+    parse_complex_dump,
     part_complex,
     taylor_complex,
 )
@@ -26,28 +27,25 @@ from cointerval import cli, complexes
 from cointerval.casestudy import net_graph
 from cointerval.complexes import LabeledComplex
 
-from graphs import refusal, strict_downset
+from graphs import checked_join, refusal, zero_sphere
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def zero_sphere(a, b):
-    seg = build_complex(Hypergraph(1, [a, b], [(a,), (b,)]))
-    return strict_downset(seg, seg.mask({a, b}))[1]
-
-
 def test_join_of_spheres():
-    s1 = join([zero_sphere(1, 2), zero_sphere(3, 4)])
+    s1 = checked_join([zero_sphere(1, 2), zero_sphere(3, 4)])
     for fld in (GF2, GF3, QQ):
         assert homology_ranks(s1, fld) == [0, 1]  # a circle
-    s2 = join([zero_sphere(1, 2), zero_sphere(3, 4), zero_sphere(5, 6)])
+    s2 = checked_join([zero_sphere(a, a + 1) for a in (1, 3, 5)])
     assert s2.f_vector() == (6, 12, 8)  # the octahedron
     for fld in (GF2, GF3, QQ):
         assert homology_ranks(s2, fld) == [0, 0, 1]
 
 
 def test_join_boundary_squares_to_zero():
-    X = join([zero_sphere(1, 2), build_complex(Hypergraph(2, [3, 4], [(3, 4)]))])
+    X = checked_join(
+        [zero_sphere(1, 2), build_complex(Hypergraph(2, [3, 4], [(3, 4)]))]
+    )
     for cell in X.all_cells():
         acc = {}
         for face, s in X.boundary(cell):
@@ -70,7 +68,7 @@ def split_by_arity(factors, cell):
 
 def test_join_labels_are_unions():
     factors = [zero_sphere(1, 2), zero_sphere(3, 4)]
-    X = join(factors)
+    X = checked_join(factors)
     for cell in X.all_cells():
         pieces = split_by_arity(factors, cell)
         expect = frozenset()
@@ -87,6 +85,34 @@ def test_join_drops_empty_factors(copath5):
     X = build_complex(copath5)
     E = build_complex(Hypergraph(2, [9, 10], []))
     assert join([X, E]).f_vector() == X.f_vector()
+
+
+# a square as one 2-cell over its four edges: its top cell is no product
+# of simplices, so the dump takes the holder route
+SQUARE = """\
+0 | 1 | 1
+0 | 2 | 2
+0 | 3 | 3
+0 | 4 | 4
+1 | 1 2 | 1 2
+1 | 2 3 | 2 3
+1 | 3 4 | 3 4
+1 | 1 4 | 1 4
+2 | 1 2 3 4 | 1 2 3 4
+"""
+
+
+def test_join_refuses_a_factor_that_is_not_a_product_of_simplices():
+    square = parse_complex_dump(SQUARE)
+    assert square.f_vector() == (4, 4, 1)
+    assert homology_ranks(square, GF2) == [0, 0, 0]  # a disk
+    segment = build_complex(Hypergraph(1, [5, 6], [(5,), (6,)]))
+    want = (PreconditionError, (
+        "cannot join a factor whose cell ((1, 2, 3, 4),) is not a product "
+        "of simplices of its dimension"
+    ))
+    assert refusal(join, [square, segment]) == want
+    assert refusal(join, [segment, square]) == want
 
 
 def test_linear_width_cointerval_is_one(copath5, k4_3):
@@ -149,11 +175,24 @@ def test_linear_width_budget():
 
 def test_join_budget_refuses_before_any_cell(monkeypatch):
     factors = [zero_sphere(1, 2), zero_sphere(3, 4)]  # 3 * 3 - 1 join cells
+    # the join reads each factor's cells and masks to make its cells,
+    # and files them through `complexes._coded`
+    made = []
+
+    def spy(name, real):
+        def counted(*args):
+            made.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("cells", "masks"):
+        monkeypatch.setattr(LabeledComplex, name,
+                            spy(name, getattr(LabeledComplex, name)))
+    monkeypatch.setattr(complexes, "_coded", spy("_coded", complexes._coded))
     monkeypatch.setattr(complexes, "CELL_LIMIT", 8)
     assert len(join(factors)) == 8
-    made = []
-    monkeypatch.setattr(LabeledComplex, "label",
-                        lambda self, cell: made.append(cell))
+    assert {"cells", "masks", "_coded"} <= set(made)
+    made.clear()
     monkeypatch.setattr(complexes, "CELL_LIMIT", 7)
     with pytest.raises(BudgetError, match="the join has 8 > 7 cells"):
         join(factors)

@@ -14,7 +14,6 @@ from cointerval import (
     GF32003,
     QQ,
     Hypergraph,
-    LabeledComplex,
     build_complex,
     homology_ranks,
     join,
@@ -25,7 +24,7 @@ from cointerval import (
 from cointerval._kernels import _members
 from cointerval.complexes import union_closure
 
-from graphs import downset, strict_downset
+from graphs import downset, from_cells, strict_downset
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
@@ -40,7 +39,7 @@ def fresh(X, keep):
     cells = {
         c: (X.dim(c), X.label(c)) for c in X.all_cells() if keep(X.label(c))
     }
-    return LabeledComplex.from_cells(cells, X.boundary)
+    return from_cells(cells, X.boundary)
 
 
 def random_2graphs(count, seed=11):

@@ -50,7 +50,7 @@ from cointerval import (
 from cointerval import complexes, dumpio
 from cointerval.hypergraph import _int_tokens
 
-from graphs import copath, strand_corpus
+from graphs import copath, from_cells, strand_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -254,7 +254,7 @@ def oracle_orient(cells):
             boundaries[cell] = [
                 (f, 1 if v > 0 else -1) for f, v in zip(faces, vec)
             ]
-    return LabeledComplex.from_cells(cells, boundaries.__getitem__)
+    return from_cells(cells, boundaries.__getitem__)
 
 
 def first_face_gauge(columns):

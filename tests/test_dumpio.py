@@ -24,7 +24,7 @@ from cointerval import (
 from cointerval import complexes, hypergraph
 from cointerval.resolution import independence_complex
 
-from graphs import slotted_points
+from graphs import block_boundary, slotted_points
 
 
 def roundtrip(X):
@@ -173,7 +173,7 @@ def test_wide_dumps_parse_in_small_memory():
     assert X.f_vector() == (10, 5)
     cell = ((0, 1), *((v,) for v in range(2, width)))
     # the block route: the writer's signs, not the first face's +1
-    assert X.boundary(cell) == complexes.block_boundary(cell) == [
+    assert X.boundary(cell) == block_boundary(cell) == [
         (((1,), *cell[1:]), 1), (((0,), *cell[1:]), -1)
     ]
 

@@ -6,7 +6,7 @@ reads the independence complex of every induced subgraph H[alpha] as a
 downset of that one complex.  The oracles here are the routes they
 replaced: the 2^n scan of vertex subsets against every edge, and, per
 alpha, a new induced `Hypergraph` whose scanned independent sets become
-a complex of their own through `LabeledComplex.from_cells`.
+a complex of their own through the tests' `from_cells`.
 """
 
 import functools
@@ -33,11 +33,13 @@ from cointerval import (
     taylor_complex,
 )
 from cointerval._kernels import _members
-from cointerval.complexes import block_boundary, union_closure
+from cointerval.complexes import union_closure
 
 from graphs import (
     all_graphs,
+    block_boundary,
     downset,
+    from_cells,
     planted_2k2,
     random_graph,
     strict_downset,
@@ -58,7 +60,7 @@ def scan_independent_sets(H):
 
 
 def scanned_complex(H):
-    return LabeledComplex.from_cells({
+    return from_cells({
         (sub,): (len(sub) - 1, frozenset(sub))
         for sub in scan_independent_sets(H)
     }, block_boundary)

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from cointerval import (
     QQ,
     Field,
     Hypergraph,
-    LabeledComplex,
     PreconditionError,
     build_complex,
     homology_ranks,
@@ -33,13 +33,20 @@ from cointerval._kernels import (
     pivot_rows_mod,
     pivot_rows_packed,
 )
-from cointerval.complexes import block_boundary, block_dim
+from cointerval.complexes import block_dim
 from cointerval.homology import _assert_squares_to_zero, _split_by_sign
 
-from graphs import downset, members_oracle, strict_downset
+from graphs import (
+    block_boundary,
+    downset,
+    from_cells,
+    members_oracle,
+    strict_downset,
+)
 
 ALL_FIELDS = (GF2, GF3, GF32003, QQ)
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 
 
 def sparse(rows):
@@ -383,7 +390,7 @@ def flipped_sign(blocks_iter):
         return faces
 
     cells = {b: (block_dim(b), frozenset().union(*b)) for b in blocks_iter}
-    return LabeledComplex.from_cells(cells, boundary)
+    return from_cells(cells, boundary)
 
 
 def test_flipped_sign_raises(copath5):
@@ -466,10 +473,10 @@ def test_squares_check_raises_as_with_the_former_split(copath5, monkeypatch):
 def test_flipped_sign_raises_under_optimize():
     code = textwrap.dedent(
         """
-        from cointerval import GF2, Hypergraph, LabeledComplex
-        from cointerval import PreconditionError
+        from cointerval import GF2, Hypergraph, PreconditionError
         from cointerval import build_complex, homology_ranks
-        from cointerval.complexes import block_boundary, block_dim
+        from cointerval.complexes import block_dim
+        from graphs import block_boundary, from_cells
 
         def boundary(cell):
             faces = block_boundary(cell)
@@ -480,7 +487,7 @@ def test_flipped_sign_raises_under_optimize():
 
         H = Hypergraph(2, range(1, 6), [(1, 2), (1, 3), (1, 4), (1, 5),
                                         (2, 4), (2, 5), (3, 5)])
-        X = LabeledComplex.from_cells(
+        X = from_cells(
             {b: (block_dim(b), frozenset().union(*b))
              for b in sorted(build_complex(H).all_cells())},
             boundary,
@@ -495,7 +502,8 @@ def test_flipped_sign_raises_under_optimize():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": str(SRC)}, timeout=60,
+        env={"PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))},
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: boundary does not square to zero")
@@ -503,7 +511,7 @@ def test_flipped_sign_raises_under_optimize():
 
 def test_label_not_monotone_rejected():
     # the edge's label misses vertex 3, which one of its endpoints carries
-    X = LabeledComplex.from_cells({
+    X = from_cells({
         ((1, 2),): (1, frozenset({1, 2})),
         ((1,),): (0, frozenset({1, 3})),
         ((2,),): (0, frozenset({2})),
@@ -515,7 +523,7 @@ def test_label_not_monotone_rejected():
 
 
 def test_missing_face_rejected():
-    X = LabeledComplex.from_cells({
+    X = from_cells({
         ((1, 2),): (1, frozenset({1, 2})),
         ((1,),): (0, frozenset({1})),
     }, block_boundary)

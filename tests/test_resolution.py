@@ -35,8 +35,7 @@ from cointerval import (
 )
 from cointerval import _kernels, cli, complexes, hypergraph, resolution
 from cointerval._kernels import _members
-from cointerval.complexes import _holders, block_boundary
-from cointerval.covers import join
+from cointerval.complexes import _holders
 from cointerval.homology import ACYCLIC, NOT_ACYCLIC
 from cointerval.resolution import (
     HOCHSTER_VERTEX_LIMIT,
@@ -49,8 +48,11 @@ from cointerval.resolution import (
 
 from graphs import (
     all_graphs,
+    block_boundary,
+    checked_join,
     copath,
     downset,
+    from_cells,
     members_oracle,
     planted_2k2,
     random_graph,
@@ -410,7 +412,7 @@ def test_failure_records_degree_and_ranks(two_k2):
     for twin in (pickle.loads(pickle.dumps(failure)), copy.deepcopy(failure)):
         assert twin == failure and twin.ranks == {0: 1} and twin.degree == 0
     # a hollow triangle fails in degree 1
-    hollow = LabeledComplex.from_cells({
+    hollow = from_cells({
         (b,): (len(b) - 1, frozenset(b))
         for b in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
     }, block_boundary)
@@ -463,7 +465,7 @@ def interval_complements(count, seed=5):
 
 def hand_built(cells, boundaries):
     """A complex from {key: (dim, label)} and {key: [(face, sign)]}."""
-    return LabeledComplex.from_cells(
+    return from_cells(
         {k: (d, frozenset(lab)) for k, (d, lab) in cells.items()},
         lambda k: boundaries.get(k, ()),
     )
@@ -677,7 +679,7 @@ def test_certificate_and_minimality_match_their_former_bodies(
         H = random_graph(rng, 2, range(1, rng.randrange(3, 8)), 0.5)
         if H.edges:
             corpus.append((f"taylor_seeded{i}", taylor_complex(H)))
-    corpus.append(("join", join([
+    corpus.append(("join", checked_join([
         build_complex(copath(5)),
         taylor_complex(Hypergraph(2, range(6, 10), [(6, 7), (8, 9)])),
     ])))
@@ -756,11 +758,11 @@ def test_first_face_certificate_matches_the_per_vertex_oracle(proof_corpus):
         H = random_graph(rng, 2, range(1, rng.randrange(3, 8)), 0.5)
         if H.edges:
             corpus.append((f"taylor{i}", taylor_complex(H)))
-    corpus.append(("join", join([
+    corpus.append(("join", checked_join([
         build_complex(copath(5)),
         taylor_complex(Hypergraph(2, range(6, 10), [(6, 7), (8, 9)])),
     ])))
-    corpus.append(("join3", join([
+    corpus.append(("join3", checked_join([
         build_complex(copath(4)),
         build_complex(Hypergraph(2, range(5, 9), [(5, 7), (6, 8)])),
         taylor_complex(Hypergraph(2, range(9, 12), [(9, 10), (10, 11)])),
