@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 from ._kernels import _members
 from .complexes import build_complex
-from .covers import (
-    LINEAR_WIDTH_EDGE_LIMIT,
-    _family,
-    _least_cover,
-    _part_cert,
-)
+from .covers import LINEAR_WIDTH_EDGE_LIMIT, _least_cover
 from .errors import BudgetError, PreconditionError
 from .homology import GF2
 from .hypergraph import (
@@ -173,13 +168,11 @@ class ClassRow:
         return self.ss_labeling is not None
 
 
-def _classify_one(idx, H, part_feasible):
-    co = find_cointerval_labeling(H)
-    ss = find_strongly_stable_labeling(H)
+def _classify_one(idx, H, co, ss, feasible):
     fvec = build_complex(H.relabel(co)).f_vector() if co else None
     coarse = betti_hochster(H, GF2).coarse()
-    wc, cover_c = _least_cover(H, "cointerval", part_feasible["cointerval"])
-    ws, cover_s = _least_cover(H, "ss", part_feasible["ss"])
+    wc, cover_c = _least_cover(H, "cointerval", feasible(0))
+    ws, cover_s = _least_cover(H, "ss", feasible(1))
     return ClassRow(idx, H, co, ss, fvec, coarse, wc, ws, cover_c, cover_s)
 
 
@@ -190,8 +183,8 @@ def classify_all(d, n):
     before any class is enumerated when its C(n, d) edges are more than
     `linear_width` takes.  Whether a part has a family labeling depends
     only on its isomorphism class, so each family's search runs once per
-    class, on the class representative; the cover search reads a part's
-    answer from the class the orbit sweep gave its edge mask.
+    class, on the class representative; that labeling fills the row, and
+    the cover search reads a part's answer from its edge mask's class.
     """
     t = _guard_classes(d, n)
     if t > LINEAR_WIDTH_EDGE_LIMIT:
@@ -201,20 +194,22 @@ def classify_all(d, n):
         )
     universe, classes, class_of = _orbit_sweep(d, n)
     index = {e: i for i, e in enumerate(universe)}
+    labelings = [
+        (find_cointerval_labeling(H), find_strongly_stable_labeling(H))
+        for H in classes
+    ]
 
-    def class_flags(family):
-        search, _is_member = _family(family)
-        flags = [
-            bool(H.edges) and _part_cert(H, H.edge_list(), search) is not None
-            for H in classes
-        ]
-        return lambda part: flags[class_of[sum(1 << index[e] for e in part)]]
+    def feasible(k):
+        # a part has a labeling (k = 0 cointerval, 1 strongly stable) of
+        # its support just when its class has one of all its vertices:
+        # isolated vertices constrain neither family
+        return lambda part: labelings[
+            class_of[sum(1 << index[e] for e in part)]
+        ][k] is not None
 
-    part_feasible = {
-        family: class_flags(family) for family in ("cointerval", "ss")
-    }
     return [
-        _classify_one(i + 1, H, part_feasible) for i, H in enumerate(classes)
+        _classify_one(i + 1, H, co, ss, feasible)
+        for i, (H, (co, ss)) in enumerate(zip(classes, labelings))
     ]
 
 

@@ -31,9 +31,9 @@ and a branch is cut at its first non-edge; it stops with BudgetError
 past CELL_LIMIT cells.  `resolution.independence_complex` grows
 independent sets as one-block cells with `_lex_subsets`, cut at each
 completed edge, and `resolution.taylor_complex` takes every set of edge
-indices.  `_coded` codes cells keyed by blocks by their values for
-`LabeledComplex.remapped`, `covers.join` and a dump of products of
-simplices; the dump parser orients any other dump itself.
+indices.  `covers.join` codes its factors' picks itself, and `_coded`
+codes cells keyed by blocks by their values for `remapped` and a dump
+of products of simplices; the dump parser orients any other dump.
 """
 
 from __future__ import annotations
@@ -118,6 +118,10 @@ class LabeledComplex:
         sees block sizes and within-block positions, so the image is
         again a valid block complex (on relabeled vertices), coded anew.
         """
+        for domain in (set(self._vertices), _block_values(self._keys)):
+            images = set(map(mapping.get, domain))
+            if None in images or len(images) < len(domain):
+                raise ValueError("remapping is undefined or not injective")
         verts = sorted(mapping[v] for v in self._vertices)
         bit = {v: 1 << k for k, v in enumerate(verts)}
         to = [bit[mapping[v]] for v in self._vertices]
@@ -335,7 +339,7 @@ def block_dim(blocks):
     return sum(len(b) - 1 for b in blocks)
 
 
-def _grow(H, bit, stride):
+def _grow(H, bit):
     """Block cells of H grown by downward closure, in preorder.
 
     Yields (cell, dim, label mask, code) for every block tuple whose
@@ -351,8 +355,8 @@ def _grow(H, bit, stride):
     tuples in lexicographic order, which is the complex's sort order
     within every dimension.
 
-    `code` packs block i's vertex mask at bit offset i * stride, so
-    deleting vertex v from block i is `code ^ bit[v] << i * stride`.
+    `code` packs block i's vertex mask at bit offset i * len(bit), so
+    deleting vertex v from block i is `code ^ bit[v] << i * len(bit)`.
     Raises BudgetError once more than CELL_LIMIT cells are grown.
     """
     count = 0
@@ -361,7 +365,7 @@ def _grow(H, bit, stride):
     def cells(tuples, prefix, pmask, pcode, pdim):
         # the cells of the graph of `tuples`, each after the blocks of prefix
         nonlocal count
-        offset = len(prefix) * stride
+        offset = len(prefix) * len(bit)
         if len(prefix) == H.d - 1:
             verts = tuple(sorted(t[0] for t in tuples))
             count += (1 << len(verts)) - 1
@@ -426,10 +430,15 @@ def _misshapen(keys):
     return None
 
 
-def _coded(keys, masks, vertices, factors=None):
+def _block_values(keys):
+    cells = chain.from_iterable(keys.values())
+    return set(chain.from_iterable(chain.from_iterable(cells)))
+
+
+def _coded(keys, masks, vertices):
     """The complex of cells keyed by blocks, each dimension sorted,
-    filed by `_filed`: one bit per distinct block value, block i's at
-    offset i * stride, the stride being the number of values."""
+    filed by `_filed`: one bit per distinct block value, in sorted
+    order, block i's at offset i * the number of values."""
     blocks = set(chain.from_iterable(chain.from_iterable(keys.values())))
     values = sorted(set(chain.from_iterable(blocks)))
     bit = dict(zip(values, (1 << k for k in range(len(values)))))
@@ -440,26 +449,27 @@ def _coded(keys, masks, vertices, factors=None):
         (cell, dim, mask, sum(map(lshift, map(code.get, cell), shifts)))
         for dim, dim_keys in keys.items()
         for cell, mask in zip(dim_keys, masks[dim])
-    ), vertices, bit, len(values), factors)
+    ), vertices, bit)
 
 
-def _filed(cells, vertices, bit, stride, factors=None):
+def _filed(cells, vertices, bit, factors=None):
     """The complex of products of simplices met in sort order.
 
     `cells` yields (cell, dim, label mask, code) per cell, cells of a
-    dimension in sort order; `code` packs block i's vertices (`bit`) at
-    offset i * stride.  A cell's id is its position in its dimension.
-    `factors` gives each join factor's (start, stop) block slots; by
-    default the whole key is one factor.
+    dimension in sort order; `code` packs block i's vertices (`bit`, all
+    below `1 << len(bit)` if keys have several blocks) at offset
+    i * len(bit).  A cell's id is its position in its dimension.
+    `factors` gives each join factor's (start, stop) slots (None: one).
 
     The columns walk the present factors (a vanished one has empty
-    slots).  Deleting v from block i is `code ^ bit[v] << i * stride`; a
+    slots).  Deleting v from block i is `code ^ bit[v] << i * len(bit)`; a
     factor whose pick is a vertex also vanishes, to `code` without its
     slot bits.  The sign is (-1)^offset, the offset being v's index in
     its block, plus the dimensions of the blocks before it, plus one per
     present factor before it: the product rule, a vertex going to the
     empty face.  The complex checks that composing twice cancels.
     """
+    stride = len(bit)
     keys, masks, codes, ids = {}, {}, {}, {}
     for cell, dim, mask, code in cells:
         dim_keys = keys.get(dim)
@@ -493,8 +503,7 @@ def _filed(cells, vertices, bit, stride, factors=None):
                             for v in block:
                                 face = ids.get(code ^ bit[v] << shift)
                                 if face is None:
-                                    # a stride of 0 codes one-block keys
-                                    j = shift // stride if stride else 0
+                                    j = shift // stride
                                     face = tuple(u for u in block if u != v)
                                     raise _not_a_cell(
                                         cell[:j] + (face,) + cell[j + 1:],
@@ -527,9 +536,8 @@ def build_complex(H):
     so the result is closed under faces.
     """
     verts = H.support()
-    stride = len(verts)
     bit = {v: 1 << k for k, v in enumerate(verts)}
-    return _filed(_grow(H, bit, stride), verts, bit, stride)
+    return _filed(_grow(H, bit), verts, bit)
 
 
 def fold(H, i, j):

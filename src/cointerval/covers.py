@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import complexes
 from ._kernels import _members
-from .complexes import _misshapen, build_complex
+from .complexes import _block_values, _misshapen, build_complex
 from .errors import BudgetError, PreconditionError
 from .homology import DEFAULT_FIELDS
 from .hypergraph import (
@@ -62,8 +62,8 @@ def join(factors):
     picks' block tuples concatenated, with empty blocks for a factor it
     picks nothing from, which is the block tuple its dump line holds.
     Each factor's cells are taken in key order behind its vanished
-    entry, so the product meets the join keys in sort order, and they
-    are filed over the factors' block slots (`complexes._coded`).
+    entry and coded once (one bit per block value), so the product meets
+    each dimension's join keys in sort order and ORs their codes.
 
     A factor with empty blocks is a join itself (ValueError), and one
     with a cell not of its `block_dim` is no product of simplices
@@ -94,27 +94,27 @@ def join(factors):
         X._checked  # raises unless the factor checks out
     verts = sorted(set().union(*(X._vertices for X in factors)))
     bit = {v: 1 << k for k, v in enumerate(verts)}
-    joined = [((), 0, 0)]  # (key, sum of the picks' dim + 1, label mask)
+    values = sorted(set().union(*(_block_values(X._keys) for X in factors)))
+    value_bit = {v: 1 << k for k, v in enumerate(values)}
+    joined = [((), -1, 0, 0)]  # (key, dimension, label mask, code)
     slots = []
     for X in factors:
         to = [bit[v] for v in X._vertices]
+        start = len(joined[0][0])
         picks = sorted(
-            (key, d + 1, sum(map(to.__getitem__, _members(mask))))
+            (key, d + 1, sum(map(to.__getitem__, _members(mask))),
+             sum(value_bit[v] << (start + i) * len(values)
+                 for i, block in enumerate(key) for v in block))
             for d in X.dims() for key, mask in zip(X.cells(d), X.masks(d))
         )
-        start, arity = len(joined[0][0]), len(picks[0][0])
+        arity = len(picks[0][0])
         slots.append((start, start + arity))
-        picks.insert(0, (((),) * arity, 0, 0))
+        picks.insert(0, (((),) * arity, 0, 0, 0))
         joined = [
-            (key + k, n + m, mask | b)
-            for key, n, mask in joined for k, m, b in picks
+            (key + k, n + m, mask | b, code | c)
+            for key, n, mask, code in joined for k, m, b, c in picks
         ]
-    keys = {d: [] for d in range(max(n for _k, n, _m in joined))}
-    masks = {d: [] for d in keys}
-    for key, n, mask in joined[1:]:
-        keys[n - 1].append(key)
-        masks[n - 1].append(mask)
-    return complexes._coded(keys, masks, verts, slots)
+    return complexes._filed(joined[1:], verts, value_bit, slots)
 
 
 @dataclass(frozen=True)

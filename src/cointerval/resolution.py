@@ -528,7 +528,7 @@ def independence_complex(H):
             f"the independence complex has more than {limit} faces"
         )
     return _filed(
-        (((face,), dim, mask, mask) for face, mask, dim in faces), verts, bit, 0
+        (((face,), dim, mask, mask) for face, mask, dim in faces), verts, bit
     )
 
 
@@ -629,4 +629,4 @@ def taylor_complex(H):
         for i in sub:
             label |= edge_masks[i - 1]
         cells.append(((sub,), dim, label, code))
-    return _filed(cells, verts, index_bit, 0)
+    return _filed(cells, verts, index_bit)

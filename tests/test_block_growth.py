@@ -22,8 +22,10 @@ from cointerval import (
     PreconditionError,
     build_complex,
     complexes,
+    resolution,
 )
 from cointerval.complexes import block_dim
+from cointerval.resolution import independence_complex
 
 from graphs import all_graphs, block_boundary, downset, from_cells
 
@@ -248,8 +250,8 @@ def test_face_id_past_the_end_raises(monkeypatch, copath5):
 def test_missing_cell_in_growth_raises(monkeypatch, copath5):
     real = complexes._grow
 
-    def without_a_vertex(H, bit, stride):
-        for grown in real(H, bit, stride):
+    def without_a_vertex(H, bit):
+        for grown in real(H, bit):
             if grown[0] != ((2,), (4,)):
                 yield grown
 
@@ -259,6 +261,23 @@ def test_missing_cell_in_growth_raises(monkeypatch, copath5):
         X.columns(1)
     assert str(err.value) == (
         "face ((2,), (4,)) of ((1, 2), (4,)) is not a cell of dimension 0"
+    )
+
+
+def test_missing_face_of_a_one_block_cell_raises(monkeypatch):
+    # a one-block builder's missing face is named as a whole cell
+    real = resolution._filed
+
+    def without_a_vertex(cells, *args):
+        kept = (cell for cell in cells if cell[0] != ((3,),))
+        return real(kept, *args)
+
+    monkeypatch.setattr(resolution, "_filed", without_a_vertex)
+    X = independence_complex(Hypergraph(2, range(1, 5), [(1, 2)]))
+    with pytest.raises(PreconditionError) as err:
+        X.columns(1)
+    assert str(err.value) == (
+        "face ((3,),) of ((1, 3),) is not a cell of dimension 0"
     )
 
 

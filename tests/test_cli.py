@@ -276,6 +276,11 @@ def test_casestudy(capsys):
     check_golden(capsys, "casestudy_2_4.txt", "casestudy", "--d", "2", "--n", "4")
 
 
+def test_casestudy_3_5(capsys):
+    # every path of the survey's case-study op: searches, covers, Hochster
+    check_golden(capsys, "casestudy_3_5.txt", "casestudy", "--d", "3", "--n", "5")
+
+
 def test_casestudy_guard(capsys):
     code, _, err = run(capsys, "casestudy", "--d", "2", "--n", "9")
     assert code == 4 and "refusing" in err

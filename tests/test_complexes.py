@@ -12,6 +12,7 @@ from cointerval import (
     fold,
     homology_ranks,
     join,
+    taylor_complex,
 )
 
 from graphs import block_boundary, downset, from_cells, refusal, strict_downset
@@ -195,3 +196,28 @@ def test_remapped_preserves_homology(copath5):
     assert {Y.label(c) for c in Y.cells(0)} == {
         frozenset(perm[v] for v in X.label(c)) for c in X.cells(0)
     }
+
+
+def test_remapped_refuses_a_mapping_that_is_no_bijection():
+    X = build_complex(Hypergraph(2, range(1, 5), [(1, 2), (2, 3), (3, 4)]))
+    # two vertices sent to one: on the parent a silent (1, 1, 3, 4)
+    with pytest.raises(ValueError, match="undefined or not injective"):
+        X.remapped({1: 1, 2: 1, 3: 3, 4: 4})
+    # a vertex left out: on the parent a bare KeyError
+    with pytest.raises(ValueError, match="undefined or not injective"):
+        X.remapped({1: 1, 2: 2, 3: 3})
+    Y = X.remapped({v: 5 - v for v in range(1, 5)})
+    assert Y._vertices == (1, 2, 3, 4) and Y.f_vector() == (3,)
+
+
+def test_remapped_checks_block_values_apart_from_label_vertices():
+    # a Taylor complex's blocks hold edge indices 1, 2, not its vertices
+    X = taylor_complex(Hypergraph(2, range(3, 7), [(3, 4), (5, 6)]))
+    on_vertices = {v: v for v in range(3, 7)}
+    with pytest.raises(ValueError, match="undefined or not injective"):
+        X.remapped(on_vertices)
+    with pytest.raises(ValueError, match="undefined or not injective"):
+        X.remapped({**on_vertices, 1: 7, 2: 7})
+    Y = X.remapped({**on_vertices, 1: 2, 2: 1})
+    assert [Y.label(c) for c in Y.cells(0)] == [{5, 6}, {3, 4}]
+    assert Y.f_vector() == (2, 1)

@@ -176,7 +176,7 @@ def test_linear_width_budget():
 def test_join_budget_refuses_before_any_cell(monkeypatch):
     factors = [zero_sphere(1, 2), zero_sphere(3, 4)]  # 3 * 3 - 1 join cells
     # the join reads each factor's cells and masks to make its cells,
-    # and files them through `complexes._coded`
+    # and files them through `complexes._filed`
     made = []
 
     def spy(name, real):
@@ -188,10 +188,10 @@ def test_join_budget_refuses_before_any_cell(monkeypatch):
     for name in ("cells", "masks"):
         monkeypatch.setattr(LabeledComplex, name,
                             spy(name, getattr(LabeledComplex, name)))
-    monkeypatch.setattr(complexes, "_coded", spy("_coded", complexes._coded))
+    monkeypatch.setattr(complexes, "_filed", spy("_filed", complexes._filed))
     monkeypatch.setattr(complexes, "CELL_LIMIT", 8)
     assert len(join(factors)) == 8
-    assert {"cells", "masks", "_coded"} <= set(made)
+    assert {"cells", "masks", "_filed"} <= set(made)
     made.clear()
     monkeypatch.setattr(complexes, "CELL_LIMIT", 7)
     with pytest.raises(BudgetError, match="the join has 8 > 7 cells"):
